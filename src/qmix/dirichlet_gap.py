@@ -20,12 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import Generator, NotPrimitiveError, stationary_state
-from .lp_space import _check_positive
+from .lp_space import WeightedSpace, _check_positive
 from .operator_core import (
-    as_matrix,
     hermitian_part,
     left_right_super,
-    matrix_function,
     max_abs,
     random_hermitian,
     unvec,
@@ -54,25 +52,45 @@ def _action(g: Generator, hat: bool):
 
 
 def dirichlet(g: Generator, p: float, f, hat: bool = False) -> float:
-    """The L_p Dirichlet form E_p(f) (or the hat variant)."""
+    """The L_p Dirichlet form E_p(f) (or the hat variant).
+
+    p and f are checked here; the p = 1, 2 closed forms are the kernels
+    `_e1`/`_e2`, which the log-Sobolev ratio shares.
+    """
     if p < 1:
         raise ValueError(f"dirichlet requires p >= 1, got {p}")
     sp = stationary_state(g)
-    f = as_matrix(f)
+    f = sp._check_dim(f)
     act = _action(g, hat)
-    scale = (1.0 + max_abs(f)) ** 2 * max(1.0, max_abs(act(np.eye(g.dim))) + 1.0)
     if abs(p - 2.0) < 1e-12:
-        val = -sp.inner(f, act(f))
+        val = _e2(sp, f, act(f))
     elif p < 1.0 + 1e-6:
-        # E_1(f) = -(1/2) tr[Gamma(L f) (log Gamma(f) - log sigma)]
         _check_positive(f, "dirichlet (p=1 branch)")
-        gf = sp.gamma(f)
-        log_gf = matrix_function(gf, np.log)
-        val = -0.5 * float(np.trace(sp.gamma(act(f)) @ (log_gf - sp.log_sigma)).real)
+        val = _e1(sp, act(f), sp._log_ratio(f)[1])
     else:
         q = p / (p - 1.0)
         val = -p / (2.0 * (p - 1.0)) * sp.inner(sp.power_operator(q, p, f), act(f))
+    return _judge_negative(val, g, f, act)
+
+
+def _e1(sp: WeightedSpace, act_f, log_ratio) -> float:
+    """E_1(f) = -(1/2) tr[Gamma(L f) (log Gamma(f) - log sigma)], given L(f)
+    and the log ratio from `WeightedSpace._log_ratio`."""
+    return -0.5 * float(np.trace(sp._gamma(1.0, act_f) @ log_ratio).real)
+
+
+def _e2(sp: WeightedSpace, f, act_f) -> float:
+    """E_2(f) = -<f, L(f)>_sigma."""
+    return -sp._inner(f, act_f)
+
+
+def _judge_negative(val: float, g: Generator, f, act) -> float:
+    """Clamp a Dirichlet value that rounding pushed below zero to 0; raise
+    ArithmeticError below -1e-8 * (1 + max|f|)^2 * max(1, max|L(1)| + 1).
+    That scale costs a generator application, so it is built only to judge
+    a negative value."""
     if val < 0.0:
+        scale = (1.0 + max_abs(f)) ** 2 * max(1.0, max_abs(act(np.eye(g.dim))) + 1.0)
         if val < -1e-8 * scale:
             raise ArithmeticError(f"Dirichlet form came out negative: {val:.3e}")
         return 0.0

@@ -85,6 +85,8 @@ class Generator:
         self.dim = int(dim)
         self.hamiltonian = None if hamiltonian is None else require_hermitian(hamiltonian)
         self.lindblad_ops = None if lindblad_ops is None else [as_matrix(k) for k in lindblad_ops]
+        # (K, K^dag, K^dag K) per jump, shared by apply and apply_adjoint
+        self._jumps = [(k, k.conj().T, k.conj().T @ k) for k in self.lindblad_ops or ()]
         self.family = family
         self.params = dict(params or {})
         self._apply_heis = apply_heis
@@ -114,9 +116,7 @@ class Generator:
         out = np.zeros_like(f)
         if self.hamiltonian is not None:
             out = out + 1j * (self.hamiltonian @ f - f @ self.hamiltonian)
-        for k in self.lindblad_ops or ():
-            kd = k.conj().T
-            kk = kd @ k
+        for k, kd, kk in self._jumps:
             out = out + kd @ f @ k - 0.5 * (kk @ f + f @ kk)
         return out
 
@@ -135,9 +135,7 @@ class Generator:
         out = np.zeros_like(rho)
         if self.hamiltonian is not None:
             out = out - 1j * (self.hamiltonian @ rho - rho @ self.hamiltonian)
-        for k in self.lindblad_ops or ():
-            kd = k.conj().T
-            kk = kd @ k
+        for k, kd, kk in self._jumps:
             out = out + k @ rho @ kd - 0.5 * (kk @ rho + rho @ kk)
         return out
 

@@ -10,6 +10,13 @@ All of these are evaluated through one cached eigendecomposition of sigma.
 The entropy-type functionals are only defined on positive definite
 observables; inputs failing the positivity gate are rejected rather than
 clamped, since the functionals are ill-behaved on boundary-rank inputs.
+
+Checks happen at the public entry points: the WeightedSpace methods validate
+the shape and finiteness of their arguments, and the entropy-type ones also
+Hermiticity and positivity.  The underscore kernels (`_gamma`, `_inner`, `_log_ratio`, `_ent1`, `_ent2`) and
+`_require_positive` trust arrays the library built and skip those checks;
+each formula lives in one kernel, which the public method and the fused
+log-Sobolev ratio both call.
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from .operator_core import (
+    _eigh,
+    _matrix_function,
     as_matrix,
     eig_hermitian,
     hermitian_part,
@@ -38,7 +47,12 @@ class PositivityError(ValueError):
 
 
 def _check_positive(f, name: str = "f"):
-    w, v = eig_hermitian(f)
+    return _require_positive(require_hermitian(f), name)
+
+
+def _require_positive(f, name: str = "f"):
+    """The positivity gate of _check_positive on a matrix the library built."""
+    w, v = _eigh(f)
     if w[0] <= POSITIVITY_REL_TOL * max(w[-1], 0.0) or w[-1] <= 0:
         raise PositivityError(
             f"{name} requires f in A_d^+ (positive definite): "
@@ -99,6 +113,9 @@ class WeightedSpace:
         f = self._check_dim(f)
         if p == 0:
             return f.copy()
+        return self._gamma(p, f)
+
+    def _gamma(self, p: float, f) -> np.ndarray:
         s = self.sigma_power(p / 2.0)
         return hermitian_part(s @ f @ s)
 
@@ -118,10 +135,10 @@ class WeightedSpace:
 
     def inner(self, f, g) -> float:
         """<f,g>_sigma = tr[Gamma(f) g]; real for Hermitian arguments."""
-        f = self._check_dim(f)
-        g = self._check_dim(g)
-        val = np.trace(self.gamma(f) @ g)
-        return float(val.real)
+        return self._inner(self._check_dim(f), self._check_dim(g))
+
+    def _inner(self, f, g) -> float:
+        return float(np.trace(self._gamma(1.0, f) @ g).real)
 
     def variance(self, g) -> float:
         """Var(g) = tr[Gamma(g) g] - tr[Gamma(g)]^2, clamped at zero."""
@@ -139,7 +156,7 @@ class WeightedSpace:
         f = self._check_dim(f)
         x = self.gamma_power(1.0 / q, f)
         t = q / p
-        ax = matrix_function(x, lambda w: np.abs(w) ** t, eig_floor=-np.inf)
+        ax = matrix_function(x, lambda w: np.float_power(np.abs(w), t), eig_floor=-np.inf)
         return self.gamma_power(-1.0 / p, ax)
 
     def op_relative_entropy(self, p: float, f) -> np.ndarray:
@@ -161,10 +178,16 @@ class WeightedSpace:
         """Ent_1(f) = tr[Gamma(f)(log Gamma(f) - log sigma)] - tr Gamma(f) log tr Gamma(f)."""
         f = self._check_dim(f)
         _check_positive(f, "ent1")
-        gf = self.gamma(f)
-        log_gf = matrix_function(gf, np.log)
+        return self._ent1(*self._log_ratio(f))
+
+    def _log_ratio(self, f):
+        """Gamma(f) and log Gamma(f) - log sigma, shared by Ent_1 and E_1."""
+        gf = self._gamma(1.0, f)
+        return gf, _matrix_function(gf, np.log) - self._log_sigma
+
+    def _ent1(self, gf, log_ratio) -> float:
         tr_gf = float(np.trace(gf).real)
-        val = float(np.trace(gf @ (log_gf - self._log_sigma)).real)
+        val = float(np.trace(gf @ log_ratio).real)
         val -= tr_gf * np.log(tr_gf)
         return self._clamp_ent(val, scale=abs(val) + tr_gf + 1.0)
 
@@ -172,9 +195,12 @@ class WeightedSpace:
         """Closed form of Ent_2 via X = Gamma^{1/2}(f)."""
         f = self._check_dim(f)
         _check_positive(f, "ent2")
-        x = self.gamma_power(0.5, f)
+        return self._ent2(f)
+
+    def _ent2(self, f) -> float:
+        x = self._gamma(0.5, f)
         x2 = x @ x
-        log_x = matrix_function(x, np.log)
+        log_x = _matrix_function(x, np.log)
         n2sq = float(np.trace(x2).real)  # ||f||_{2,sigma}^2
         val = float(np.trace(x2 @ log_x).real)
         val -= 0.5 * float(np.trace(x2 @ self._log_sigma).real)

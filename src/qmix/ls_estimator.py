@@ -29,10 +29,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from .dirichlet_gap import GapReport, dirichlet, spectral_gap
+from .dirichlet_gap import (GapReport, _action, _e1, _e2, _judge_negative, dirichlet,
+                            spectral_gap)
 from .generators import Generator, stationary_state
-from .lp_space import PositivityError
-from .operator_core import eig_hermitian, hermitian_part, max_abs
+from .lp_space import PositivityError, _require_positive
+from .operator_core import _eigh, hermitian_part, max_abs
 
 __all__ = [
     "LSReport",
@@ -89,39 +90,36 @@ def expander_alpha2_upper(D: int, d: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _pack(h: np.ndarray) -> np.ndarray:
+    """Real coordinates of a Hermitian h: the diagonal, then (Re, Im) of the
+    strict upper triangle in row-major order."""
     d = h.shape[0]
+    upper = h[np.triu_indices(d, 1)]
     out = np.empty(d * d)
     out[:d] = np.diag(h).real
-    k = d
-    for a in range(d):
-        for b in range(a + 1, d):
-            out[k] = h[a, b].real
-            out[k + 1] = h[a, b].imag
-            k += 2
+    out[d::2] = upper.real
+    out[d + 1::2] = upper.imag
     return out
 
 
 def _unpack(x: np.ndarray, d: int) -> np.ndarray:
+    rows, cols = np.triu_indices(d, 1)
+    re, im = x[d::2], x[d + 1::2]
     h = np.zeros((d, d), dtype=complex)
     np.fill_diagonal(h, x[:d])
-    k = d
-    for a in range(d):
-        for b in range(a + 1, d):
-            h[a, b] = x[k] + 1j * x[k + 1]
-            h[b, a] = x[k] - 1j * x[k + 1]
-            k += 2
+    h[rows, cols] = re + 1j * im
+    h[cols, rows] = re - 1j * im
     h -= np.trace(h).real / d * np.eye(d)  # ratio is scale invariant; pin tr h = 0
     return h
 
 
 def _expm_hermitian(h: np.ndarray) -> np.ndarray:
-    w, v = eig_hermitian(h)
+    w, v = _eigh(h)
     w = np.clip(w, -H_CLIP, H_CLIP)
     return hermitian_part((v * np.exp(w)) @ v.conj().T)
 
 
 def _logm_pd(f: np.ndarray) -> np.ndarray:
-    w, v = eig_hermitian(f)
+    w, v = _eigh(f)
     w = np.maximum(w, 1e-300)
     return hermitian_part((v * np.log(w)) @ v.conj().T)
 
@@ -229,21 +227,38 @@ def _near_identity_direction(g: Generator, p: int, hat: bool) -> np.ndarray | No
 # ---------------------------------------------------------------------------
 
 class _RatioProblem:
+    """The LS ratio E_p(f)/Ent_p(f), p in {1, 2}, on matrices the search built.
+
+    One positivity eigh per evaluation; at p = 1 one Gamma(f) and one
+    log Gamma(f) - log sigma serve both functionals.  The value equals
+    dirichlet(g, p, f, hat) / space.ent(p, f) exactly.  f outside A_d^+,
+    Ent_p(f) <= ENT_FLOOR and numerical breakdown give +inf; any other error
+    (a wrong-dimension f, say) propagates.
+    """
+
     def __init__(self, g: Generator, p: int, hat: bool):
         self.g = g
         self.p = float(p)
-        self.hat = hat
         self.space = stationary_state(g)
+        self.act = _action(g, hat)
         self.n_evals = 0
 
     def ratio(self, f) -> float:
         self.n_evals += 1
+        sp = self.space
         try:
-            ent = self.space.ent(self.p, f)
+            _require_positive(f, "LS ratio")
+            if self.p == 1.0:
+                gf, log_ratio = sp._log_ratio(f)
+                ent = sp._ent1(gf, log_ratio)
+            else:
+                ent = sp._ent2(f)
             if ent <= ENT_FLOOR:
                 return np.inf
-            return dirichlet(self.g, self.p, f, hat=self.hat) / ent
-        except (PositivityError, ArithmeticError, ValueError):
+            act_f = self.act(f)
+            val = _e1(sp, act_f, log_ratio) if self.p == 1.0 else _e2(sp, f, act_f)
+            return _judge_negative(val, self.g, f, self.act) / ent
+        except (PositivityError, ArithmeticError, np.linalg.LinAlgError):
             return np.inf
 
     def ratio_packed(self, x) -> float:
@@ -385,7 +400,7 @@ def estimate_alpha(g: Generator, p: int, use_hat: bool | None = None,
         candidates.append(_spike_search(prob, proj))
 
     for f0 in extra_starts:
-        f0 = hermitian_part(np.asarray(f0, dtype=complex))
+        f0 = hermitian_part(sp._check_dim(f0))
         val = prob.ratio(f0)
         if np.isfinite(val):
             candidates.append((val, f0))

@@ -55,13 +55,13 @@ def as_matrix(a) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
         raise ValueError("matrix dimension must be >= 1")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
 
 
 def max_abs(a) -> float:
-    return float(np.max(np.abs(a))) if np.asarray(a).size else 0.0
+    return float(np.abs(a).max()) if np.size(a) else 0.0
 
 
 def hermitian_part(a) -> np.ndarray:
@@ -87,26 +87,40 @@ def eig_hermitian(a):
     Returns (w, V) with eigenvalues w real and ascending and V unitary so
     that a = V @ diag(w) @ V^dag.
     """
-    m = require_hermitian(a)
-    w, v = np.linalg.eigh(m)
-    return w, v
+    return np.linalg.eigh(require_hermitian(a))
+
+
+def _eigh(m):
+    """eig_hermitian without the checks, for a matrix the library built."""
+    return np.linalg.eigh(hermitian_part(m))
 
 
 def matrix_function(a, f, eig_floor: float | None = None):
     """Apply the scalar function f to a Hermitian matrix through its
     eigendecomposition: V diag(f(clamp(w))) V^dag.
 
+    f is called once, on the array of clamped eigenvalues, so it must accept
+    an array.  On CPUs where numpy vectorizes `w ** s`, that array power can
+    differ in the last bit from the scalar one; np.float_power(w, s) matches
+    the scalar result.
+
     Eigenvalues are clamped from below at eig_floor before applying f; by
     default the floor is DEFAULT_EIG_FLOOR_REL * max(w, 0), which protects
     logs and negative powers of numerically rank-deficient inputs.  Raises
-    if f produces non-finite values on the clamped spectrum.
+    if f produces non-finite values on the clamped spectrum.  The input is
+    validated here; library kernels holding a matrix they built call
+    `_matrix_function` and skip the check.
     """
-    w, v = eig_hermitian(a)
+    return _matrix_function(require_hermitian(a), f, eig_floor)
+
+
+def _matrix_function(m, f, eig_floor: float | None = None):
+    w, v = _eigh(m)
     if eig_floor is None:
         eig_floor = DEFAULT_EIG_FLOOR_REL * max(float(w[-1]), 0.0)
     w = np.maximum(w, eig_floor)
     with np.errstate(divide="ignore", invalid="ignore"):
-        fw = np.asarray([f(x) for x in w], dtype=float)
+        fw = np.asarray(f(w), dtype=float)
     if not np.all(np.isfinite(fw)):
         raise ValueError("matrix_function: f is non-finite on the (clamped) spectrum")
     return hermitian_part((v * fw) @ v.conj().T)
@@ -114,7 +128,7 @@ def matrix_function(a, f, eig_floor: float | None = None):
 
 def matrix_power_psd(a, s: float):
     """a^s for a PSD Hermitian matrix (eigenvalues clamped near zero)."""
-    return matrix_function(a, lambda x: x ** s)
+    return matrix_function(a, lambda w: np.float_power(w, s))
 
 
 def matrix_log_psd(a, eig_floor: float | None = None):

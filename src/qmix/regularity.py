@@ -65,8 +65,8 @@ CM_MAX_ORDER = 6
 
 
 def _probe_powers(g, s: float):
-    gs = matrix_function(g, lambda w: w ** s, eig_floor=0.0)
-    g2s = matrix_function(g, lambda w: w ** (2.0 - s), eig_floor=0.0)
+    gs = matrix_function(g, lambda w: np.float_power(w, s), eig_floor=0.0)
+    g2s = matrix_function(g, lambda w: np.float_power(w, 2.0 - s), eig_floor=0.0)
     return gs, g2s
 
 

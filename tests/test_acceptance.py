@@ -42,6 +42,8 @@ from qmix.regularity import regularity_profile
 
 from conftest import qubit_davies, relative_entropy_oracle, tensor_sum_qubit_depolarizing
 
+pytestmark = pytest.mark.slow
+
 
 def report(name, ok, detail=""):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
@@ -160,7 +162,17 @@ def test_criterion_5_regularity_evidence():
 # 6a. mixing-bound domination (20 random reversible d<=4 and depol d=64)
 # ---------------------------------------------------------------------------
 
-def test_criterion_6a_mixing_domination():
+@pytest.fixture(scope="module")
+def depolarizing_d64():
+    """Depolarizing d = 64 with its gap and alpha_1 estimate, shared by 6a and 6b."""
+    g = build_depolarizing(64, 1.0)
+    gap = spectral_gap(g, seed=0)
+    a1 = estimate_alpha(g, 1, restarts=0, refine_sweeps=0, seed=0,
+                        gap=gap).alpha_estimate
+    return g, gap, a1
+
+
+def test_criterion_6a_mixing_domination(depolarizing_d64):
     rng = np.random.default_rng(99)
     t0 = time.time()
     worst_margin = np.inf
@@ -174,10 +186,7 @@ def test_criterion_6a_mixing_domination():
         curve = bound_curves(g, gap.lam, a1, t_grid, n_haar=50, seed=i)
         worst_margin = min(worst_margin, curve.domination_margin)
     # depolarizing d = 64
-    g64 = build_depolarizing(64, 1.0)
-    gap64 = spectral_gap(g64, seed=0)
-    a1_64 = estimate_alpha(g64, 1, restarts=0, refine_sweeps=0, seed=0,
-                           gap=gap64).alpha_estimate
+    g64, gap64, a1_64 = depolarizing_d64
     curve64 = bound_curves(g64, gap64.lam, a1_64, np.linspace(0.0, 12.0, 25),
                            n_haar=50, seed=0)
     worst_margin = min(worst_margin, curve64.domination_margin)
@@ -199,12 +208,9 @@ def test_criterion_6a_mixing_domination():
                    reason="best admissible LS_1 constant of depol(64) is "
                           "~0.718*gamma < 0.847*gamma required for the "
                           "crossing order at eps=0.01")
-def test_criterion_6b_ls_crossing_d64():
+def test_criterion_6b_ls_crossing_d64(depolarizing_d64):
     eps = 0.01
-    g = build_depolarizing(64, 1.0)
-    gap = spectral_gap(g, seed=0)
-    a1 = estimate_alpha(g, 1, restarts=0, refine_sweeps=0, seed=0,
-                        gap=gap).alpha_estimate
+    g, gap, a1 = depolarizing_d64
     sigma_min = g.stationary.sigma_min
     t_chi = np.log(np.sqrt(1.0 / sigma_min) / eps) / gap.lam
     t_ls = np.log(np.sqrt(2.0 * np.log(1.0 / sigma_min)) / eps) / a1

@@ -4,17 +4,23 @@ import pytest
 from qmix.dirichlet_gap import dirichlet, spectral_gap
 from qmix.generators import (
     build_depolarizing,
+    build_projection,
     build_random_unitary,
     random_davies,
+    random_lindblad,
     random_reversible_unital,
 )
 from qmix.ls_estimator import (
+    _pack,
+    _RatioProblem,
+    _unpack,
     depolarizing_alpha2,
     estimate_alpha,
     expander_alpha2_upper,
     partial_order_verdict,
     unital_alpha2_lower,
 )
+from qmix.operator_core import matrix_function, random_density_matrix, random_hermitian
 
 
 def test_depolarizing_alpha2_closed_form():
@@ -127,3 +133,76 @@ def test_expander_estimate_respects_bounds(rng):
     assert rep.alpha_estimate <= upper
     assert rep.alpha_estimate >= lower * (1 - 1e-3)
     assert rep.analytic_bounds["expander_upper"] == upper
+
+
+# ---------------------------------------------------------------------------
+# The fused LS ratio and the Hermitian parameterization
+# ---------------------------------------------------------------------------
+
+def test_fused_ratio_equals_public_path(rng):
+    gens = {
+        "depolarizing": build_depolarizing(3, 1.0),
+        "projection": build_projection(random_density_matrix(3, rng), 0.7),
+        "davies": random_davies(3, rng),
+        "generic": random_lindblad(3, rng),
+    }
+    assert not gens["generic"].reversible
+    for name, g in gens.items():
+        sp = g.stationary
+        for p in (1, 2):
+            for hat in (False, True):
+                prob = _RatioProblem(g, p, hat)
+                for _ in range(4):
+                    f = matrix_function(random_hermitian(3, rng, 0.8), np.exp,
+                                        eig_floor=-np.inf)
+                    public = dirichlet(g, float(p), f, hat=hat) / sp.ent(float(p), f)
+                    assert prob.ratio(f) == public, (name, p, hat)
+
+
+def test_ratio_infinite_only_on_numerical_failure(rng):
+    g = random_davies(3, rng)
+    for p in (1, 2):
+        prob = _RatioProblem(g, p, hat=False)
+        not_pd = np.diag([1.0, 0.5, -0.2]).astype(complex)
+        assert prob.ratio(not_pd) == np.inf
+        with pytest.raises(ValueError):
+            prob.ratio(np.eye(4, dtype=complex))
+
+
+def _pack_loop(h):
+    d = h.shape[0]
+    out = np.empty(d * d)
+    out[:d] = np.diag(h).real
+    k = d
+    for a in range(d):
+        for b in range(a + 1, d):
+            out[k] = h[a, b].real
+            out[k + 1] = h[a, b].imag
+            k += 2
+    return out
+
+
+def _unpack_loop(x, d):
+    h = np.zeros((d, d), dtype=complex)
+    np.fill_diagonal(h, x[:d])
+    k = d
+    for a in range(d):
+        for b in range(a + 1, d):
+            h[a, b] = x[k] + 1j * x[k + 1]
+            h[b, a] = x[k] - 1j * x[k + 1]
+            k += 2
+    h -= np.trace(h).real / d * np.eye(d)
+    return h
+
+
+def test_pack_unpack_match_loop_reference(rng):
+    for d in range(2, 7):
+        h = random_hermitian(d, rng)
+        x = _pack(h)
+        assert np.array_equal(x, _pack_loop(h))
+        assert np.array_equal(_unpack(x, d), _unpack_loop(x, d))
+        x[::3] = 0.0  # exact (and signed) zeros as at Nelder-Mead starts
+        x[1::5] = -0.0
+        assert np.array_equal(_unpack(x, d), _unpack_loop(x, d))
+        assert np.array_equal(np.signbit(_unpack(x, d).view(float)),
+                              np.signbit(_unpack_loop(x, d).view(float)))

@@ -7,6 +7,7 @@ from qmix.operator_core import (
     eig_hermitian,
     expm_superop,
     haar_unitary,
+    hermitian_part,
     kraus_schrodinger_super,
     left_right_super,
     lindblad_super,
@@ -71,6 +72,29 @@ def test_matrix_function_examples(rng):
     p = random_psd(4, rng)
     root = matrix_function(p, np.sqrt)
     assert np.max(np.abs(root @ root - p)) < 1e-10 * (1 + np.max(np.abs(p)))
+
+
+def _matrix_function_loop(a, f, eig_floor=None):
+    """Reference: f applied eigenvalue by eigenvalue."""
+    w, v = eig_hermitian(a)
+    if eig_floor is None:
+        eig_floor = 1e-14 * max(float(w[-1]), 0.0)
+    w = np.maximum(w, eig_floor)
+    fw = np.asarray([f(x) for x in w], dtype=float)
+    return hermitian_part((v * fw) @ v.conj().T)
+
+
+def test_matrix_function_vectorized_equals_loop(rng):
+    # numpy may evaluate `w ** s` on an array with a SIMD pow that differs in
+    # the last bit from the scalar pow; np.float_power keeps the scalar result
+    for d in (2, 3, 4, 6):
+        for _ in range(5):
+            a = random_psd(d, rng)
+            for s in (0.37, -0.25, 1.5):
+                assert np.array_equal(matrix_function(a, lambda w: np.float_power(w, s)),
+                                      _matrix_function_loop(a, lambda x: x ** s))
+            for f in (np.log, np.sqrt):
+                assert np.array_equal(matrix_function(a, f), _matrix_function_loop(a, f))
 
 
 def test_matrix_function_rejects_nonfinite():
