@@ -26,6 +26,7 @@ from .generators import (
     build_lindblad,
     build_projection,
     build_random_unitary,
+    build_tensor_qubit_depolarizing,
     lift_channel,
     stationary_state,
 )
@@ -36,7 +37,7 @@ from .ls_estimator import (
     partial_order_verdict,
     unital_alpha2_lower,
 )
-from .mixing import bound_curves, mixing_time
+from .mixing import bound_curves, lazy_channel_super, mixing_time
 from .operator_core import matrix_from_json
 from .regularity import conjecture_scan, regularity_profile
 
@@ -75,7 +76,7 @@ def load_generator_spec(data: dict) -> Generator:
         if family == "channel":
             g = lift_channel([matrix_from_json(m) for m in data["kraus"]])
             if data.get("lazy"):
-                _require_lazy(g)
+                lazy_channel_super(g)
             return g
         if family == "random_unitary":
             return build_random_unitary(int(data["dim"]), int(data["D"]),
@@ -83,22 +84,6 @@ def load_generator_spec(data: dict) -> Generator:
     except KeyError as exc:
         raise ValueError(f"missing field {exc} for family {family!r}") from exc
     raise ValueError(f"unknown family {family!r}")
-
-
-def _require_lazy(g: Generator) -> None:
-    """Laziness check for channel specs carrying "lazy": true: the
-    similarity-transformed channel spectrum must be nonnegative."""
-    import numpy as _np
-    from .operator_core import hermitian_part, left_right_super
-    from .operator_core import kraus_schrodinger_super
-    sp = stationary_state(g)
-    s = kraus_schrodinger_super(g.params["kraus"])
-    quarter = left_right_super(sp.sigma_power(0.25), sp.sigma_power(0.25))
-    quarter_inv = left_right_super(sp.sigma_power(-0.25), sp.sigma_power(-0.25))
-    w = _np.linalg.eigvalsh(hermitian_part(quarter_inv @ s @ quarter))
-    if w[0] < -1e-10:
-        raise ValueError(f"channel declared lazy has transformed spectrum "
-                         f"minimum {w[0]:.3e} < 0")
 
 
 def _load_spec_file(path: str) -> Generator:
@@ -263,23 +248,10 @@ def _repr_depolarizing_table(args):
 
 
 def _repr_tensor_qubit(args):
-    from .operator_core import as_matrix
-    x = as_matrix([[0, 1], [1, 0]])
-    y = as_matrix([[0, -1j], [1j, 0]])
-    z = as_matrix([[1, 0], [0, -1]])
     sizes = (2, 3) if args.full else (2,)
     checks = []
     for n in sizes:
-        ops = []
-        for i in range(n):
-            for pauli in (x, y, z):
-                factors = [np.eye(2, dtype=complex)] * n
-                factors[i] = pauli
-                m = factors[0]
-                for q in factors[1:]:
-                    m = np.kron(m, q)
-                ops.append(0.5 * m)
-        g = build_lindblad(None, ops)
+        g = build_tensor_qubit_depolarizing(n)
         rep = estimate_alpha(g, 2, budget=args.budget, restarts=3, seed=args.seed)
         tol = 2e-2 if n == 2 else 5e-2
         err = abs(rep.alpha_estimate - 1.0)
@@ -357,8 +329,12 @@ def cmd_scan(args) -> int:
     seed = _resolve_seed(args)
     start = 0
     if args.resume and args.out and os.path.exists(args.out):
-        with open(args.out) as fh:
-            start = sum(1 for _ in fh)
+        # only newline-terminated records are finished; a partial last line
+        # (an interrupted write) is cut off and its instance recomputed
+        with open(args.out, "rb+") as fh:
+            data = fh.read()
+            start = data.count(b"\n")
+            fh.truncate(data.rfind(b"\n") + 1)
     records = conjecture_scan(args.n, dims=dims, seed=seed,
                               out_path=args.out, probes=args.probes,
                               start_index=start, jobs=args.jobs)

@@ -6,11 +6,13 @@ Schrodinger adjoint, and classification flags (unital, reversible,
 primitive) together with the stationary state when one exists.
 
 Built-in families: depolarizing, projection onto a state, Davies thermal
-generators, discrete-channel lifts L = T - id, and random-unitary channel
-lifts.  Family builders know their flags and stationary states in closed
-form and also provide closed-form semigroup actions, which keeps large
-dimensions (the depolarizing d = 64 runs) out of the dense-superoperator
-path; everything is cross-checked against the generic path in the tests.
+generators, discrete-channel lifts L = T - id, random-unitary channel
+lifts and tensor sums of qubit depolarizing generators.  Family builders
+know their flags and stationary states in closed form and also provide
+closed-form semigroup actions, which keeps large dimensions (the
+depolarizing d = 64 runs) out of the dense-superoperator path; everything
+is cross-checked against the generic path in the tests.  The sigma-adjoint
+generator is built only by `hat_generator`, once per generator.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "gibbs_state",
     "random_unitary_kraus",
     "build_random_unitary",
+    "build_tensor_qubit_depolarizing",
     "random_lindblad",
     "random_reversible_unital",
     "random_davies",
@@ -97,6 +100,7 @@ class Generator:
         self.stationary: WeightedSpace | None = None
         self._super_cache: dict[str, np.ndarray] = {}
         self._prop_cache: dict[tuple, np.ndarray] = {}
+        self._hat: Generator | None = None
         self._eye = np.eye(self.dim)
 
     # -- actions ---------------------------------------------------------------
@@ -139,14 +143,6 @@ class Generator:
             out = out + k @ rho @ kd - 0.5 * (kk @ rho + rho @ kk)
         return out
 
-    def apply_hat(self, f) -> np.ndarray:
-        """Hat action Lhat(f) = Gamma^{-1}(L*(Gamma(f))), the sigma-adjoint of L."""
-        sp = self._require_stationary()
-        f = as_matrix(f)
-        half = sp.sigma_power(0.5)
-        half_inv = sp.sigma_power(-0.5)
-        return half_inv @ self.apply_adjoint(half @ f @ half) @ half_inv
-
     def _require_stationary(self) -> WeightedSpace:
         if self.stationary is None:
             raise NotPrimitiveError(
@@ -178,8 +174,8 @@ class Generator:
         s = self._super_cache.get("L")
         if s is None:
             self._check_super_dim()
-            if self._apply_heis is None and self.family in ("generic", "davies", "channel"):
-                s, _ = lindblad_super(self.hamiltonian, self.lindblad_ops or [])
+            if self.lindblad_ops is not None:
+                s, _ = lindblad_super(self.hamiltonian, self.lindblad_ops)
             else:
                 s = self._super_from_action(self.apply)
             self._super_cache["L"] = s
@@ -190,22 +186,11 @@ class Generator:
         s = self._super_cache.get("Lstar")
         if s is None:
             self._check_super_dim()
-            if self._apply_schro is None and self.family in ("generic", "davies", "channel"):
+            if self.lindblad_ops is not None:
                 s = self.super_L.conj().T
             else:
                 s = self._super_from_action(self.apply_adjoint)
             self._super_cache["Lstar"] = s
-        return s
-
-    @property
-    def super_Lhat(self) -> np.ndarray:
-        s = self._super_cache.get("Lhat")
-        if s is None:
-            sp = self._require_stationary()
-            g_half = left_right_super(sp.sigma_power(0.5), sp.sigma_power(0.5))
-            g_minus = left_right_super(sp.sigma_power(-0.5), sp.sigma_power(-0.5))
-            s = g_minus @ self.super_Lstar @ g_half
-            self._super_cache["Lhat"] = s
         return s
 
     # -- semigroup actions --------------------------------------------------------
@@ -562,6 +547,24 @@ def lift_channel(kraus, check_reversible: bool = True) -> Generator:
     return g
 
 
+def build_tensor_qubit_depolarizing(n_qubits: int, gamma: float = 1.0) -> Generator:
+    """Sum over n qubits of single-qubit depolarizing generators, in the
+    Pauli jump form L_i(f) = (gamma/4) sum_P (P_i f P_i - f), P in {X, Y, Z}."""
+    paulis = (np.array([[0, 1], [1, 0]], dtype=complex),
+              np.array([[0, -1j], [1j, 0]], dtype=complex),
+              np.array([[1, 0], [0, -1]], dtype=complex))
+    ops = []
+    for i in range(n_qubits):
+        for pauli in paulis:
+            factors = [np.eye(2, dtype=complex)] * n_qubits
+            factors[i] = pauli
+            m = factors[0]
+            for q in factors[1:]:
+                m = np.kron(m, q)
+            ops.append(np.sqrt(gamma) / 2.0 * m)
+    return build_lindblad(None, ops)
+
+
 def random_unitary_kraus(dim: int, n_unitaries: int, rng, reversible: bool = True):
     """Kraus set of a uniform random-unitary channel.
 
@@ -593,18 +596,21 @@ def hat_generator(g: Generator) -> Generator:
 
     Lhat generates the evolution of relative densities; it shares the
     stationary state of L, satisfies Lhat(1) = 0 and Lhat*(sigma) = 0, and
-    equals L itself when L is reversible.
+    equals L itself when L is reversible.  It is built once per generator
+    and cached on g, so every hat action (Dirichlet forms, the gap, the LS
+    search, relative-density evolution) goes through this one object.
     """
+    if g._hat is not None:
+        return g._hat
     sp = g._require_stationary()
-    base = g
     half = sp.sigma_power(0.5)
     half_inv = sp.sigma_power(-0.5)
 
     def heis(f):
-        return half_inv @ base.apply_adjoint(half @ f @ half) @ half_inv
+        return half_inv @ g.apply_adjoint(half @ f @ half) @ half_inv
 
     def schro(rho):
-        return half @ base.apply(half_inv @ rho @ half_inv) @ half
+        return half @ g.apply(half_inv @ rho @ half_inv) @ half
 
     h = Generator(g.dim, family="hat", params={"base_family": g.family},
                   apply_heis=heis, apply_schro=schro)
@@ -612,6 +618,7 @@ def hat_generator(g: Generator) -> Generator:
     h.primitive = True
     h.reversible = g.reversible
     h.unital = max_abs(h.apply_adjoint(np.eye(g.dim))) <= TRACE_PRESERVING_TOL * 10.0
+    g._hat = h
     return h
 
 

@@ -29,6 +29,7 @@ from .operator_core import (
     as_matrix,
     eig_hermitian,
     hermitian_part,
+    left_right_super,
     matrix_function,
     require_hermitian,
 )
@@ -95,6 +96,15 @@ class WeightedSpace:
             if len(self._pow_cache) < 64:
                 self._pow_cache[key] = m
         return m
+
+    def similarity_super(self, s: float, superop) -> np.ndarray:
+        """The sigma^s similarity of a superoperator S, X -> sigma^s S(sigma^-s X
+        sigma^-s) sigma^s, multiplied in the order left_right_super(sigma^s,
+        sigma^s) @ S @ left_right_super(sigma^-s, sigma^-s).  At s = 1/4 it
+        makes a reversible L Hermitian (the gap, the exact 2 -> 2 decay)."""
+        left = left_right_super(self.sigma_power(s), self.sigma_power(s))
+        right = left_right_super(self.sigma_power(-s), self.sigma_power(-s))
+        return left @ superop @ right
 
     @property
     def log_sigma(self) -> np.ndarray:

@@ -33,7 +33,7 @@ from .dirichlet_gap import (GapReport, _action, _e1, _e2, _judge_negative, diric
                             spectral_gap)
 from .generators import Generator, stationary_state
 from .lp_space import PositivityError, _require_positive
-from .operator_core import _eigh, hermitian_part, max_abs
+from .operator_core import _matrix_function, hermitian_part, max_abs
 
 __all__ = [
     "LSReport",
@@ -113,15 +113,7 @@ def _unpack(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def _expm_hermitian(h: np.ndarray) -> np.ndarray:
-    w, v = _eigh(h)
-    w = np.clip(w, -H_CLIP, H_CLIP)
-    return hermitian_part((v * np.exp(w)) @ v.conj().T)
-
-
-def _logm_pd(f: np.ndarray) -> np.ndarray:
-    w, v = _eigh(f)
-    w = np.maximum(w, 1e-300)
-    return hermitian_part((v * np.log(w)) @ v.conj().T)
+    return _matrix_function(h, lambda w: np.exp(np.clip(w, -H_CLIP, H_CLIP)), eig_floor=-np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +176,7 @@ def _near_identity_direction(g: Generator, p: int, hat: bool) -> np.ndarray | No
             b_mat[i, j] = b_mat[j, i] = val
 
     if p == 1:
-        act = g.apply_hat if hat else g.apply
+        act = _action(g, hat)
         # Dirichlet curvature: -tr[Gamma(L g) K(Gamma(g))] with K the DK-log map
         lg_hats = [v.conj().T @ sp.gamma(hermitian_part(act(b))) @ v for b in basis]
         gam_hats = [np.outer(np.sqrt(w), np.sqrt(w)) * bh for bh in hats]
@@ -409,7 +401,7 @@ def estimate_alpha(g: Generator, p: int, use_hat: bool | None = None,
     candidates.sort(key=lambda c: c[0])
 
     # Nelder-Mead restarts: best candidates first, then random Gaussians
-    starts = [_pack(_logm_pd(f)) for _, f in candidates[:3]]
+    starts = [_pack(_matrix_function(f, np.log, eig_floor=1e-300)) for _, f in candidates[:3]]
     while len(starts) < restarts:
         h = 0.7 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
         starts.append(_pack(hermitian_part(h)))

@@ -27,7 +27,7 @@ from .lp_space import WeightedSpace
 from .operator_core import (
     eig_hermitian,
     hermitian_part,
-    left_right_super,
+    kraus_schrodinger_super,
     matrix_function,
     random_pure_state,
     require_hermitian,
@@ -51,6 +51,7 @@ __all__ = [
     "pq_norm",
     "two_two_norm_decay",
     "discrete_vs_continuous",
+    "lazy_channel_super",
     "chi2_gap_time_check",
     "hypercontractivity_check",
 ]
@@ -369,15 +370,20 @@ def two_two_norm_decay(g: Generator, t: float) -> float:
     sp = stationary_state(g)
     prop = g.heisenberg_propagator(float(t))
     t_inf = np.outer(vec(np.eye(g.dim)), vec(sp.sigma).conj())
-    quarter = left_right_super(sp.sigma_power(0.25), sp.sigma_power(0.25))
-    quarter_inv = left_right_super(sp.sigma_power(-0.25), sp.sigma_power(-0.25))
-    m = quarter @ (prop - t_inf) @ quarter_inv
+    m = sp.similarity_super(0.25, prop - t_inf)
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-def _channel_supers(kraus):
-    from .operator_core import kraus_heisenberg_super, kraus_schrodinger_super
-    return kraus_heisenberg_super(kraus), kraus_schrodinger_super(kraus)
+def lazy_channel_super(g: Generator) -> np.ndarray:
+    """Schrodinger superoperator of the channel T whose lift is g (L = T - id),
+    after checking that T is lazy: the spectrum of T under the sigma^{-1/4}
+    similarity must be nonnegative.  Raises ValueError otherwise."""
+    sp = stationary_state(g)
+    s = kraus_schrodinger_super(g.params["kraus"])
+    w = np.linalg.eigvalsh(hermitian_part(sp.similarity_super(-0.25, s)))
+    if w[0] < -1e-10:
+        raise ValueError(f"channel is not lazy: transformed spectrum min {w[0]:.3e}")
+    return s
 
 
 def discrete_vs_continuous(kraus, n: int, rho0) -> dict:
@@ -385,8 +391,8 @@ def discrete_vs_continuous(kraus, n: int, rho0) -> dict:
     time n, for a lazy reversible primitive channel T (L = T - id):
     chi2(T^{*n}(rho), sigma) <= chi2(e^{n L*}(rho), sigma).
 
-    Laziness is checked as nonnegativity of the similarity-transformed
-    channel spectrum; non-lazy or non-reversible inputs are rejected.
+    Laziness is checked by `lazy_channel_super`; non-lazy or non-reversible
+    inputs are rejected.
     """
     g = lift_channel(kraus)
     if not g.primitive:
@@ -394,13 +400,7 @@ def discrete_vs_continuous(kraus, n: int, rho0) -> dict:
     if not g.reversible:
         raise ValueError("discrete/continuous comparison needs a reversible channel")
     sp = g.stationary
-    _, s_schro = _channel_supers(kraus)
-    quarter = left_right_super(sp.sigma_power(0.25), sp.sigma_power(0.25))
-    quarter_inv = left_right_super(sp.sigma_power(-0.25), sp.sigma_power(-0.25))
-    t_tilde = quarter_inv @ s_schro @ quarter
-    w = np.linalg.eigvalsh(hermitian_part(t_tilde))
-    if w[0] < -1e-10:
-        raise ValueError(f"channel is not lazy: transformed spectrum min {w[0]:.3e}")
+    s_schro = lazy_channel_super(g)
     rho0 = _check_state(rho0)
     rho_disc = rho0.copy()
     for _ in range(int(n)):

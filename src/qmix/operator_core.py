@@ -22,17 +22,12 @@ __all__ = [
     "max_abs",
     "eig_hermitian",
     "matrix_function",
-    "matrix_power_psd",
-    "matrix_log_psd",
     "vec",
     "unvec",
     "left_right_super",
     "conjugation_super",
-    "kraus_heisenberg_super",
     "kraus_schrodinger_super",
     "lindblad_super",
-    "apply_super",
-    "superop_adjoint",
     "expm_superop",
     "choi_from_super",
     "random_hermitian",
@@ -126,15 +121,6 @@ def _matrix_function(m, f, eig_floor: float | None = None):
     return hermitian_part((v * fw) @ v.conj().T)
 
 
-def matrix_power_psd(a, s: float):
-    """a^s for a PSD Hermitian matrix (eigenvalues clamped near zero)."""
-    return matrix_function(a, lambda w: np.float_power(w, s))
-
-
-def matrix_log_psd(a, eig_floor: float | None = None):
-    return matrix_function(a, np.log, eig_floor=eig_floor)
-
-
 # ---------------------------------------------------------------------------
 # Vectorization and superoperators (column-stacking convention)
 # ---------------------------------------------------------------------------
@@ -168,18 +154,6 @@ def conjugation_super(a) -> np.ndarray:
     return np.kron(a.conj(), a)
 
 
-def kraus_heisenberg_super(ops) -> np.ndarray:
-    """Superoperator of f -> sum_i K_i^dag f K_i."""
-    ops = [as_matrix(k) for k in ops]
-    d = ops[0].shape[0]
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for k in ops:
-        if k.shape[0] != d:
-            raise ValueError("Kraus operators must share one dimension")
-        s += left_right_super(k.conj().T, k)
-    return s
-
-
 def kraus_schrodinger_super(ops) -> np.ndarray:
     """Superoperator of rho -> sum_i K_i rho K_i^dag."""
     ops = [as_matrix(k) for k in ops]
@@ -210,17 +184,6 @@ def lindblad_super(hamiltonian, ops):
         heis -= 0.5 * (left_right_super(kk, eye) + left_right_super(eye, kk))
     schro = heis.conj().T
     return heis, schro
-
-
-def apply_super(s, x) -> np.ndarray:
-    x = as_matrix(x)
-    return unvec(np.asarray(s) @ vec(x), x.shape[0])
-
-
-def superop_adjoint(s) -> np.ndarray:
-    """Hilbert-Schmidt adjoint; in the vec representation just the conjugate
-    transpose of the matrix."""
-    return np.asarray(s).conj().T
 
 
 def expm_superop(s, t: float) -> np.ndarray:

@@ -64,34 +64,28 @@ CM_TOL = 1e-8
 CM_MAX_ORDER = 6
 
 
-def _probe_powers(g, s: float):
-    gs = matrix_function(g, lambda w: np.float_power(w, s), eig_floor=0.0)
-    g2s = matrix_function(g, lambda w: np.float_power(w, 2.0 - s), eig_floor=0.0)
-    return gs, g2s
-
-
 def h_functional(g: Generator, probe, t: float, s: float) -> float:
     """Evaluate h(s) for one probe and one time."""
-    sp = stationary_state(g)
-    probe = hermitian_part(np.asarray(probe, dtype=complex))
-    _check_positive(probe, "h_functional probe")
     if not (0.0 <= s <= 2.0):
         raise ValueError("s must lie in [0, 2]")
-    gs, g2s = _probe_powers(probe, s)
-    sq = sp.sigma_power(s / 4.0)
-    sq_inv = sp.sigma_power(-s / 4.0)
-    evolved = g.evolve_heisenberg(sq_inv @ gs @ sq_inv, t)
-    return float(np.trace(sq @ g2s @ sq @ evolved).real)
+    return float(h_profile(g, probe, t, [s])[0])
 
 
 def h_profile(g: Generator, probe, t: float, s_grid) -> np.ndarray:
-    """h on a whole s-grid, reusing one propagator for the time t."""
+    """h on a whole s-grid, reusing one propagator for the time t.
+
+    The probe is decomposed once, by its positivity gate, and every g^s and
+    g^{2-s} on the grid is formed from that one eigendecomposition."""
     sp = stationary_state(g)
     probe = hermitian_part(np.asarray(probe, dtype=complex))
-    _check_positive(probe, "h_profile probe")
+    w, v = _check_positive(probe, "h_profile probe")
+
+    def probe_power(s):
+        return hermitian_part((v * np.float_power(w, s)) @ v.conj().T)
+
     out = np.empty(len(s_grid))
     for i, s in enumerate(s_grid):
-        gs, g2s = _probe_powers(probe, float(s))
+        gs, g2s = probe_power(float(s)), probe_power(2.0 - float(s))
         sq = sp.sigma_power(s / 4.0)
         sq_inv = sp.sigma_power(-s / 4.0)
         evolved = g.evolve_heisenberg(sq_inv @ gs @ sq_inv, float(t))

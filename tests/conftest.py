@@ -11,26 +11,6 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def pauli_ops():
-    return PAULI_X, PAULI_Y, PAULI_Z
-
-
-def tensor_sum_qubit_depolarizing(n_qubits, gamma=1.0):
-    """Sum of single-qubit depolarizing generators via the Pauli jump
-    realization L_i(f) = (gamma/4) sum_P (P_i f P_i - f)."""
-    from qmix.generators import build_lindblad
-    ops = []
-    for i in range(n_qubits):
-        for pauli in pauli_ops():
-            factors = [np.eye(2, dtype=complex)] * n_qubits
-            factors[i] = pauli
-            m = factors[0]
-            for q in factors[1:]:
-                m = np.kron(m, q)
-            ops.append(np.sqrt(gamma) / 2.0 * m)
-    return build_lindblad(None, ops)
-
-
 def depolarizing_lindblad_ops(d, gamma):
     """Jump-operator realization of the depolarizing generator."""
     ops = []

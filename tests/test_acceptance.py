@@ -19,6 +19,7 @@ from qmix.generators import (
     build_depolarizing,
     build_projection,
     build_random_unitary,
+    build_tensor_qubit_depolarizing,
     random_davies,
     random_reversible_unital,
 )
@@ -40,7 +41,7 @@ from qmix.operator_core import (
 )
 from qmix.regularity import regularity_profile
 
-from conftest import qubit_davies, relative_entropy_oracle, tensor_sum_qubit_depolarizing
+from conftest import qubit_davies, relative_entropy_oracle
 
 pytestmark = pytest.mark.slow
 
@@ -93,10 +94,10 @@ def test_criterion_2_depolarizing_gap():
 
 def test_criterion_3_tensor_qubit():
     t0 = time.time()
-    g2 = tensor_sum_qubit_depolarizing(2)
+    g2 = build_tensor_qubit_depolarizing(2)
     rep2 = estimate_alpha(g2, 2, budget=700, restarts=3, seed=1)
     err2 = abs(rep2.alpha_estimate - 1.0)
-    g3 = tensor_sum_qubit_depolarizing(3)
+    g3 = build_tensor_qubit_depolarizing(3)
     rep3 = estimate_alpha(g3, 2, budget=1200, restarts=3, seed=1)
     err3 = abs(rep3.alpha_estimate - 1.0)
     wall = time.time() - t0

@@ -6,6 +6,8 @@ import pytest
 from qmix.cli import main
 from qmix.operator_core import matrix_to_json, random_density_matrix
 
+from conftest import PAULI_X, PAULI_Y
+
 
 def write_spec(path, payload):
     path.write_text(json.dumps(payload))
@@ -114,3 +116,33 @@ def test_reproduce_exit_3_on_failed_check(monkeypatch, capsys):
                         lambda args: [("synthetic failing check", False)])
     assert main(["reproduce", "davies_qubit", "--seed", "0"]) == 3
     assert "[FAIL]" in capsys.readouterr().out
+
+
+def test_lazy_channel_spec(tmp_path, capsys):
+    lazy = [np.sqrt(0.5) * np.eye(2), 0.5 * PAULI_X, 0.5 * PAULI_Y]
+    spec = write_spec(tmp_path / "lazy.json",
+                      {"family": "channel", "lazy": True,
+                       "kraus": [matrix_to_json(k) for k in lazy]})
+    assert main(["analyze", spec, "--seed", "0", "--skip", "ls,regularity"]) == 0
+    capsys.readouterr()
+    # (X.X + Y.Y)/2 is primitive and reversible but has eigenvalue -1 on Z
+    not_lazy = [PAULI_X / np.sqrt(2.0), PAULI_Y / np.sqrt(2.0)]
+    spec = write_spec(tmp_path / "not_lazy.json",
+                      {"family": "channel", "lazy": True,
+                       "kraus": [matrix_to_json(k) for k in not_lazy]})
+    assert main(["analyze", spec, "--seed", "0", "--skip", "ls,regularity"]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["kind"] == "bad_spec" and "lazy" in err["error"]
+
+
+def test_scan_resume_after_truncated_line(tmp_path, capsys):
+    argv = ["scan", "--dims", "2", "--n", "4", "--probes", "3", "--seed", "3"]
+    full = tmp_path / "full.jsonl"
+    assert main(argv + ["--out", str(full)]) == 0
+    data = full.read_bytes()
+    lines = data.splitlines(keepends=True)
+    cut = tmp_path / "cut.jsonl"
+    cut.write_bytes(b"".join(lines[:2]) + lines[2][:20])  # interrupted mid-record
+    assert main(argv + ["--out", str(cut), "--resume"]) == 0
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["start_index"] == 2
+    assert cut.read_bytes() == data

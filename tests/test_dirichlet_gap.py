@@ -171,3 +171,12 @@ def test_gap_sparse_path_matches_dense(rng):
     finally:
         dg.DENSE_GAP_DIM_LIMIT = old
     assert abs(dense - sparse) < 1e-8
+
+
+def test_sparse_gap_is_reproducible():
+    # above d = 32 the gap comes from ARPACK, whose start vector is seeded
+    reps = [spectral_gap(build_depolarizing(64, 1.0), n_witnesses=0, seed=1)
+            for _ in range(2)]
+    assert reps[0].lam == reps[1].lam
+    assert np.array_equal(reps[0].witness, reps[1].witness)
+    assert abs(reps[0].lam - 1.0) < 1e-10

@@ -285,7 +285,12 @@ def test_hat_equals_adjoint_for_unital_nonreversible(rng):
     u1, u2 = haar_unitary(3, rng), haar_unitary(3, rng)
     g = lift_channel([u1 / np.sqrt(2), u2 / np.sqrt(2)])
     assert g.unital and not g.reversible
-    assert max_abs(g.super_Lhat - g.super_Lstar) < 1e-10
+    assert max_abs(hat_generator(g).super_L - g.super_Lstar) < 1e-10
+
+
+def test_hat_generator_is_built_once(rng):
+    g = random_lindblad(3, rng)
+    assert hat_generator(g) is hat_generator(g)
 
 
 def test_hat_fixed_points(rng):
