@@ -12,11 +12,12 @@ know their flags and stationary states in closed form and also provide
 closed-form semigroup actions, which keeps large dimensions (the
 depolarizing d = 64 runs) out of the dense-superoperator path; everything
 is cross-checked against the generic path in the tests.  The sigma-adjoint
-generator is built only by `hat_generator`, once per generator.
+generator is built only by `hat_generator`, and shared by all its holders.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,7 +101,7 @@ class Generator:
         self.stationary: WeightedSpace | None = None
         self._super_cache: dict[str, np.ndarray] = {}
         self._prop_cache: dict[tuple, np.ndarray] = {}
-        self._hat: Generator | None = None
+        self._hat: weakref.ref | None = None  # see hat_generator
         self._eye = np.eye(self.dim)
 
     # -- actions ---------------------------------------------------------------
@@ -547,9 +548,9 @@ def lift_channel(kraus, check_reversible: bool = True) -> Generator:
     return g
 
 
-def build_tensor_qubit_depolarizing(n_qubits: int, gamma: float = 1.0) -> Generator:
+def build_tensor_qubit_depolarizing(n_qubits: int) -> Generator:
     """Sum over n qubits of single-qubit depolarizing generators, in the
-    Pauli jump form L_i(f) = (gamma/4) sum_P (P_i f P_i - f), P in {X, Y, Z}."""
+    Pauli jump form L_i(f) = (1/4) sum_P (P_i f P_i - f), P in {X, Y, Z}."""
     paulis = (np.array([[0, 1], [1, 0]], dtype=complex),
               np.array([[0, -1j], [1j, 0]], dtype=complex),
               np.array([[1, 0], [0, -1]], dtype=complex))
@@ -561,7 +562,7 @@ def build_tensor_qubit_depolarizing(n_qubits: int, gamma: float = 1.0) -> Genera
             m = factors[0]
             for q in factors[1:]:
                 m = np.kron(m, q)
-            ops.append(np.sqrt(gamma) / 2.0 * m)
+            ops.append(0.5 * m)
     return build_lindblad(None, ops)
 
 
@@ -596,12 +597,16 @@ def hat_generator(g: Generator) -> Generator:
 
     Lhat generates the evolution of relative densities; it shares the
     stationary state of L, satisfies Lhat(1) = 0 and Lhat*(sigma) = 0, and
-    equals L itself when L is reversible.  It is built once per generator
-    and cached on g, so every hat action (Dirichlet forms, the gap, the LS
-    search, relative-density evolution) goes through this one object.
+    equals L itself when L is reversible.  Every hat action (Dirichlet
+    forms, the gap, the LS search, relative-density evolution) goes through
+    this one object: while any caller holds the hat, hat_generator(g)
+    returns it.  g keeps only a weak reference, so the hat's dense
+    superoperators and cached propagators are freed with its last holder
+    rather than kept for g's lifetime.
     """
-    if g._hat is not None:
-        return g._hat
+    h = None if g._hat is None else g._hat()
+    if h is not None:
+        return h
     sp = g._require_stationary()
     half = sp.sigma_power(0.5)
     half_inv = sp.sigma_power(-0.5)
@@ -618,7 +623,7 @@ def hat_generator(g: Generator) -> Generator:
     h.primitive = True
     h.reversible = g.reversible
     h.unital = max_abs(h.apply_adjoint(np.eye(g.dim))) <= TRACE_PRESERVING_TOL * 10.0
-    g._hat = h
+    g._hat = weakref.ref(h)
     return h
 
 

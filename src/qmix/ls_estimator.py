@@ -33,7 +33,7 @@ from .dirichlet_gap import (GapReport, _action, _e1, _e2, _judge_negative, diric
                             spectral_gap)
 from .generators import Generator, stationary_state
 from .lp_space import PositivityError, _require_positive
-from .operator_core import _matrix_function, hermitian_part, max_abs
+from .operator_core import _eigh, _matrix_function, hermitian_part, max_abs
 
 __all__ = [
     "LSReport",
@@ -113,7 +113,9 @@ def _unpack(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def _expm_hermitian(h: np.ndarray) -> np.ndarray:
-    return _matrix_function(h, lambda w: np.exp(np.clip(w, -H_CLIP, H_CLIP)), eig_floor=-np.inf)
+    w, v = _eigh(h)
+    w = np.clip(w, -H_CLIP, H_CLIP)
+    return hermitian_part((v * np.exp(w)) @ v.conj().T)
 
 
 # ---------------------------------------------------------------------------

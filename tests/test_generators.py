@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,15 @@ def test_hat_equals_adjoint_for_unital_nonreversible(rng):
 def test_hat_generator_is_built_once(rng):
     g = random_lindblad(3, rng)
     assert hat_generator(g) is hat_generator(g)
+
+
+def test_hat_generator_is_freed_with_its_last_holder(rng):
+    g = random_lindblad(3, rng)
+    h = hat_generator(g)
+    h.evolve_heisenberg(np.eye(3), 0.5)  # fills the hat's caches
+    ref = weakref.ref(h)
+    del h
+    assert ref() is None
 
 
 def test_hat_fixed_points(rng):
