@@ -15,6 +15,7 @@ E_2(g)/Var(g).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,7 +128,7 @@ def _gap_sparse(g: Generator, seed: int):
     def matvec(vv):
         gt = unvec(vv, d)
         a = s_mquarter @ gt @ s_mquarter
-        ka = 0.5 * (g.apply(a) + hat.apply(a))
+        ka = 0.5 * (g._apply(a) + hat._apply(a))
         return vec(s_quarter @ ka @ s_quarter)
 
     op = LinearOperator((d * d, d * d), matvec=matvec, dtype=complex)
@@ -144,8 +145,10 @@ def spectral_gap(g: Generator, n_witnesses: int = 200, seed: int = 0) -> GapRepo
     Computed as minus the second-largest eigenvalue of the symmetrized
     generator under the sigma^{1/4} similarity transform, then validated
     with random variational witnesses: no witness may achieve a ratio below
-    lambda*(1 - 1e-6).  Above d = 32 ARPACK starts from a vector drawn from
-    its own generator seeded with `seed`, so the result is reproducible.
+    lambda*(1 - 1e-6); when one does, the smallest probe ratio is returned
+    with method "variational_refine" and a RuntimeWarning names both values.
+    Above d = 32 ARPACK starts from a vector drawn from its own generator
+    seeded with `seed`, so the result is reproducible.
     """
     if g.dim <= DENSE_GAP_DIM_LIMIT:
         sp, w, v = _symmetrized_eigensystem_dense(g)
@@ -155,7 +158,7 @@ def spectral_gap(g: Generator, n_witnesses: int = 200, seed: int = 0) -> GapRepo
     if abs(w[-1]) > 1e-8 * scale:
         raise NotPrimitiveError(
             f"top symmetrization eigenvalue {w[-1]:.3e} is not zero; gap undefined")
-    lam = -float(w[-2])
+    lam = lam_eigen = -float(w[-2])
     if lam <= 0:
         raise NotPrimitiveError("symmetrization has a degenerate zero eigenvalue")
     s_mquarter = sp.sigma_power(-0.25)
@@ -176,4 +179,8 @@ def spectral_gap(g: Generator, n_witnesses: int = 200, seed: int = 0) -> GapRepo
             witness = probe
             method = "variational_refine"
             residual = 0.0
+    if method == "variational_refine":
+        warnings.warn(f"spectral_gap: eigensolver lambda {lam_eigen!r} is undercut by the "
+                      f"probe ratio {lam!r}; returning the probe (variational_refine)",
+                      RuntimeWarning, stacklevel=2)
     return GapReport(lam=lam, witness=witness, method=method, residual=residual)

@@ -108,7 +108,10 @@ class Generator:
 
     def apply(self, f) -> np.ndarray:
         """Heisenberg action L(f)."""
-        f = as_matrix(f)
+        return self._apply(as_matrix(f))
+
+    def _apply(self, f) -> np.ndarray:
+        """`apply` without the input check, for a complex matrix the library built."""
         if self._apply_heis is not None:
             return self._apply_heis(f)
         if self.family == "depolarizing":
@@ -127,7 +130,11 @@ class Generator:
 
     def apply_adjoint(self, rho) -> np.ndarray:
         """Schrodinger action L*(rho)."""
-        rho = as_matrix(rho)
+        return self._apply_adjoint(as_matrix(rho))
+
+    def _apply_adjoint(self, rho) -> np.ndarray:
+        """`apply_adjoint` without the input check, for a complex matrix the
+        library built."""
         if self._apply_schro is not None:
             return self._apply_schro(rho)
         if self.family == "depolarizing":
@@ -208,15 +215,26 @@ class Generator:
         return unvec(self.heisenberg_propagator(t) @ vec(f), self.dim)
 
     def evolve_schrodinger(self, rho, t: float) -> np.ndarray:
-        rho = as_matrix(rho)
+        return self._evolve_schrodinger(as_matrix(rho)[None], t)[0]
+
+    def _evolve_schrodinger(self, rho, t: float) -> np.ndarray:
+        """exp(t L*) on each matrix of an (n, d, d) stack the library built.
+
+        Each matrix gets the same arithmetic as on its own: the closed forms
+        are elementwise, and the dense path is one matrix-vector product per
+        matrix (a single gemm over the stack rounds differently)."""
         if t == 0.0:
             return rho.copy()
         eps = self._family_decay(t)
         if eps is not None:
+            tr = np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
             if self.family == "depolarizing":
-                return (1.0 - eps) * np.trace(rho) / self.dim * self._eye + eps * rho
-            return (1.0 - eps) * np.trace(rho) * self.stationary.sigma + eps * rho
-        return unvec(self.schrodinger_propagator(t) @ vec(rho), self.dim)
+                return (1.0 - eps) * tr / self.dim * self._eye + eps * rho
+            return (1.0 - eps) * tr * self.stationary.sigma + eps * rho
+        n, d = rho.shape[0], self.dim
+        cols = rho.transpose(0, 2, 1).reshape(n, d * d, 1)  # vec of each matrix
+        out = np.matmul(self.schrodinger_propagator(t), cols)
+        return out.reshape(n, d, d).transpose(0, 2, 1)
 
     def _family_decay(self, t: float):
         if self.family in ("depolarizing", "projection"):
@@ -612,10 +630,10 @@ def hat_generator(g: Generator) -> Generator:
     half_inv = sp.sigma_power(-0.5)
 
     def heis(f):
-        return half_inv @ g.apply_adjoint(half @ f @ half) @ half_inv
+        return half_inv @ g._apply_adjoint(half @ f @ half) @ half_inv
 
     def schro(rho):
-        return half @ g.apply(half_inv @ rho @ half_inv) @ half
+        return half @ g._apply(half_inv @ rho @ half_inv) @ half
 
     h = Generator(g.dim, family="hat", params={"base_family": g.family},
                   apply_heis=heis, apply_schro=schro)

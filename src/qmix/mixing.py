@@ -12,6 +12,12 @@ The empirical worst case is sampled over the eigenprojectors of sigma
 (the sigma_min projector maximizes both initial divergences) plus Haar
 random pure states; every report states the sample size, since no finite
 sample certifies the supremum over all inputs.
+
+`bound_curves`, `mixing_time` and `chi2_gap_time_check` validate the sampled
+states once and then evolve and measure them as one (n, d, d) stack per time.
+The public single-state `evolve`, `distances`, `trace_norm`, `chi2_divergence`
+and `relative_entropy_states` run the same kernels on a stack of one, so every
+state gets the same arithmetic and the same checks either way.
 """
 
 from __future__ import annotations
@@ -63,38 +69,76 @@ DOMINATION_SLACK = 1e-7
 
 def trace_norm(a) -> float:
     """tr|A| of a Hermitian matrix."""
-    return float(np.sum(np.abs(np.linalg.eigvalsh(require_hermitian(a)))))
+    return float(_trace_norms(require_hermitian(a)[None])[0])
+
+
+def _trace_norms(a) -> np.ndarray:
+    """tr|A| of each matrix in a Hermitian (n, d, d) stack."""
+    return np.sum(np.abs(np.linalg.eigvalsh(a)), axis=-1)
+
+
+def _traces(a) -> np.ndarray:
+    """Real part of the trace of each matrix in a stack."""
+    return np.trace(a, axis1=-2, axis2=-1).real
+
+
+def _check_states(states) -> np.ndarray:
+    """Validate each state once (Hermitian, unit trace, positive) and return
+    them as one (n, d, d) stack."""
+    rho = np.stack([require_hermitian(r, name="state") for r in states])
+    _require_states(rho, np.linalg.eigvalsh(rho))
+    return rho
 
 
 def _check_state(rho) -> np.ndarray:
-    rho = require_hermitian(rho, name="state")
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > STATE_TOL * max(1.0, abs(tr)):
-        raise ValueError(f"state trace is {tr!r}, not 1")
-    w = np.linalg.eigvalsh(rho)
-    if w[0] < -STATE_TOL:
-        raise ValueError(f"state has negative eigenvalue {w[0]:.3e}")
-    return rho
+    return _check_states([rho])[0]
+
+
+def _require_states(rho, w):
+    """Unit trace and positivity to STATE_TOL of each matrix in a Hermitian
+    stack, given its eigenvalues w."""
+    tr = _traces(rho)
+    bad = np.abs(tr - 1.0) > STATE_TOL * np.maximum(1.0, np.abs(tr))
+    if bad.any():
+        raise ValueError(f"state trace is {float(tr[bad][0])!r}, not 1")
+    if (w[:, 0] < -STATE_TOL).any():
+        raise ValueError(f"state has negative eigenvalue {w[:, 0].min():.3e}")
+
+
+def _log_sigma(sigma) -> np.ndarray:
+    """log sigma for `relative_entropy_states`; sigma must be full rank."""
+    ws, vs = eig_hermitian(sigma)
+    if ws[0] <= 0:
+        raise ValueError("relative entropy needs full-rank sigma")
+    return (vs * np.log(ws)) @ vs.conj().T
 
 
 def relative_entropy_states(rho, sigma) -> float:
     """D(rho||sigma) = tr[rho(log rho - log sigma)] with the 0*log(0) = 0
     convention on rho's null space (sigma must be full rank)."""
     rho = require_hermitian(rho)
-    w, v = eig_hermitian(rho)
-    w = np.clip(w, 0.0, None)
-    plogp = float(np.sum(w[w > 0] * np.log(w[w > 0])))
-    ws, vs = eig_hermitian(sigma)
-    if ws[0] <= 0:
-        raise ValueError("relative entropy needs full-rank sigma")
-    log_sigma = (vs * np.log(ws)) @ vs.conj().T
-    val = plogp - float(np.trace(rho @ log_sigma).real)
-    return max(val, 0.0)
+    return float(_relative_entropies(rho[None], _log_sigma(sigma))[0])
+
+
+def _relative_entropies(rho, log_sigma) -> np.ndarray:
+    """D(rho||sigma) of each matrix in a Hermitian stack, given `_log_sigma`."""
+    w = np.clip(np.linalg.eigh(rho)[0], 0.0, None)
+    # summed per matrix over its own positive eigenvalues, as on its own
+    plogp = np.array([np.sum(x[x > 0] * np.log(x[x > 0])) for x in w])
+    val = plogp - _traces(rho @ log_sigma)
+    return np.where(val < 0.0, 0.0, val)
 
 
 def chi2_divergence(rho, space: WeightedSpace) -> float:
     delta = require_hermitian(rho) - space.sigma
-    return max(float(np.trace(delta @ space.gamma_inv(delta)).real), 0.0)
+    return float(_chi2s(delta[None], space)[0])
+
+
+def _chi2s(delta, space: WeightedSpace) -> np.ndarray:
+    """chi^2 = tr[delta Gamma^{-1}(delta)], delta = rho - sigma, of each
+    matrix in a Hermitian stack."""
+    val = _traces(delta @ space._gamma(-1.0, delta))
+    return np.where(val < 0.0, 0.0, val)
 
 
 @dataclass
@@ -120,29 +164,48 @@ def distances(rho, space: WeightedSpace) -> dict:
     <= chi^2(rho, sigma) are verified on every call; a violation beyond
     slack indicates numerical breakdown and raises.
     """
-    rho = _check_state(rho)
-    tr = trace_norm(rho - space.sigma)
-    chi2 = chi2_divergence(rho, space)
-    rel = relative_entropy_states(rho, space.sigma)
-    if tr ** 2 > chi2 + PINSKER_SLACK or tr ** 2 > 2.0 * rel + PINSKER_SLACK:
+    tr, chi2, rel = _distances(_check_state(rho)[None], space, _log_sigma(space.sigma))
+    return {"trace": float(tr[0]), "chi2": float(chi2[0]), "rel_ent": float(rel[0])}
+
+
+def _distances(rho, space: WeightedSpace, log_sigma):
+    """`distances` of each state in a validated (n, d, d) stack, as three
+    arrays, with the Pinsker checks."""
+    delta = rho - space.sigma
+    tr = _trace_norms(delta)
+    chi2 = _chi2s(delta, space)
+    rel = _relative_entropies(rho, log_sigma)
+    bad = (tr ** 2 > chi2 + PINSKER_SLACK) | (tr ** 2 > 2.0 * rel + PINSKER_SLACK)
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
         raise ArithmeticError(
-            f"trace-norm bound violated: tr^2={tr**2:.3e}, chi2={chi2:.3e}, 2D={2*rel:.3e}")
-    return {"trace": tr, "chi2": chi2, "rel_ent": rel}
+            f"trace-norm bound violated: tr^2={tr[k]**2:.3e}, chi2={chi2[k]:.3e}, "
+            f"2D={2*rel[k]:.3e}")
+    return tr, chi2, rel
 
 
 def evolve(g: Generator, rho0, t: float) -> np.ndarray:
     """rho_t = exp(t L*)(rho_0); validates the input and output states."""
+    rho_t, _ = _evolve_states(g, _check_states([rho0]), t)
+    return rho_t[0]
+
+
+def _evolve_states(g: Generator, states, t: float):
+    """rho_t for every state of a validated (n, d, d) stack, with evolve's
+    checks on each output; returns the stack and its eigenvalues."""
     if t < 0:
         raise ValueError("evolve needs t >= 0")
-    rho0 = _check_state(rho0)
-    rho_t = hermitian_part(g.evolve_schrodinger(rho0, float(t)))
-    tr = float(np.trace(rho_t).real)
-    if abs(tr - 1.0) > 1e-9:
-        raise ArithmeticError(f"evolution lost trace: {tr!r}")
+    rho_t = hermitian_part(g._evolve_schrodinger(states, float(t)))
+    if not np.isfinite(rho_t).all():
+        raise ArithmeticError("evolution produced non-finite entries")
+    tr = _traces(rho_t)
+    bad = np.abs(tr - 1.0) > 1e-9
+    if bad.any():
+        raise ArithmeticError(f"evolution lost trace: {float(tr[bad][0])!r}")
     w = np.linalg.eigvalsh(rho_t)
-    if w[0] < -1e-9:
-        raise ArithmeticError(f"evolution lost positivity: min eig {w[0]:.3e}")
-    return rho_t
+    if (w[:, 0] < -1e-9).any():
+        raise ArithmeticError(f"evolution lost positivity: min eig {w[:, 0].min():.3e}")
+    return rho_t, w
 
 
 def worst_case_states(space: WeightedSpace, n_haar: int = 50, seed: int = 0):
@@ -205,17 +268,15 @@ def bound_curves(g: Generator, lam: float | None, alpha1: float | None, t_grid,
     """
     sp = stationary_state(g)
     t_grid = np.asarray(list(t_grid), dtype=float)
-    states = worst_case_states(sp, n_haar=n_haar, seed=seed)
-    trace_w = np.zeros(len(t_grid))
-    chi2_w = np.zeros(len(t_grid))
-    rel_w = np.zeros(len(t_grid))
+    states = _check_states(worst_case_states(sp, n_haar=n_haar, seed=seed))
+    log_sigma = _log_sigma(sp.sigma)
+    worst = np.zeros((3, len(t_grid)))  # trace distance, chi^2, relative entropy
     for i, t in enumerate(t_grid):
-        for rho0 in states:
-            rho_t = evolve(g, rho0, t)
-            d = distances(rho_t, sp)
-            trace_w[i] = max(trace_w[i], d["trace"])
-            chi2_w[i] = max(chi2_w[i], d["chi2"])
-            rel_w[i] = max(rel_w[i], d["rel_ent"])
+        rho_t, w = _evolve_states(g, states, t)
+        _require_states(rho_t, w)
+        for row, dist in zip(worst, _distances(rho_t, sp, log_sigma)):
+            row[i] = max(0.0, *dist.tolist())
+    trace_w, chi2_w, rel_w = worst
     log_inv = np.log(1.0 / sp.sigma_min)
     chi2_b = np.sqrt(1.0 / sp.sigma_min) * np.exp(-lam * t_grid) if lam is not None else None
     ls_b1 = (np.sqrt(2.0 * log_inv) * np.exp(-alpha1 * t_grid)
@@ -245,10 +306,10 @@ def mixing_time(g: Generator, epsilon: float, n_haar: int = 50, seed: int = 0,
             return 0.0
         raise ValueError("epsilon must be in (0, 2)")
     sp = stationary_state(g)
-    states = worst_case_states(sp, n_haar=n_haar, seed=seed)
+    states = _check_states(worst_case_states(sp, n_haar=n_haar, seed=seed))
 
     def worst(t):
-        return max(trace_norm(evolve(g, rho0, t) - sp.sigma) for rho0 in states)
+        return max(_trace_norms(_evolve_states(g, states, t)[0] - sp.sigma).tolist())
 
     if worst(0.0) <= epsilon:
         return 0.0
@@ -420,13 +481,13 @@ def chi2_gap_time_check(g: Generator, alpha2: float, lam: float, c_values=(1.0, 
     divergence is bounded by e^{2(1-c)}; returns the worst sampled margin
     (bound minus empirical) per c."""
     sp = stationary_state(g)
-    states = worst_case_states(sp, n_haar=n_haar, seed=seed)
+    states = _check_states(worst_case_states(sp, n_haar=n_haar, seed=seed))
     loglog = np.log(max(np.log(1.0 / sp.sigma_min), 1.0 + 1e-12))
     out = {}
     for c in c_values:
         t = loglog / (2.0 * alpha2) + c / lam
         bound = np.exp(2.0 * (1.0 - c))
-        worst = max(chi2_divergence(evolve(g, rho0, t), sp) for rho0 in states)
+        worst = max(_chi2s(_evolve_states(g, states, t)[0] - sp.sigma, sp).tolist())
         out[float(c)] = {"t": float(t), "bound": float(bound),
                          "chi2_worst": float(worst), "margin": float(bound - worst)}
     return out

@@ -60,8 +60,9 @@ def max_abs(a) -> float:
 
 
 def hermitian_part(a) -> np.ndarray:
+    """(A + A^dag)/2 of a matrix, or of each matrix in an (..., d, d) stack."""
     a = np.asarray(a, dtype=complex)
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def require_hermitian(a, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from qmix import dirichlet_gap
 from qmix.dirichlet_gap import dirichlet, dirichlet_hat, spectral_gap
 from qmix.generators import (
     NotPrimitiveError,
@@ -180,3 +183,24 @@ def test_sparse_gap_is_reproducible():
     assert reps[0].lam == reps[1].lam
     assert np.array_equal(reps[0].witness, reps[1].witness)
     assert abs(reps[0].lam - 1.0) < 1e-10
+
+
+def test_gap_probe_override_warns(monkeypatch, rng):
+    g = random_davies(3, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exact = spectral_gap(g)
+    assert exact.method == "eigen_symmetrization"
+    eigensystem = dirichlet_gap._symmetrized_eigensystem_dense
+
+    def too_large_gap(gen):
+        sp, w, v = eigensystem(gen)
+        w = w.copy()
+        w[-2] = 1.5 * w[0]  # beyond the whole spectrum: every probe undercuts it
+        return sp, w, v
+
+    monkeypatch.setattr(dirichlet_gap, "_symmetrized_eigensystem_dense", too_large_gap)
+    with pytest.warns(RuntimeWarning, match="undercut by the probe ratio"):
+        rep = spectral_gap(g)
+    assert rep.method == "variational_refine"
+    assert rep.lam >= exact.lam * (1.0 - 1e-6)  # a probe ratio never undercuts the gap

@@ -4,9 +4,11 @@ import pytest
 from qmix.dirichlet_gap import spectral_gap
 from qmix.generators import (
     build_depolarizing,
+    build_projection,
     hat_generator,
     lift_channel,
     random_davies,
+    random_lindblad,
     random_reversible_unital,
 )
 from qmix.ls_estimator import depolarizing_alpha2, estimate_alpha
@@ -27,6 +29,7 @@ from qmix.mixing import (
     relative_entropy_states,
     trace_norm,
     two_two_norm_decay,
+    worst_case_states,
 )
 from qmix.operator_core import (
     haar_unitary,
@@ -162,6 +165,96 @@ def test_bound_curve_csv_and_json(tmp_path, rng):
     # columns omitted when constants are missing
     c2 = bound_curves(g, 1.0, None, grid, n_haar=2, seed=0)
     assert c2.ls_bound_a1 is None and "ls_bound_a1" not in c2.to_json()
+
+
+# The loops below evaluate one state at one time through the public
+# single-state functions, as the library did before it evolved whole stacks;
+# the stacked results must match them exactly.
+
+def reference_worst(g, t_grid, n_haar, seed):
+    sp = g.stationary
+    states = worst_case_states(sp, n_haar=n_haar, seed=seed)
+    worst = np.zeros((3, len(t_grid)))
+    for i, t in enumerate(t_grid):
+        for rho0 in states:
+            dist = distances(evolve(g, rho0, t), sp)
+            for row, key in zip(worst, ("trace", "chi2", "rel_ent")):
+                row[i] = max(row[i], dist[key])
+    return worst
+
+
+def reference_mixing_time(g, epsilon, n_haar, seed, rtol=1e-4):
+    sp = g.stationary
+    states = worst_case_states(sp, n_haar=n_haar, seed=seed)
+
+    def worst(t):
+        return max(trace_norm(evolve(g, rho0, t) - sp.sigma) for rho0 in states)
+
+    if worst(0.0) <= epsilon:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while worst(hi) > epsilon:
+        lo, hi = hi, hi * 2.0
+    while hi - lo > rtol * max(hi, 1.0):
+        mid = 0.5 * (lo + hi)
+        if worst(mid) > epsilon:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def mixing_family(name, d, rng):
+    if name == "depolarizing":
+        return build_depolarizing(d, 1.3)
+    if name == "projection":
+        return build_projection(random_density_matrix(d, rng), 0.7)
+    if name == "davies":
+        return random_davies(d, rng)
+    return random_lindblad(d, rng)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("family", ["depolarizing", "projection", "davies", "generic"])
+def test_stacked_mixing_equals_single_state_loop(family, d, rng):
+    g = mixing_family(family, d, rng)
+    sp = g.stationary
+    lam = spectral_gap(g).lam
+    grid = np.linspace(0.0, 5.0 / lam, 6)  # t = 0: the pure states are rank-deficient
+    curve = bound_curves(g, lam, 0.5 * lam, grid, alpha2=0.8 * lam, n_haar=4, seed=d)
+    ref = reference_worst(g, grid, n_haar=4, seed=d)
+    assert np.array_equal(curve.trace_dist, ref[0])
+    assert np.array_equal(curve.chi2, ref[1])
+    assert np.array_equal(curve.rel_ent, ref[2])
+    bounds = (curve.chi2_bound, curve.ls_bound_a1, curve.ls_bound_a2)
+    assert curve.domination_margin == min(float(np.min(b - ref[0])) for b in bounds)
+    assert mixing_time(g, 0.05, n_haar=4, seed=d) == reference_mixing_time(
+        g, 0.05, n_haar=4, seed=d)
+    out = chi2_gap_time_check(g, 0.4 * lam, lam, n_haar=4, seed=d)
+    states = worst_case_states(sp, n_haar=4, seed=d)
+    for rec in out.values():
+        ref_chi2 = max(chi2_divergence(evolve(g, rho0, rec["t"]), sp) for rho0 in states)
+        assert rec["chi2_worst"] == ref_chi2
+
+
+def test_stacked_evolution_keeps_per_state_checks(monkeypatch, rng):
+    g = random_davies(3, rng)
+    propagator = g.schrodinger_propagator
+    monkeypatch.setattr(g, "schrodinger_propagator", lambda t: 1.01 * propagator(t))
+    with pytest.raises(ArithmeticError, match="lost trace"):
+        bound_curves(g, 1.0, None, [0.0, 0.5], n_haar=3)
+    with pytest.raises(ArithmeticError, match="lost trace"):
+        mixing_time(g, 0.05, n_haar=3)
+    # rho -> P(rho) + tr(rho) X with X traceless and min eigenvalue -3 keeps
+    # the trace and breaks positivity
+    x = np.zeros((3, 3), dtype=complex)
+    x[0, 1] = x[1, 0] = 3.0
+    shift = np.outer(x.reshape(-1, order="F"), np.eye(3).reshape(-1, order="F"))
+    monkeypatch.setattr(g, "schrodinger_propagator", lambda t: propagator(t) + shift)
+    with pytest.raises(ArithmeticError, match="lost positivity"):
+        bound_curves(g, 1.0, None, [0.0, 0.5], n_haar=3)
+    with pytest.raises(ArithmeticError, match="lost positivity"):
+        mixing_time(g, 0.05, n_haar=3)
 
 
 # ---------------------------------------------------------------------------
