@@ -123,7 +123,8 @@ def relative_entropy_states(rho, sigma) -> float:
 def _relative_entropies(rho, log_sigma) -> np.ndarray:
     """D(rho||sigma) of each matrix in a Hermitian stack, given `_log_sigma`."""
     w = np.clip(np.linalg.eigh(rho)[0], 0.0, None)
-    # summed per matrix over its own positive eigenvalues, as on its own
+    # per matrix over its own positive eigenvalues: zero padding would regroup
+    # numpy's pairwise sum and change the last bits
     plogp = np.array([np.sum(x[x > 0] * np.log(x[x > 0])) for x in w])
     val = plogp - _traces(rho @ log_sigma)
     return np.where(val < 0.0, 0.0, val)
