@@ -152,7 +152,7 @@ def cmd_analyze(args) -> int:
         # failed sub-computations yield an explicit null + reason, never a
         # fabricated number
         try:
-            verdict = partial_order_verdict(g, budget=args.budget, seed=seed)
+            verdict = partial_order_verdict(g, budget=args.budget, seed=seed, gap=gap)
             report["ls"] = {
                 "alpha1": verdict["report1"].to_dict(),
                 "alpha2": verdict["report2"].to_dict(),
@@ -293,7 +293,7 @@ def _repr_davies_qubit(args):
               and prof.verdicts["completely_monotone_to_order"] >= 6
               and prof.verdicts["convex"])
     checks.append((f"davies qubit strong regularity evidence: {prof.verdicts}", strong))
-    verdict = partial_order_verdict(g, budget=args.budget, seed=args.seed)
+    verdict = partial_order_verdict(g, budget=args.budget, seed=args.seed, gap=gap)
     checks.append((f"davies qubit alpha1={verdict['alpha1']:.5f} <= "
                    f"lambda={verdict['lambda']:.5f}",
                    bool(verdict["ok_alpha1_le_lambda"])))

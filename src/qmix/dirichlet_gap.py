@@ -48,7 +48,8 @@ class GapReport:
 
 
 def _action(g: Generator, hat: bool):
-    return hat_generator(g).apply if hat else g.apply
+    """Trusting action of L (or Lhat), for complex matrices already checked."""
+    return (hat_generator(g) if hat else g)._apply
 
 
 def dirichlet(g: Generator, p: float, f, hat: bool = False) -> float:
@@ -76,7 +77,7 @@ def dirichlet(g: Generator, p: float, f, hat: bool = False) -> float:
 def _e1(sp: WeightedSpace, act_f, log_ratio) -> float:
     """E_1(f) = -(1/2) tr[Gamma(L f) (log Gamma(f) - log sigma)], given L(f)
     and the log ratio from `WeightedSpace._log_ratio`."""
-    return -0.5 * float(np.trace(sp._gamma(1.0, act_f) @ log_ratio).real)
+    return -0.5 * float((sp._gamma(1.0, act_f) @ log_ratio).trace().real)
 
 
 def _e2(sp: WeightedSpace, f, act_f) -> float:
@@ -90,7 +91,8 @@ def _judge_negative(val: float, g: Generator, f, act) -> float:
     That scale costs a generator application, so it is built only to judge
     a negative value."""
     if val < 0.0:
-        scale = (1.0 + max_abs(f)) ** 2 * max(1.0, max_abs(act(np.eye(g.dim))) + 1.0)
+        scale = (1.0 + max_abs(f)) ** 2 * max(
+            1.0, max_abs(act(np.eye(g.dim, dtype=complex))) + 1.0)
         if val < -1e-8 * scale:
             raise ArithmeticError(f"Dirichlet form came out negative: {val:.3e}")
         return 0.0

@@ -82,6 +82,12 @@ class Generator:
     `apply_adjoint` act through the Lindblad data (or through wrapped
     callables for derived generators such as the hat generator), so they
     stay cheap even when the dense superoperator would be large.
+
+    The m jumps are held as three (m, d, d) stacks, K, K^dag and K^dag K,
+    so an action makes one stacked matmul per product over all jumps.  The
+    terms A_k = K_k^dag f K_k and C_k = (1/2){K_k^dag K_k, f} are then added
+    one by one, in jump order, as out + A_k - C_k: summing the stack, or
+    adding (A_k - C_k), rounds differently.
     """
 
     def __init__(self, dim, hamiltonian=None, lindblad_ops=None, family="generic",
@@ -89,8 +95,9 @@ class Generator:
         self.dim = int(dim)
         self.hamiltonian = None if hamiltonian is None else require_hermitian(hamiltonian)
         self.lindblad_ops = None if lindblad_ops is None else [as_matrix(k) for k in lindblad_ops]
-        # (K, K^dag, K^dag K) per jump, shared by apply and apply_adjoint
-        self._jumps = [(k, k.conj().T, k.conj().T @ k) for k in self.lindblad_ops or ()]
+        self._k = np.array(self.lindblad_ops or (), dtype=complex).reshape(-1, self.dim, self.dim)
+        self._kd = self._k.conj().transpose(0, 2, 1)
+        self._kk = self._kd @ self._k
         self.family = family
         self.params = dict(params or {})
         self._apply_heis = apply_heis
@@ -124,9 +131,7 @@ class Generator:
         out = np.zeros_like(f)
         if self.hamiltonian is not None:
             out = out + 1j * (self.hamiltonian @ f - f @ self.hamiltonian)
-        for k, kd, kk in self._jumps:
-            out = out + kd @ f @ k - 0.5 * (kk @ f + f @ kk)
-        return out
+        return self._add_jumps(out, self._kd @ f @ self._k, f)
 
     def apply_adjoint(self, rho) -> np.ndarray:
         """Schrodinger action L*(rho)."""
@@ -147,8 +152,13 @@ class Generator:
         out = np.zeros_like(rho)
         if self.hamiltonian is not None:
             out = out - 1j * (self.hamiltonian @ rho - rho @ self.hamiltonian)
-        for k, kd, kk in self._jumps:
-            out = out + k @ rho @ kd - 0.5 * (kk @ rho + rho @ kk)
+        return self._add_jumps(out, self._k @ rho @ self._kd, rho)
+
+    def _add_jumps(self, out, sandwiches, x):
+        """out + sum_k (sandwiches[k] - 0.5 {K_k^dag K_k, x}), added in jump order."""
+        anti = 0.5 * (self._kk @ x + x @ self._kk)
+        for a, c in zip(sandwiches, anti):
+            out = out + a - c
         return out
 
     def _require_stationary(self) -> WeightedSpace:

@@ -148,7 +148,7 @@ class WeightedSpace:
         return self._inner(self._check_dim(f), self._check_dim(g))
 
     def _inner(self, f, g) -> float:
-        return float(np.trace(self._gamma(1.0, f) @ g).real)
+        return float((self._gamma(1.0, f) @ g).trace().real)
 
     def variance(self, g) -> float:
         """Var(g) = tr[Gamma(g) g] - tr[Gamma(g)]^2, clamped at zero."""
@@ -196,8 +196,8 @@ class WeightedSpace:
         return gf, _matrix_function(gf, np.log) - self._log_sigma
 
     def _ent1(self, gf, log_ratio) -> float:
-        tr_gf = float(np.trace(gf).real)
-        val = float(np.trace(gf @ log_ratio).real)
+        tr_gf = float(gf.trace().real)
+        val = float((gf @ log_ratio).trace().real)
         val -= tr_gf * np.log(tr_gf)
         return self._clamp_ent(val, scale=abs(val) + tr_gf + 1.0)
 
@@ -211,9 +211,9 @@ class WeightedSpace:
         x = self._gamma(0.5, f)
         x2 = x @ x
         log_x = _matrix_function(x, np.log)
-        n2sq = float(np.trace(x2).real)  # ||f||_{2,sigma}^2
-        val = float(np.trace(x2 @ log_x).real)
-        val -= 0.5 * float(np.trace(x2 @ self._log_sigma).real)
+        n2sq = float(x2.trace().real)  # ||f||_{2,sigma}^2
+        val = float((x2 @ log_x).trace().real)
+        val -= 0.5 * float((x2 @ self._log_sigma).trace().real)
         val -= 0.5 * n2sq * np.log(n2sq)
         return self._clamp_ent(val, scale=abs(val) + n2sq + 1.0)
 

@@ -24,6 +24,7 @@ treated as excluded from the infimum (the ratio returns +inf there).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,11 +90,17 @@ def expander_alpha2_upper(D: int, d: int) -> float:
 # Hermitian parameterization
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _layout(d: int):
+    """Strict-upper-triangle indices, diagonal indices and identity at d."""
+    return np.triu_indices(d, 1), np.diag_indices(d), np.eye(d)
+
+
 def _pack(h: np.ndarray) -> np.ndarray:
     """Real coordinates of a Hermitian h: the diagonal, then (Re, Im) of the
     strict upper triangle in row-major order."""
     d = h.shape[0]
-    upper = h[np.triu_indices(d, 1)]
+    upper = h[_layout(d)[0]]
     out = np.empty(d * d)
     out[:d] = np.diag(h).real
     out[d::2] = upper.real
@@ -102,13 +109,13 @@ def _pack(h: np.ndarray) -> np.ndarray:
 
 
 def _unpack(x: np.ndarray, d: int) -> np.ndarray:
-    rows, cols = np.triu_indices(d, 1)
+    (rows, cols), diag, eye = _layout(d)
     re, im = x[d::2], x[d + 1::2]
     h = np.zeros((d, d), dtype=complex)
-    np.fill_diagonal(h, x[:d])
+    h[diag] = x[:d]
     h[rows, cols] = re + 1j * im
     h[cols, rows] = re - 1j * im
-    h -= np.trace(h).real / d * np.eye(d)  # ratio is scale invariant; pin tr h = 0
+    h -= h.trace().real / d * eye  # ratio is scale invariant; pin tr h = 0
     return h
 
 
@@ -451,7 +458,7 @@ def estimate_alpha(g: Generator, p: int, use_hat: bool | None = None,
 
 
 def partial_order_verdict(g: Generator, budget: int = 1500, restarts: int = 6,
-                          seed: int = 0) -> dict:
+                          seed: int = 0, gap: GapReport | None = None) -> dict:
     """Estimate alpha_1, alpha_2 and lambda and check the partial order
     alpha_2 <= 2*alpha_1 and (when the theorem applies: reversible or
     unital) alpha_1 <= lambda, with 1e-4 relative slack for optimizer noise.
@@ -459,8 +466,10 @@ def partial_order_verdict(g: Generator, budget: int = 1500, restarts: int = 6,
     The alpha_2 search is cross-seeded with I_{2,1} of the alpha_1 witness,
     which makes the partial-order check an honest test of weak regularity
     at the witness rather than a race between two independent optimizers.
+    A caller that already holds spectral_gap(g, seed=seed) passes it as gap.
     """
-    gap = spectral_gap(g, seed=seed)
+    if gap is None:
+        gap = spectral_gap(g, seed=seed)
     rep1 = estimate_alpha(g, 1, budget=budget, restarts=restarts, seed=seed, gap=gap)
     sp = stationary_state(g)
     cross = sp.power_operator(2.0, 1.0, rep1.witness)

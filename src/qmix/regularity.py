@@ -25,7 +25,9 @@ generators and streams JSONL records for resumable long runs.
 
 from __future__ import annotations
 
+import contextlib
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,7 +78,17 @@ def h_profile(g: Generator, probe, t: float, s_grid) -> np.ndarray:
 
     The probe is decomposed once, by its positivity gate, and every g^s and
     g^{2-s} on the grid is formed from that one eigendecomposition."""
-    sp = stationary_state(g)
+    return _h_profile(g, probe, t, s_grid, _quarter_powers(stationary_state(g), s_grid))
+
+
+def _quarter_powers(sp, s_grid) -> list:
+    """(sigma^{s/4}, sigma^{-s/4}) for each s of the grid, formed once for
+    every probe and time of a profile."""
+    return [(sp.sigma_power(s / 4.0), sp.sigma_power(-s / 4.0)) for s in s_grid]
+
+
+def _h_profile(g: Generator, probe, t: float, s_grid, quarters) -> np.ndarray:
+    """h_profile given the grid's `_quarter_powers`."""
     probe = hermitian_part(np.asarray(probe, dtype=complex))
     w, v = _check_positive(probe, "h_profile probe")
 
@@ -84,10 +96,8 @@ def h_profile(g: Generator, probe, t: float, s_grid) -> np.ndarray:
         return hermitian_part((v * np.float_power(w, s)) @ v.conj().T)
 
     out = np.empty(len(s_grid))
-    for i, s in enumerate(s_grid):
+    for i, (s, (sq, sq_inv)) in enumerate(zip(s_grid, quarters)):
         gs, g2s = probe_power(float(s)), probe_power(2.0 - float(s))
-        sq = sp.sigma_power(s / 4.0)
-        sq_inv = sp.sigma_power(-s / 4.0)
         evolved = g.evolve_heisenberg(sq_inv @ gs @ sq_inv, float(t))
         out[i] = float(np.trace(sq @ g2s @ sq @ evolved).real)
     return out
@@ -155,9 +165,9 @@ def regularity_profile(g: Generator, probes: int = 20, times=(0.1, 0.5, 1.0),
     completely_monotone_to_order: alternating-difference order on [0, 1].
     All three are aggregated with AND (min for the order) over the samples.
     """
-    sp = stationary_state(g)
     rng = np.random.default_rng(seed)
     s_grid = np.linspace(0.0, 2.0, grid_n)
+    quarters = _quarter_powers(stationary_state(g), s_grid)
     worst = None
     convex_all = True
     symmetric_all = True
@@ -169,7 +179,7 @@ def regularity_profile(g: Generator, probes: int = 20, times=(0.1, 0.5, 1.0),
         probe = random_probe(g.dim, rng, near_singular=(i < n_sing))
         for t in times:
             try:
-                h = h_profile(g, probe, float(t), s_grid)
+                h = _h_profile(g, probe, float(t), s_grid, quarters)
             except (ValueError, ArithmeticError) as exc:
                 failures.append({"probe_index": i, "t": float(t), "error": str(exc)})
                 continue
@@ -304,28 +314,25 @@ def conjecture_scan(n_instances: int, dims=(2, 3), seed: int = 0,
     resume from the line count of a partial output file).  Expected outcome:
     zero weak violations anywhere; strong violations only on non-reversible
     instances.  Violating instances carry full reproduction data.
+
+    jobs > 1 computes instances on that many threads; each record is
+    written and flushed in index order as soon as it and every earlier one
+    are done, so an interrupted scan keeps its finished prefix either way.
     """
+    def record(i):
+        return scan_instance_record(i, dims, seed, probes, p_grid)
+
     records = []
-    fh = open(out_path, "a" if start_index else "w") if out_path else None
-    indices = range(start_index, n_instances)
-    try:
+    with contextlib.ExitStack() as stack:
+        fh = stack.enter_context(open(out_path, "a" if start_index else "w")) if out_path else None
+        mapper = map
         if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                records = list(pool.map(
-                    lambda i: scan_instance_record(i, dims, seed, probes, p_grid),
-                    indices))
-            if fh:
-                for rec in records:
-                    fh.write(json.dumps(rec) + "\n")
-            return records
-        for i in indices:
-            rec = scan_instance_record(i, dims, seed, probes, p_grid)
+            pool = ThreadPoolExecutor(max_workers=jobs)
+            stack.callback(pool.shutdown, cancel_futures=True)  # on error too
+            mapper = pool.map  # yields in index order
+        for rec in mapper(record, range(start_index, n_instances)):
             records.append(rec)
             if fh:
                 fh.write(json.dumps(rec) + "\n")
                 fh.flush()
-    finally:
-        if fh:
-            fh.close()
     return records

@@ -146,3 +146,36 @@ def test_scan_resume_after_truncated_line(tmp_path, capsys):
     assert main(argv + ["--out", str(cut), "--resume"]) == 0
     assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["start_index"] == 2
     assert cut.read_bytes() == data
+
+
+def test_parallel_scan_streams_the_serial_file(tmp_path, capsys):
+    argv = ["scan", "--dims", "2,3", "--n", "6", "--probes", "3", "--seed", "5"]
+    serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
+    assert main(argv + ["--out", str(serial), "--jobs", "1"]) == 0
+    assert main(argv + ["--out", str(parallel), "--jobs", "2"]) == 0
+    assert parallel.read_bytes() == serial.read_bytes()
+
+
+def test_interrupted_parallel_scan_keeps_its_prefix_and_resumes(tmp_path, capsys,
+                                                                monkeypatch):
+    import qmix.regularity as regularity
+    argv = ["scan", "--dims", "2,3", "--n", "6", "--probes", "3", "--seed", "5",
+            "--jobs", "2"]
+    full = tmp_path / "full.jsonl"
+    assert main(argv + ["--out", str(full)]) == 0
+    record = regularity.scan_instance_record
+
+    def fail_at_3(index, *args):
+        if index == 3:
+            raise RuntimeError("interrupted")
+        return record(index, *args)
+
+    cut = tmp_path / "cut.jsonl"
+    monkeypatch.setattr(regularity, "scan_instance_record", fail_at_3)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        main(argv + ["--out", str(cut)])
+    assert cut.read_bytes() == b"".join(full.read_bytes().splitlines(keepends=True)[:3])
+    monkeypatch.setattr(regularity, "scan_instance_record", record)
+    assert main(argv + ["--out", str(cut), "--resume"]) == 0
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["start_index"] == 3
+    assert cut.read_bytes() == full.read_bytes()

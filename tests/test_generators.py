@@ -97,6 +97,35 @@ def test_reversible_implies_real_spectrum(rng):
         assert np.max(np.abs(ev.imag)) < 1e-8
 
 
+def _per_jump_actions(g, f):
+    """The Heisenberg and Schrodinger actions as one loop over the jumps."""
+    heis, schro = np.zeros_like(f), np.zeros_like(f)
+    if g.hamiltonian is not None:
+        heis = heis + 1j * (g.hamiltonian @ f - f @ g.hamiltonian)
+        schro = schro - 1j * (g.hamiltonian @ f - f @ g.hamiltonian)
+    for k in g.lindblad_ops:
+        kd = k.conj().T
+        kk = kd @ k
+        heis = heis + kd @ f @ k - 0.5 * (kk @ f + f @ kk)
+        schro = schro + k @ f @ kd - 0.5 * (kk @ f + f @ kk)
+    return heis, schro
+
+
+def test_stacked_jump_action_equals_per_jump_loop(rng):
+    gens = [random_davies(d, rng) for d in (2, 3, 4)]
+    gens += [random_lindblad(3, rng), random_lindblad(3, rng, with_hamiltonian=False),
+             random_lindblad(2, rng, n_ops=1),
+             build_random_unitary(4, 2, seed=5),
+             build_random_unitary(3, 3, seed=6, reversible=False)]
+    assert len(gens[2].lindblad_ops) > 10  # Davies d = 4: one jump per Bohr frequency
+    for g in gens:
+        for _ in range(20):
+            f = random_hermitian(g.dim, rng)
+            heis, schro = _per_jump_actions(g, f)
+            assert np.array_equal(g._apply(f), heis)
+            assert np.array_equal(g._apply_adjoint(f), schro)
+
+
 # ---------------------------------------------------------------------------
 # depolarizing
 # ---------------------------------------------------------------------------

@@ -124,6 +124,18 @@ def test_partial_order_verdict(rng):
     assert v["alpha2"] <= 2.0 * v["alpha1"] * (1 + 1e-4)
 
 
+def test_partial_order_verdict_reuses_a_given_gap(rng):
+    g = random_davies(3, rng)
+    fresh = partial_order_verdict(g, budget=150, restarts=2, seed=4)
+    given = partial_order_verdict(g, budget=150, restarts=2, seed=4,
+                                  gap=spectral_gap(g, seed=4))
+    for key in ("alpha1", "alpha2", "lambda", "ok_alpha2_le_2alpha1", "ok_alpha1_le_lambda"):
+        assert fresh[key] == given[key]
+    for rep in ("report1", "report2"):
+        assert fresh[rep].to_dict() == given[rep].to_dict()  # n_evals included
+        assert np.array_equal(fresh[rep].witness, given[rep].witness)
+
+
 def test_expander_estimate_respects_bounds(rng):
     g = build_random_unitary(4, 2, seed=5)
     gap = spectral_gap(g, seed=0)

@@ -12,11 +12,14 @@ from qmix.lp_space import PositivityError
 from qmix.operator_core import (
     choi_from_super,
     haar_unitary,
+    hermitian_part,
     max_abs,
     random_density_matrix,
     unvec,
 )
 from qmix.regularity import (
+    _h_profile,
+    _quarter_powers,
     conjecture_scan,
     direct_regularity_check,
     h_functional,
@@ -139,6 +142,26 @@ def test_convexity_implies_weak_margins(rng):
     res = direct_regularity_check(g, probes=8, seed=7)
     for r in res.values():
         assert r["weak_margin"] >= -1e-7 * max(r["scale"], 1.0)
+
+
+def test_h_profile_equals_table_fed_kernel(rng):
+    g = random_davies(3, rng)
+    sp = g.stationary
+    s_grid = np.linspace(0.0, 2.0, 101)  # 202 sigma powers, beyond the 64-entry cache
+    quarters = _quarter_powers(sp, s_grid)
+    for i in range(3):
+        probe = random_probe(3, rng, near_singular=(i == 0))
+        for t in (0.1, 1.0):
+            h = h_profile(g, probe, t, s_grid)
+            assert np.array_equal(h, _h_profile(g, probe, t, s_grid, quarters))
+            # the per-s form the table replaced
+            w, v = np.linalg.eigh(0.5 * (probe + probe.conj().T))
+            for s, hs in zip(s_grid[::10], h[::10]):
+                gs = hermitian_part((v * np.float_power(w, s)) @ v.conj().T)
+                g2s = hermitian_part((v * np.float_power(w, 2.0 - s)) @ v.conj().T)
+                sq, sq_inv = sp.sigma_power(s / 4.0), sp.sigma_power(-s / 4.0)
+                evolved = g.evolve_heisenberg(sq_inv @ gs @ sq_inv, t)
+                assert hs == float(np.trace(sq @ g2s @ sq @ evolved).real)
 
 
 def test_conjecture_scan_records(tmp_path):
