@@ -7,12 +7,13 @@ primitive) together with the stationary state when one exists.
 
 Built-in families: depolarizing, projection onto a state, Davies thermal
 generators, discrete-channel lifts L = T - id, random-unitary channel
-lifts and tensor sums of qubit depolarizing generators.  Family builders
-know their flags and stationary states in closed form and also provide
-closed-form semigroup actions, which keeps large dimensions (the
-depolarizing d = 64 runs) out of the dense-superoperator path; everything
-is cross-checked against the generic path in the tests.  The sigma-adjoint
-generator is built only by `hat_generator`, and shared by all its holders.
+lifts and tensor sums of qubit depolarizing generators.  Depolarizing and
+projection share one builder, `_closed_form_generator`, whose closures
+give both their actions and their closed-form semigroups, which keeps
+large dimensions (the depolarizing d = 64 runs) out of the dense-superoperator
+path; `Generator.family` is only a label.  Everything is cross-checked
+against the generic path in the tests.  The sigma-adjoint generator is
+built only by `hat_generator`, and shared by all its holders.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 from .lp_space import WeightedSpace
 from .operator_core import (
+    _lru_get,
     as_matrix,
     eig_hermitian,
     expm_superop,
@@ -88,10 +90,13 @@ class Generator:
     terms A_k = K_k^dag f K_k and C_k = (1/2){K_k^dag K_k, f} are then added
     one by one, in jump order, as out + A_k - C_k: summing the stack, or
     adding (A_k - C_k), rounds differently.
+
+    A closed-form generator carries `closed_form` = (gamma, heis, schro), see
+    `_closed_form_generator`; `family` is a label that no method branches on.
     """
 
     def __init__(self, dim, hamiltonian=None, lindblad_ops=None, family="generic",
-                 params=None, apply_heis=None, apply_schro=None):
+                 params=None, apply_heis=None, apply_schro=None, closed_form=None):
         self.dim = int(dim)
         self.hamiltonian = None if hamiltonian is None else require_hermitian(hamiltonian)
         self.lindblad_ops = None if lindblad_ops is None else [as_matrix(k) for k in lindblad_ops]
@@ -102,6 +107,7 @@ class Generator:
         self.params = dict(params or {})
         self._apply_heis = apply_heis
         self._apply_schro = apply_schro
+        self._closed = closed_form
         self.unital = None
         self.reversible = None
         self.primitive = None
@@ -109,7 +115,6 @@ class Generator:
         self._super_cache: dict[str, np.ndarray] = {}
         self._prop_cache: dict[tuple, np.ndarray] = {}
         self._hat: weakref.ref | None = None  # see hat_generator
-        self._eye = np.eye(self.dim)
 
     # -- actions ---------------------------------------------------------------
 
@@ -121,13 +126,6 @@ class Generator:
         """`apply` without the input check, for a complex matrix the library built."""
         if self._apply_heis is not None:
             return self._apply_heis(f)
-        if self.family == "depolarizing":
-            g = self.params["gamma"]
-            return g * (np.trace(f) / self.dim * self._eye - f)
-        if self.family == "projection":
-            g = self.params["gamma"]
-            sig = self.stationary.sigma
-            return g * (np.trace(sig @ f) * self._eye - f)
         out = np.zeros_like(f)
         if self.hamiltonian is not None:
             out = out + 1j * (self.hamiltonian @ f - f @ self.hamiltonian)
@@ -142,13 +140,6 @@ class Generator:
         library built."""
         if self._apply_schro is not None:
             return self._apply_schro(rho)
-        if self.family == "depolarizing":
-            g = self.params["gamma"]
-            return g * (np.trace(rho) / self.dim * self._eye - rho)
-        if self.family == "projection":
-            g = self.params["gamma"]
-            sig = self.stationary.sigma
-            return g * (np.trace(rho) * sig - rho)
         out = np.zeros_like(rho)
         if self.hamiltonian is not None:
             out = out - 1j * (self.hamiltonian @ rho - rho @ self.hamiltonian)
@@ -170,13 +161,15 @@ class Generator:
 
     # -- dense superoperators ----------------------------------------------------
 
-    def _check_super_dim(self):
+    def _dense(self, from_jumps, action) -> np.ndarray:
+        """A dense superoperator: from_jumps() when there are jumps, else built
+        column by column from the action."""
         if self.dim > SUPEROP_DIM_LIMIT:
             raise GeneratorError(
                 f"dense superoperator requested at d={self.dim} > {SUPEROP_DIM_LIMIT} "
                 "(design ceiling); use the action methods instead")
-
-    def _super_from_action(self, action) -> np.ndarray:
+        if self.lindblad_ops is not None:
+            return from_jumps()
         d = self.dim
         s = np.empty((d * d, d * d), dtype=complex)
         basis = np.zeros((d, d), dtype=complex)
@@ -189,27 +182,13 @@ class Generator:
 
     @property
     def super_L(self) -> np.ndarray:
-        s = self._super_cache.get("L")
-        if s is None:
-            self._check_super_dim()
-            if self.lindblad_ops is not None:
-                s, _ = lindblad_super(self.hamiltonian, self.lindblad_ops)
-            else:
-                s = self._super_from_action(self.apply)
-            self._super_cache["L"] = s
-        return s
+        return _lru_get(self._super_cache, "L", lambda: self._dense(
+            lambda: lindblad_super(self.hamiltonian, self.lindblad_ops)[0], self.apply))
 
     @property
     def super_Lstar(self) -> np.ndarray:
-        s = self._super_cache.get("Lstar")
-        if s is None:
-            self._check_super_dim()
-            if self.lindblad_ops is not None:
-                s = self.super_L.conj().T
-            else:
-                s = self._super_from_action(self.apply_adjoint)
-            self._super_cache["Lstar"] = s
-        return s
+        return _lru_get(self._super_cache, "Lstar", lambda: self._dense(
+            lambda: self.super_L.conj().T, self.apply_adjoint))
 
     # -- semigroup actions --------------------------------------------------------
 
@@ -217,11 +196,8 @@ class Generator:
         f = as_matrix(f)
         if t == 0.0:
             return f.copy()
-        eps = self._family_decay(t)
-        if eps is not None:
-            if self.family == "depolarizing":
-                return (1.0 - eps) * np.trace(f) / self.dim * self._eye + eps * f
-            return (1.0 - eps) * np.trace(self.stationary.sigma @ f) * self._eye + eps * f
+        if self._closed is not None:
+            return self._closed_evolve(self._closed[1], f, t)
         return unvec(self.heisenberg_propagator(t) @ vec(f), self.dim)
 
     def evolve_schrodinger(self, rho, t: float) -> np.ndarray:
@@ -235,39 +211,24 @@ class Generator:
         matrix (a single gemm over the stack rounds differently)."""
         if t == 0.0:
             return rho.copy()
-        eps = self._family_decay(t)
-        if eps is not None:
-            tr = np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
-            if self.family == "depolarizing":
-                return (1.0 - eps) * tr / self.dim * self._eye + eps * rho
-            return (1.0 - eps) * tr * self.stationary.sigma + eps * rho
+        if self._closed is not None:
+            return self._closed_evolve(self._closed[2], rho, t)
         n, d = rho.shape[0], self.dim
         cols = rho.transpose(0, 2, 1).reshape(n, d * d, 1)  # vec of each matrix
         out = np.matmul(self.schrodinger_propagator(t), cols)
         return out.reshape(n, d, d).transpose(0, 2, 1)
 
-    def _family_decay(self, t: float):
-        if self.family in ("depolarizing", "projection"):
-            return float(np.exp(-t * self.params["gamma"]))
-        return None
+    def _closed_evolve(self, e, x, t: float) -> np.ndarray:
+        """exp(tL) = (1 - eps) E + eps id, eps = e^{-gamma t}, for e = heis or schro."""
+        eps = float(np.exp(-t * self._closed[0]))
+        return e(x, 1.0 - eps) + eps * x
 
     def heisenberg_propagator(self, t: float) -> np.ndarray:
-        key = ("H", float(t))
-        p = self._prop_cache.get(key)
-        if p is None:
-            p = expm_superop(self.super_L, t)
-            if len(self._prop_cache) < 64:
-                self._prop_cache[key] = p
-        return p
+        return _lru_get(self._prop_cache, ("H", float(t)), lambda: expm_superop(self.super_L, t))
 
     def schrodinger_propagator(self, t: float) -> np.ndarray:
-        key = ("S", float(t))
-        p = self._prop_cache.get(key)
-        if p is None:
-            p = expm_superop(self.super_Lstar, t)
-            if len(self._prop_cache) < 64:
-                self._prop_cache[key] = p
-        return p
+        return _lru_get(self._prop_cache, ("S", float(t)),
+                        lambda: expm_superop(self.super_Lstar, t))
 
     def describe(self) -> dict:
         return {
@@ -330,15 +291,22 @@ def _detailed_balance_residual(g: Generator, space: WeightedSpace) -> float:
     return max_abs(lhs - rhs) / _scale(g)
 
 
+def _full_rank_space(sigma, what: str) -> WeightedSpace:
+    """WeightedSpace(sigma), its ValueError raised as NotPrimitiveError."""
+    try:
+        return WeightedSpace(sigma)
+    except ValueError as exc:
+        raise NotPrimitiveError(f"{what} is numerically rank-deficient: {exc}")
+
+
 def classify(g: Generator, check_reversible: bool = True) -> Generator:
     """Fill the unital/primitive/reversible flags and the stationary state."""
     _check_trace_preserving(g)
     g.unital = max_abs(g.apply_adjoint(np.eye(g.dim))) <= TRACE_PRESERVING_TOL * _scale(g)
     try:
-        sigma = _null_space_state(g)
-        g.stationary = WeightedSpace(sigma)
+        g.stationary = _full_rank_space(_null_space_state(g), "stationary state")
         g.primitive = True
-    except (NotPrimitiveError, ValueError):
+    except (NotPrimitiveError, np.linalg.LinAlgError):  # a failed SVD is a verdict, not a bug
         g.primitive = False
         g.stationary = None
         g.reversible = False
@@ -357,7 +325,7 @@ def stationary_state(g: Generator) -> WeightedSpace:
     if g.stationary is not None:
         return g.stationary
     sigma = _null_space_state(g)
-    g.stationary = WeightedSpace(sigma)
+    g.stationary = _full_rank_space(sigma, "stationary state")
     g.primitive = True
     res = max_abs(g.apply_adjoint(sigma))
     if res > STATIONARY_TOL * _scale(g):
@@ -388,36 +356,54 @@ def build_lindblad(hamiltonian, ops, family: str = "generic", params=None,
     return classify(g, check_reversible=check_reversible)
 
 
+def _trace(x):
+    """tr x as a scalar, or the traces of an (n, d, d) stack shaped (n, 1, 1)."""
+    tr = np.trace(x, axis1=-2, axis2=-1)
+    return tr if x.ndim == 2 else tr[:, None, None]
+
+
+def _closed_form_generator(space: WeightedSpace, family: str, gamma: float,
+                           heis, schro) -> Generator:
+    """L = gamma (E - id), E the projection onto `space`'s sigma, from
+    heis(x, c) = c E(x) and schro(x, c) = c E*(x) on a matrix or a stack.
+    The actions take c = 1.0 (exact), the semigroup c = 1 - e^{-gamma t}: c
+    is an argument because (1 - eps) * tr(f) / d and (1 - eps) * (tr(f) / d)
+    round differently.  Reversible and primitive by construction."""
+    if gamma <= 0:
+        raise GeneratorError("gamma must be positive")
+    gamma = float(gamma)
+    g = Generator(space.dim, family=family, params={"gamma": gamma},
+                  apply_heis=lambda f: gamma * (heis(f, 1.0) - f),
+                  apply_schro=lambda rho: gamma * (schro(rho, 1.0) - rho),
+                  closed_form=(gamma, heis, schro))
+    g.stationary = space
+    g.primitive = g.reversible = True
+    g.unital = bool(max_abs(space.sigma - np.eye(space.dim) / space.dim) < 1e-12)
+    if max_abs(g.apply_adjoint(space.sigma)) > STATIONARY_TOL:
+        raise GeneratorError(f"{family} stationary-state residual check failed")
+    return g
+
+
 def build_depolarizing(d: int, gamma: float) -> Generator:
     """L(f) = gamma*(tr(f)/d * 1 - f); unital, reversible, primitive with
     stationary state 1/d."""
     if d < 2:
         raise GeneratorError("depolarizing generator needs d >= 2")
-    if gamma <= 0:
-        raise GeneratorError("gamma must be positive")
-    g = Generator(d, family="depolarizing", params={"gamma": float(gamma)})
-    g.unital = True
-    g.reversible = True
-    g.primitive = True
-    g.stationary = WeightedSpace(np.eye(d) / d)
-    if max_abs(g.apply_adjoint(g.stationary.sigma)) > STATIONARY_TOL:
-        raise GeneratorError("depolarizing stationary-state residual check failed")
-    return g
+    eye = np.eye(d)
+
+    def e(x, c):  # E = E*: x -> tr(x)/d 1
+        return c * _trace(x) / d * eye
+
+    return _closed_form_generator(WeightedSpace(eye / d), "depolarizing", gamma, e, e)
 
 
 def build_projection(sigma, gamma: float) -> Generator:
     """L(f) = gamma*(tr[f sigma] 1 - f): the semigroup projects onto sigma."""
-    if gamma <= 0:
-        raise GeneratorError("gamma must be positive")
     space = sigma if isinstance(sigma, WeightedSpace) else WeightedSpace(sigma)
-    g = Generator(space.dim, family="projection", params={"gamma": float(gamma)})
-    g.stationary = space
-    g.primitive = True
-    g.reversible = True
-    g.unital = bool(max_abs(space.sigma - np.eye(space.dim) / space.dim) < 1e-12)
-    if max_abs(g.apply_adjoint(space.sigma)) > STATIONARY_TOL:
-        raise GeneratorError("projection stationary-state residual check failed")
-    return g
+    sig, eye = space.sigma, np.eye(space.dim)
+    return _closed_form_generator(space, "projection", gamma,
+                                  lambda x, c: c * _trace(sig @ x) * eye,
+                                  lambda x, c: c * _trace(x) * sig)
 
 
 def gibbs_state(hamiltonian, beta: float) -> np.ndarray:
@@ -529,10 +515,7 @@ def build_davies(spec: DaviesSpec) -> Generator:
     res = max_abs(g.apply_adjoint(sigma))
     if res > STATIONARY_TOL * _scale(g):
         raise GeneratorError(f"Gibbs state is not stationary: residual {res:.3e}")
-    try:
-        g.stationary = WeightedSpace(sigma)
-    except ValueError as exc:
-        raise NotPrimitiveError(f"Gibbs state is numerically rank-deficient: {exc}")
+    g.stationary = _full_rank_space(sigma, "Gibbs state")
     # primitivity: the null space of L* must be exactly the Gibbs state
     try:
         _null_space_state(g)
@@ -645,8 +628,11 @@ def hat_generator(g: Generator) -> Generator:
     def schro(rho):
         return half @ g._apply(half_inv @ rho @ half_inv) @ half
 
+    # Closed-form families are reversible, so Lhat = L: past the dense limit
+    # the hat evolves by L's closed form, below it by its dense propagator.
+    closed = g._closed if g.dim > SUPEROP_DIM_LIMIT else None
     h = Generator(g.dim, family="hat", params={"base_family": g.family},
-                  apply_heis=heis, apply_schro=schro)
+                  apply_heis=heis, apply_schro=schro, closed_form=closed)
     h.stationary = sp
     h.primitive = True
     h.reversible = g.reversible

@@ -25,6 +25,7 @@ import numpy as np
 
 from .operator_core import (
     _eigh,
+    _lru_get,
     _matrix_function,
     as_matrix,
     eig_hermitian,
@@ -90,12 +91,8 @@ class WeightedSpace:
 
     def sigma_power(self, s: float) -> np.ndarray:
         key = float(s)
-        m = self._pow_cache.get(key)
-        if m is None:
-            m = hermitian_part((self.eigvecs * self.eigvals ** key) @ self.eigvecs.conj().T)
-            if len(self._pow_cache) < 64:
-                self._pow_cache[key] = m
-        return m
+        return _lru_get(self._pow_cache, key, lambda: hermitian_part(
+            (self.eigvecs * self.eigvals ** key) @ self.eigvecs.conj().T))
 
     def similarity_super(self, s: float, superop) -> np.ndarray:
         """The sigma^s similarity of a superoperator S, X -> sigma^s S(sigma^-s X

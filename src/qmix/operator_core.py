@@ -55,6 +55,18 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _lru_get(cache: dict, key, make, limit: int = 64):
+    """cache[key], made by make() on a miss; the dict's insertion order is the
+    recency order, and past `limit` entries the least recently used goes."""
+    value = cache.pop(key, None)
+    if value is None:
+        value = make()
+        if len(cache) >= limit:
+            del cache[next(iter(cache))]
+    cache[key] = value
+    return value
+
+
 def max_abs(a) -> float:
     return float(np.abs(a).max()) if np.size(a) else 0.0
 

@@ -60,6 +60,40 @@ def test_pure_hamiltonian_unital_not_primitive():
     assert g.primitive is False
 
 
+def test_classify_lets_a_bug_raise(monkeypatch):
+    import qmix.generators as generators
+
+    def planted_bug(g):
+        raise ValueError("planted bug")
+
+    monkeypatch.setattr(generators, "_null_space_state", planted_bug)
+    with pytest.raises(ValueError, match="planted bug"):
+        build_lindblad(None, [PAULI_X])
+
+
+@pytest.mark.parametrize("failure", [
+    lambda g: np.diag([1.0, 0.0]),  # WeightedSpace refuses a rank-deficient sigma
+    lambda g: np.linalg.svd(np.full((2, 2), np.nan)),  # a failed SVD
+])
+def test_classify_turns_numerical_failures_into_a_verdict(failure, monkeypatch):
+    import qmix.generators as generators
+
+    monkeypatch.setattr(generators, "_null_space_state", failure)
+    g = build_lindblad(None, [PAULI_X])
+    assert g.primitive is False and g.stationary is None
+
+
+def test_propagator_cache_evicts_least_recently_used():
+    g = build_lindblad(None, [PAULI_X])
+    for i in range(70):
+        g.heisenberg_propagator(0.1 * (i + 1))
+        if i == 60:
+            g.heisenberg_propagator(0.1)
+    assert len(g._prop_cache) <= 64
+    assert ("H", 7.0) in g._prop_cache and ("H", 0.1) in g._prop_cache
+    assert ("H", 0.2) not in g._prop_cache
+
+
 def test_build_rejects_non_hermitian_hamiltonian():
     with pytest.raises(ValueError):
         build_lindblad(np.array([[0, 1], [0, 0]], dtype=complex), [])

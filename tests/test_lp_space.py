@@ -35,6 +35,17 @@ def test_space_rejects_bad_sigma(rng):
         WeightedSpace(np.diag([1.0, 0.0]))  # rank deficient
 
 
+def test_sigma_power_cache_evicts_least_recently_used():
+    sp = WeightedSpace(np.diag([0.5, 0.3, 0.2]))
+    for i in range(70):
+        sp.sigma_power(i / 8)
+        if i == 60:
+            sp.sigma_power(0.0)
+    assert len(sp._pow_cache) <= 64
+    assert 69 / 8 in sp._pow_cache and 0.0 in sp._pow_cache
+    assert 1 / 8 not in sp._pow_cache
+
+
 def test_gamma_power_examples(rng):
     sp = random_space(4, rng)
     f = random_hermitian(4, rng)

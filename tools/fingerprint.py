@@ -10,13 +10,20 @@ does, and writes into ``--out``:
 * ``analyze_<label>.json`` and ``regularity_<label>.json`` -- the reports,
   without ``provenance.wall_time``;
 * ``mixing_<label>.txt`` -- ``repr`` of the mixing op's output dict;
-* ``scan.jsonl`` -- the scan file as the 60 scan ops wrote it.
+* ``scan.jsonl`` -- the scan file as the 60 scan ops wrote it;
+* ``library.txt`` -- ``repr`` of library calls that no bench op makes, on
+  numpy-only inputs seeded by ``--seed``: the closed-form evolutions
+  (depolarizing d = 3 and 64, projection d = 3), the hat evolution of both
+  families at d = 4, and ``entropy_decay_check``, ``pq_norm(hat=True)``,
+  ``two_two_norm_decay`` and ``h_profile`` at d = 3.
 
 JSON and ``repr`` print every float in full, so two trees compute the same
-numbers exactly when ``diff -r`` of their directories finds nothing.  Run
-the two trees side by side, one right after the other on the same machine:
-the ``reversible_unital_d16`` mixing op samples from the eigenprojectors of
-a degenerate sigma, and its ``tau_mix`` has moved between two runs of the
+numbers exactly when ``diff -r`` of their directories finds nothing.  To
+compare a change with its parent, copy this file into a checkout of the
+parent (it imports qmix from the checkout it sits in) and run both trees
+side by side, one right after the other on the same machine: the
+``reversible_unital_d16`` mixing op samples from the eigenprojectors of a
+degenerate sigma, and its ``tau_mix`` has moved between two runs of the
 same code taken 50 minutes apart.  Exits 1 when an op fails its check.
 """
 
@@ -48,6 +55,59 @@ def write_outputs(name, wl, out: Path):
             shutil.copyfile(op.out_path, out / "scan.jsonl")
 
 
+def library_lines(seed: int) -> list:
+    """``name: repr(value)`` of each library call listed in the docstring."""
+    import numpy as np
+
+    from qmix.generators import build_depolarizing, build_lindblad, build_projection, hat_generator
+    from qmix.mixing import entropy_decay_check, pq_norm, two_two_norm_decay
+    from qmix.regularity import h_profile
+
+    rng = np.random.default_rng(seed)
+
+    def matrix(d):
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+    def positive(d):
+        a = matrix(d)
+        m = a @ a.conj().T + 0.1 * np.eye(d)
+        return 0.5 * (m + m.conj().T)
+
+    def state(d):
+        m = positive(d)
+        return m / np.trace(m).real
+
+    def full(value):  # arrays as nested lists, whose repr keeps every bit
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    lines = []
+
+    def record(name, value):
+        lines.append(f"{name}: {full(value)!r}")
+
+    gens = {"depolarizing_d3": build_depolarizing(3, 1.3),
+            "depolarizing_d64": build_depolarizing(64, 0.7),
+            "projection_d3": build_projection(state(3), 0.9)}
+    for name, g in gens.items():
+        x = matrix(g.dim)
+        for t in (0.25, 1.5):
+            record(f"{name}.evolve_heisenberg(t={t})", g.evolve_heisenberg(x, t))
+            record(f"{name}.evolve_schrodinger(t={t})", g.evolve_schrodinger(x, t))
+    for name, g in (("depolarizing_d4", build_depolarizing(4, 1.1)),
+                    ("projection_d4", build_projection(state(4), 0.8))):
+        record(f"hat({name}).evolve_heisenberg", hat_generator(g).evolve_heisenberg(matrix(4), 0.6))
+    generic = build_lindblad(0.5 * (positive(3) - positive(3)), [matrix(3) / 3, matrix(3) / 3])
+    for name, g in (("projection_d3", gens["projection_d3"]), ("generic_d3", generic)):
+        f0 = positive(3)
+        record(f"{name}.entropy_decay_check",
+               entropy_decay_check(g, 0.1, f0, [0.2, 0.7], lam=0.1))
+        record(f"{name}.pq_norm(hat=True)",
+               pq_norm(g, 2.0, 4.0, 0.5, hat=True, restarts=2, budget=60, seed=seed))
+        record(f"{name}.two_two_norm_decay", two_two_norm_decay(g, 0.5))
+        record(f"{name}.h_profile", h_profile(g, positive(3), 0.5, np.linspace(0.0, 2.0, 9)))
+    return lines
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seed", type=int, required=True)
@@ -71,6 +131,7 @@ def main(argv=None) -> int:
                     sys.stderr.write(f"fingerprint: check failed: {name} {op.label}: {msg}\n")
                     failed += 1
             write_outputs(name, wl, out)
+    (out / "library.txt").write_text("\n".join(library_lines(args.seed)) + "\n")
     print(f"fingerprint seed={args.seed}: outputs in {out}, {failed} failed checks")
     return 1 if failed else 0
 
