@@ -19,7 +19,6 @@ from .dirichlet_gap import spectral_gap
 from .generators import (
     DaviesSpec,
     Generator,
-    GeneratorError,
     NotPrimitiveError,
     build_davies,
     build_depolarizing,
@@ -95,6 +94,22 @@ def _load_spec_file(path: str) -> Generator:
     return load_generator_spec(data)
 
 
+def _load_primitive(path: str):
+    """(g, EXIT_OK) for a spec of a primitive generator; otherwise the error
+    goes to stderr and the result is (None, EXIT_BAD_SPEC) for a malformed
+    spec or (None, EXIT_NOT_PRIMITIVE) for a non-primitive generator."""
+    try:
+        g = _load_spec_file(path)
+        stationary_state(g)
+    except NotPrimitiveError as exc:
+        _err(str(exc), kind="not_primitive")
+        return None, EXIT_NOT_PRIMITIVE
+    except ValueError as exc:  # GeneratorError included
+        _err(str(exc), kind="bad_spec", path=path)
+        return None, EXIT_BAD_SPEC
+    return g, EXIT_OK
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -124,30 +139,18 @@ def _resolve_seed(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        g = _load_spec_file(args.spec)
-    except (ValueError, GeneratorError) as exc:
-        if isinstance(exc, NotPrimitiveError):
-            _err(str(exc), kind="not_primitive")
-            return EXIT_NOT_PRIMITIVE
-        _err(str(exc), kind="bad_spec", path=args.spec)
-        return EXIT_BAD_SPEC
+    g, code = _load_primitive(args.spec)
+    if g is None:
+        return code
     t0 = time.time()
     seed = _resolve_seed(args)
     skip = set(args.skip.split(",")) if args.skip else set()
-    try:
-        stationary_state(g)
-    except (NotPrimitiveError, GeneratorError) as exc:
-        _err(str(exc), kind="not_primitive")
-        return EXIT_NOT_PRIMITIVE
-
     report = {
         "generator": g.describe(),
         "sigma_min": g.stationary.sigma_min,
     }
     gap = spectral_gap(g, seed=seed)
     report["gap"] = gap.to_dict()
-    code = EXIT_OK
     if "ls" not in skip:
         # failed sub-computations yield an explicit null + reason, never a
         # fabricated number
@@ -196,15 +199,9 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_mixing(args) -> int:
-    try:
-        g = _load_spec_file(args.spec)
-        stationary_state(g)
-    except (ValueError, GeneratorError) as exc:
-        if isinstance(exc, NotPrimitiveError):
-            _err(str(exc), kind="not_primitive")
-            return EXIT_NOT_PRIMITIVE
-        _err(str(exc), kind="bad_spec", path=args.spec)
-        return EXIT_BAD_SPEC
+    g, code = _load_primitive(args.spec)
+    if g is None:
+        return code
     seed = _resolve_seed(args)
     gap = spectral_gap(g, seed=seed)
     rep1 = estimate_alpha(g, 1, budget=args.budget, seed=seed, gap=gap)

@@ -3,7 +3,10 @@
 A Generator holds a Lindblad-form Liouvillian in the Heisenberg picture
 (L(f) = i[H,f] + sum_i L_i^dag f L_i - (1/2){L_i^dag L_i, f}), its
 Schrodinger adjoint, and classification flags (unital, reversible,
-primitive) together with the stationary state when one exists.
+primitive) together with the stationary state when one exists.  Whether a
+generator is primitive, and its sigma, are decided once, when it is built:
+`stationary_state` only reads that verdict.  Both pictures of the semigroup
+evolve through one stacked kernel, `Generator._evolve`.
 
 Built-in families: depolarizing, projection onto a state, Davies thermal
 generators, discrete-channel lifts L = T - id, random-unitary channel
@@ -66,6 +69,7 @@ REVERSIBILITY_TOL = 1e-8
 STATIONARY_TOL = 1e-9
 NULLSPACE_TOL = 1e-10
 SUPEROP_DIM_LIMIT = 32  # dense d^2 x d^2 objects are capped at d = 32
+RANDOM_TRIES = 20  # draws before a random_* family gives up
 
 
 class GeneratorError(ValueError):
@@ -112,6 +116,7 @@ class Generator:
         self.reversible = None
         self.primitive = None
         self.stationary: WeightedSpace | None = None
+        self._no_stationary = f"{family} generator has no stationary state"  # see classify
         self._super_cache: dict[str, np.ndarray] = {}
         self._prop_cache: dict[tuple, np.ndarray] = {}
         self._hat: weakref.ref | None = None  # see hat_generator
@@ -152,13 +157,6 @@ class Generator:
             out = out + a - c
         return out
 
-    def _require_stationary(self) -> WeightedSpace:
-        if self.stationary is None:
-            raise NotPrimitiveError(
-                f"{self.family} generator has no stationary WeightedSpace; "
-                "hat/Dirichlet machinery requires a primitive generator")
-        return self.stationary
-
     # -- dense superoperators ----------------------------------------------------
 
     def _dense(self, from_jumps, action) -> np.ndarray:
@@ -183,7 +181,7 @@ class Generator:
     @property
     def super_L(self) -> np.ndarray:
         return _lru_get(self._super_cache, "L", lambda: self._dense(
-            lambda: lindblad_super(self.hamiltonian, self.lindblad_ops)[0], self.apply))
+            lambda: lindblad_super(self.hamiltonian, self.lindblad_ops), self.apply))
 
     @property
     def super_Lstar(self) -> np.ndarray:
@@ -193,30 +191,29 @@ class Generator:
     # -- semigroup actions --------------------------------------------------------
 
     def evolve_heisenberg(self, f, t: float) -> np.ndarray:
-        f = as_matrix(f)
-        if t == 0.0:
-            return f.copy()
-        if self._closed is not None:
-            return self._closed_evolve(self._closed[1], f, t)
-        return unvec(self.heisenberg_propagator(t) @ vec(f), self.dim)
+        """T_t(f) = exp(tL)(f)."""
+        return self._evolve(as_matrix(f)[None], t, heis=True)[0]
 
     def evolve_schrodinger(self, rho, t: float) -> np.ndarray:
-        return self._evolve_schrodinger(as_matrix(rho)[None], t)[0]
+        """T_t*(rho) = exp(tL*)(rho)."""
+        return self._evolve(as_matrix(rho)[None], t, heis=False)[0]
 
-    def _evolve_schrodinger(self, rho, t: float) -> np.ndarray:
-        """exp(t L*) on each matrix of an (n, d, d) stack the library built.
+    def _evolve(self, x, t: float, heis: bool) -> np.ndarray:
+        """exp(tL) (heis) or exp(tL*) on each matrix of an (n, d, d) stack the
+        library built.
 
         Each matrix gets the same arithmetic as on its own: the closed forms
         are elementwise, and the dense path is one matrix-vector product per
-        matrix (a single gemm over the stack rounds differently)."""
+        matrix against that picture's cached propagator (a single gemm over
+        the stack rounds differently)."""
         if t == 0.0:
-            return rho.copy()
+            return x.copy()
         if self._closed is not None:
-            return self._closed_evolve(self._closed[2], rho, t)
-        n, d = rho.shape[0], self.dim
-        cols = rho.transpose(0, 2, 1).reshape(n, d * d, 1)  # vec of each matrix
-        out = np.matmul(self.schrodinger_propagator(t), cols)
-        return out.reshape(n, d, d).transpose(0, 2, 1)
+            return self._closed_evolve(self._closed[1 if heis else 2], x, t)
+        prop = self.heisenberg_propagator(t) if heis else self.schrodinger_propagator(t)
+        n, d = x.shape[0], self.dim
+        cols = x.transpose(0, 2, 1).reshape(n, d * d, 1)  # vec of each matrix
+        return np.matmul(prop, cols).reshape(n, d, d).transpose(0, 2, 1)
 
     def _closed_evolve(self, e, x, t: float) -> np.ndarray:
         """exp(tL) = (1 - eps) E + eps id, eps = e^{-gamma t}, for e = heis or schro."""
@@ -299,37 +296,33 @@ def _full_rank_space(sigma, what: str) -> WeightedSpace:
         raise NotPrimitiveError(f"{what} is numerically rank-deficient: {exc}")
 
 
-def classify(g: Generator, check_reversible: bool = True) -> Generator:
-    """Fill the unital/primitive/reversible flags and the stationary state."""
+def classify(g: Generator) -> Generator:
+    """Fill the unital/primitive/reversible flags and the stationary state;
+    a non-primitive g keeps the reason for `stationary_state` to raise."""
     _check_trace_preserving(g)
     g.unital = max_abs(g.apply_adjoint(np.eye(g.dim))) <= TRACE_PRESERVING_TOL * _scale(g)
     try:
         g.stationary = _full_rank_space(_null_space_state(g), "stationary state")
         g.primitive = True
-    except (NotPrimitiveError, np.linalg.LinAlgError):  # a failed SVD is a verdict, not a bug
+    except (NotPrimitiveError, np.linalg.LinAlgError) as exc:  # a failed SVD is a verdict
         g.primitive = False
         g.stationary = None
         g.reversible = False
+        g._no_stationary = str(exc)
         return g
-    if check_reversible:
-        g.reversible = _detailed_balance_residual(g, g.stationary) <= REVERSIBILITY_TOL
+    g.reversible = _detailed_balance_residual(g, g.stationary) <= REVERSIBILITY_TOL
     return g
 
 
 def stationary_state(g: Generator) -> WeightedSpace:
     """Unique full-rank stationary state of a primitive generator.
 
-    Computes the null space of L*; raises NotPrimitiveError when it is not
-    one-dimensional or its representative is not full-rank positive.
+    Only reads the verdict made when g was built: returns g.stationary, or
+    raises NotPrimitiveError with the reason `classify` recorded (say, the
+    null space of L* is not one-dimensional).  Nothing is recomputed.
     """
-    if g.stationary is not None:
-        return g.stationary
-    sigma = _null_space_state(g)
-    g.stationary = _full_rank_space(sigma, "stationary state")
-    g.primitive = True
-    res = max_abs(g.apply_adjoint(sigma))
-    if res > STATIONARY_TOL * _scale(g):
-        raise GeneratorError(f"stationary state residual {res:.3e} too large")
+    if g.stationary is None:
+        raise NotPrimitiveError(g._no_stationary)
     return g.stationary
 
 
@@ -337,8 +330,7 @@ def stationary_state(g: Generator) -> WeightedSpace:
 # Builders
 # ---------------------------------------------------------------------------
 
-def build_lindblad(hamiltonian, ops, family: str = "generic", params=None,
-                   check_reversible: bool = True) -> Generator:
+def build_lindblad(hamiltonian, ops, family: str = "generic", params=None) -> Generator:
     """Generic Lindblad generator from a Hamiltonian and jump operators."""
     ops = [as_matrix(k) for k in (ops or [])]
     if hamiltonian is not None:
@@ -353,7 +345,7 @@ def build_lindblad(hamiltonian, ops, family: str = "generic", params=None,
         if k.shape[0] != d:
             raise GeneratorError("Lindblad operator dimension mismatch")
     g = Generator(d, hamiltonian=h, lindblad_ops=ops, family=family, params=params)
-    return classify(g, check_reversible=check_reversible)
+    return classify(g)
 
 
 def _trace(x):
@@ -531,15 +523,15 @@ def build_davies(spec: DaviesSpec) -> Generator:
     return g
 
 
-def kraus_rank(kraus, rel_tol: float = 1e-8) -> int:
+def kraus_rank(kraus) -> int:
     """Number of linearly independent Kraus operators (numerical rank of the
-    stacked vectorizations at rel_tol * largest singular value)."""
+    stacked vectorizations at 1e-8 * largest singular value)."""
     m = np.stack([vec(k) for k in kraus])
     sv = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(sv > rel_tol * sv[0]))
+    return int(np.sum(sv > 1e-8 * sv[0]))
 
 
-def lift_channel(kraus, check_reversible: bool = True) -> Generator:
+def lift_channel(kraus) -> Generator:
     """Lift a quantum channel T (Kraus form) to the Liouvillian L = T - id.
 
     With the channel's Kraus operators taken as Lindblad operators the
@@ -553,8 +545,7 @@ def lift_channel(kraus, check_reversible: bool = True) -> Generator:
     if max_abs(closure - np.eye(d)) > TRACE_PRESERVING_TOL:
         raise GeneratorError("Kraus set is not trace preserving: sum K^dag K != 1")
     g = build_lindblad(None, kraus, family="channel",
-                       params={"kraus_rank": kraus_rank(kraus)},
-                       check_reversible=check_reversible)
+                       params={"kraus_rank": kraus_rank(kraus)})
     g.params["kraus"] = kraus
     return g
 
@@ -618,7 +609,7 @@ def hat_generator(g: Generator) -> Generator:
     h = None if g._hat is None else g._hat()
     if h is not None:
         return h
-    sp = g._require_stationary()
+    sp = stationary_state(g)
     half = sp.sigma_power(0.5)
     half_inv = sp.sigma_power(-0.5)
 
@@ -645,11 +636,11 @@ def hat_generator(g: Generator) -> Generator:
 # Random families for scans and tests
 # ---------------------------------------------------------------------------
 
-def random_lindblad(dim: int, rng, n_ops: int = 2, with_hamiltonian: bool = True,
-                    max_tries: int = 20) -> Generator:
+def random_lindblad(dim: int, rng, n_ops: int = 2,
+                    with_hamiltonian: bool = True) -> Generator:
     """Random primitive generic Lindblad generator."""
     from .operator_core import random_hermitian
-    for _ in range(max_tries):
+    for _ in range(RANDOM_TRIES):
         h = random_hermitian(dim, rng) if with_hamiltonian else None
         ops = [(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
                / np.sqrt(2 * dim) for _ in range(n_ops)]
@@ -659,10 +650,9 @@ def random_lindblad(dim: int, rng, n_ops: int = 2, with_hamiltonian: bool = True
     raise GeneratorError("failed to draw a primitive random Lindblad generator")
 
 
-def random_reversible_unital(dim: int, rng, n_pairs: int = 1,
-                             max_tries: int = 20) -> Generator:
+def random_reversible_unital(dim: int, rng, n_pairs: int = 1) -> Generator:
     """Random reversible unital generator with jump pairs {A, A^dag}."""
-    for _ in range(max_tries):
+    for _ in range(RANDOM_TRIES):
         ops = []
         for _ in range(n_pairs):
             a = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) \
@@ -675,11 +665,11 @@ def random_reversible_unital(dim: int, rng, n_pairs: int = 1,
 
 
 def random_davies(dim: int, rng, beta: float | None = None,
-                  n_couplings: int = 1, max_tries: int = 20) -> Generator:
+                  n_couplings: int = 1) -> Generator:
     """Random thermal generator: random nondegenerate H, random Hermitian
     couplings, Gibbs stationary state."""
     from .operator_core import random_hermitian
-    for _ in range(max_tries):
+    for _ in range(RANDOM_TRIES):
         b = float(rng.uniform(0.2, 1.5)) if beta is None else beta
         energies = np.sort(rng.uniform(0.0, 2.0, size=dim))
         u = haar_unitary(dim, rng)

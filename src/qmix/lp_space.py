@@ -70,15 +70,15 @@ class WeightedSpace:
     and double precision leaves ~6 digits at that floor).
     """
 
-    def __init__(self, sigma, rank_tol: float = RANK_TOL):
+    def __init__(self, sigma):
         sigma = require_hermitian(sigma, name="sigma")
         tr = float(np.trace(sigma).real)
         if abs(tr - 1.0) > TRACE_TOL * max(1.0, abs(tr)):
             raise ValueError(f"sigma must have unit trace, got {tr!r}")
         w, v = eig_hermitian(sigma)
-        if w[0] <= rank_tol:
+        if w[0] <= RANK_TOL:
             raise ValueError(
-                f"sigma must be full rank: min eigenvalue {w[0]:.3e} <= {rank_tol:.1e}")
+                f"sigma must be full rank: min eigenvalue {w[0]:.3e} <= {RANK_TOL:.1e}")
         self.sigma = sigma
         self.dim = sigma.shape[0]
         self.eigvals = w
@@ -247,12 +247,13 @@ class WeightedSpace:
 
     # -- derivative identity (property-test hook) ------------------------------
 
-    def norm_derivative_check(self, f, p_path, t0: float, dt: float = 1e-5):
+    def norm_derivative_check(self, f, p_path, t0: float):
         """Finite-difference check of d/dt ||f||_{p(t)}^{p(t)} = pdot <I_{q,p}(f), S_p(f)>.
 
-        Returns (lhs, rhs): the central difference quotient and the analytic
-        right-hand side at t0.  f must be positive definite.
+        Returns (lhs, rhs): the central difference quotient (step 1e-5) and
+        the analytic right-hand side at t0.  f must be positive definite.
         """
+        dt = 1e-5
         f = self._check_dim(f)
         _check_positive(f, "norm_derivative_check")
 

@@ -307,8 +307,9 @@ def _spike_search(prob: _RatioProblem, proj: np.ndarray):
     return min(res.fun, vals[i]), eye + (np.exp(c) - 1.0) * proj
 
 
-def _coordinate_refine(prob: _RatioProblem, x0: np.ndarray, sweeps: int = 2,
-                       span: float = 0.25):
+def _coordinate_refine(prob: _RatioProblem, x0: np.ndarray, sweeps: int = 2):
+    """Up to `sweeps` passes of bounded 1-D minimizations, each coordinate
+    within 0.25 of its value."""
     x = x0.copy()
     best = prob.ratio_packed(x)
     for _ in range(sweeps):
@@ -320,7 +321,7 @@ def _coordinate_refine(prob: _RatioProblem, x0: np.ndarray, sweeps: int = 2,
                 x[k] = t
                 return prob.ratio_packed(x)
 
-            res = minimize_scalar(func, bounds=(xk - span, xk + span),
+            res = minimize_scalar(func, bounds=(xk - 0.25, xk + 0.25),
                                   method="bounded", options={"xatol": 1e-10})
             if res.fun < best - 1e-14:
                 best = res.fun

@@ -41,6 +41,7 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-12
 DEFAULT_EIG_FLOOR_REL = 1e-14
+CACHE_SIZE = 64  # entries kept by each `_lru_get` cache
 
 
 def as_matrix(a) -> np.ndarray:
@@ -55,13 +56,13 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def _lru_get(cache: dict, key, make, limit: int = 64):
+def _lru_get(cache: dict, key, make):
     """cache[key], made by make() on a miss; the dict's insertion order is the
-    recency order, and past `limit` entries the least recently used goes."""
+    recency order, and past CACHE_SIZE entries the least recently used goes."""
     value = cache.pop(key, None)
     if value is None:
         value = make()
-        if len(cache) >= limit:
+        if len(cache) >= CACHE_SIZE:
             del cache[next(iter(cache))]
     cache[key] = value
     return value
@@ -77,15 +78,15 @@ def hermitian_part(a) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def require_hermitian(a, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
+def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     """Validate Hermiticity to a relative tolerance and return the exactly
     symmetrized matrix (A + A^dag)/2."""
     m = as_matrix(a)
     scale = max(max_abs(m), 1e-300)
     dev = max_abs(m - m.conj().T)
-    if dev > tol * scale:
+    if dev > HERMITICITY_TOL * scale:
         raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e} "
-                         f"exceeds {tol:.1e} * {scale:.3e}")
+                         f"exceeds {HERMITICITY_TOL:.1e} * {scale:.3e}")
     return hermitian_part(m)
 
 
@@ -178,8 +179,9 @@ def kraus_schrodinger_super(ops) -> np.ndarray:
 
 
 def lindblad_super(hamiltonian, ops):
-    """Superoperator matrices (heisenberg, schrodinger) of the Lindblad
-    generator L(f) = i[H, f] + sum_i L_i^dag f L_i - (1/2){L_i^dag L_i, f}."""
+    """Heisenberg superoperator matrix of the Lindblad generator
+    L(f) = i[H, f] + sum_i L_i^dag f L_i - (1/2){L_i^dag L_i, f}; the
+    Schrodinger one is its conjugate transpose."""
     if hamiltonian is None:
         d = as_matrix(ops[0]).shape[0]
         h = np.zeros((d, d), dtype=complex)
@@ -195,8 +197,7 @@ def lindblad_super(hamiltonian, ops):
         kk = k.conj().T @ k
         heis += left_right_super(k.conj().T, k)
         heis -= 0.5 * (left_right_super(kk, eye) + left_right_super(eye, kk))
-    schro = heis.conj().T
-    return heis, schro
+    return heis
 
 
 def expm_superop(s, t: float) -> np.ndarray:
@@ -228,15 +229,14 @@ def random_hermitian(d: int, rng, scale: float = 1.0) -> np.ndarray:
     return hermitian_part(a) * scale
 
 
-def random_psd(d: int, rng, scale: float = 1.0) -> np.ndarray:
+def random_psd(d: int, rng) -> np.ndarray:
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return hermitian_part(a @ a.conj().T) * scale
+    return hermitian_part(a @ a.conj().T)
 
 
-def random_density_matrix(d: int, rng, full_rank: bool = True) -> np.ndarray:
-    rho = random_psd(d, rng)
-    if full_rank:
-        rho = rho + 0.05 * d * np.eye(d)
+def random_density_matrix(d: int, rng) -> np.ndarray:
+    """A full-rank random state: random_psd + 0.05 d 1, normalized."""
+    rho = random_psd(d, rng) + 0.05 * d * np.eye(d)
     return rho / np.trace(rho).real
 
 

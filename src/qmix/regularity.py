@@ -35,12 +35,13 @@ import numpy as np
 from .dirichlet_gap import dirichlet
 from .generators import (
     Generator,
+    GeneratorError,
     random_davies,
     random_lindblad,
     random_reversible_unital,
     stationary_state,
 )
-from .lp_space import _check_positive
+from .lp_space import PositivityError, _check_positive
 from .operator_core import (
     hermitian_part,
     matrix_function,
@@ -156,9 +157,9 @@ def random_probe(d: int, rng, near_singular: bool = False) -> np.ndarray:
 
 
 def regularity_profile(g: Generator, probes: int = 20, times=(0.1, 0.5, 1.0),
-                       grid_n: int = 101, seed: int = 0,
-                       near_singular_fraction: float = 0.2) -> RegularityProfile:
-    """Worst case over probes x times of the h(s) verdicts.
+                       grid_n: int = 101, seed: int = 0) -> RegularityProfile:
+    """Worst case over probes x times of the h(s) verdicts; the first 20 % of
+    the probes are near-singular.
 
     convex: second central differences >= -1e-8*scale on the grid;
     symmetric: max |h(s) - h(2-s)| <= 1e-8*scale;
@@ -174,13 +175,13 @@ def regularity_profile(g: Generator, probes: int = 20, times=(0.1, 0.5, 1.0),
     cm_order = CM_MAX_ORDER
     endpoint_worst = 0.0
     failures = []
-    n_sing = int(np.ceil(probes * near_singular_fraction))
+    n_sing = int(np.ceil(probes * 0.2))
     for i in range(probes):
         probe = random_probe(g.dim, rng, near_singular=(i < n_sing))
         for t in times:
             try:
                 h = _h_profile(g, probe, float(t), s_grid, quarters)
-            except (ValueError, ArithmeticError) as exc:
+            except (PositivityError, ArithmeticError, np.linalg.LinAlgError) as exc:
                 failures.append({"probe_index": i, "t": float(t), "error": str(exc)})
                 continue
             scale = max(np.max(np.abs(h)), 1e-300)
@@ -275,9 +276,9 @@ def scan_instance_record(index: int, dims, seed: int, probes, p_grid) -> dict:
     inst_seed = seed * 100003 + index
     try:
         g = _scan_instance(dim, kind, inst_seed)
-    except Exception as exc:  # noqa: BLE001 - scan must keep going
-        return {"index": index, "dim": dim, "kind": kind,
-                "seed": inst_seed, "error": str(exc)}
+    except (GeneratorError, np.linalg.LinAlgError) as exc:  # a failed draw; bugs raise
+        return {"index": index, "dim": dim, "kind": kind, "seed": inst_seed,
+                "error": str(exc), "error_kind": type(exc).__name__}
     res = direct_regularity_check(g, p_grid=p_grid, probes=probes,
                                   seed=inst_seed + 1)
     weak_viol = any(r["weak_violation"] for r in res.values())

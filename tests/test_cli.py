@@ -62,6 +62,16 @@ def test_analyze_not_primitive_exit_2(tmp_path, capsys):
     assert json.loads(err.strip().splitlines()[-1])["kind"] == "not_primitive"
 
 
+def test_mixing_not_primitive_exit_2(tmp_path, capsys):
+    z = np.diag([1.0, -1.0]).astype(complex)
+    spec = write_spec(tmp_path / "g.json",
+                      {"family": "generic", "hamiltonian": matrix_to_json(z),
+                       "lindblad_ops": []})
+    assert main(["mixing", spec, "--seed", "0"]) == 2
+    err = [json.loads(line) for line in capsys.readouterr().err.strip().splitlines()]
+    assert err == [{"error": "null space of L* has dimension 2", "kind": "not_primitive"}]
+
+
 def test_analyze_malformed_spec_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -99,7 +99,7 @@ def test_closures_reproduce_the_original_expressions_bit_for_bit(family, d, rng)
                 assert np.array_equal(g.evolve_schrodinger(x, t),
                                       _reference_schro_stack(family, d, g.stationary.sigma,
                                                              x[None], eps)[0])
-            assert np.array_equal(g._evolve_schrodinger(stack, t),
+            assert np.array_equal(g._evolve(stack, t, heis=False),
                                   _reference_schro_stack(family, d, g.stationary.sigma,
                                                          stack, eps))
             assert np.array_equal(g._closed_evolve(heis, stack, t),

@@ -30,6 +30,8 @@ from qmix.operator_core import (
     max_abs,
     random_density_matrix,
     random_hermitian,
+    unvec,
+    vec,
 )
 
 from conftest import (
@@ -81,6 +83,58 @@ def test_classify_turns_numerical_failures_into_a_verdict(failure, monkeypatch):
     monkeypatch.setattr(generators, "_null_space_state", failure)
     g = build_lindblad(None, [PAULI_X])
     assert g.primitive is False and g.stationary is None
+
+
+def test_stationary_state_reads_the_verdict_of_classify(monkeypatch):
+    import qmix.generators as generators
+
+    calls = []
+    original = generators._null_space_state
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    g = build_lindblad(PAULI_Z, [])
+    monkeypatch.setattr(generators, "_null_space_state", counting)
+    with pytest.raises(NotPrimitiveError, match=r"^null space of L\* has dimension 2$"):
+        stationary_state(g)
+    assert calls == []
+    assert g.primitive is False and g.stationary is None
+
+
+def test_failed_svd_makes_stationary_state_raise_not_primitive(monkeypatch):
+    import qmix.generators as generators
+
+    monkeypatch.setattr(generators, "_null_space_state",
+                        lambda g: np.linalg.svd(np.full((2, 2), np.nan)))
+    g = build_lindblad(None, [PAULI_X])
+    with pytest.raises(NotPrimitiveError):
+        stationary_state(g)
+
+
+def _evolution_cases(rng):
+    """Dense generators at d = 3 and 8, a dense hat, and the closed forms."""
+    dense3 = random_lindblad(3, rng)
+    return [dense3, random_lindblad(8, rng), hat_generator(dense3),
+            build_depolarizing(5, 0.9), build_projection(random_density_matrix(4, rng), 1.2)]
+
+
+def test_stacked_evolution_equals_each_matrix_on_its_own(rng):
+    for g in _evolution_cases(rng):
+        d = g.dim
+        stack = rng.standard_normal((7, d, d)) + 1j * rng.standard_normal((7, d, d))
+        for t in (0.0, 0.3, 2.5):
+            assert np.array_equal(g._evolve(stack, t, heis=True),
+                                  np.array([g.evolve_heisenberg(x, t) for x in stack]))
+            assert np.array_equal(g._evolve(stack, t, heis=False),
+                                  np.array([g.evolve_schrodinger(x, t) for x in stack]))
+            if g._closed is None and t > 0.0:  # one matrix-vector product each
+                x = stack[0]
+                assert np.array_equal(g.evolve_heisenberg(x, t),
+                                      unvec(g.heisenberg_propagator(t) @ vec(x), d))
+                assert np.array_equal(g.evolve_schrodinger(x, t),
+                                      unvec(g.schrodinger_propagator(t) @ vec(x), d))
 
 
 def test_propagator_cache_evicts_least_recently_used():

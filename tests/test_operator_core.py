@@ -149,8 +149,8 @@ def test_expm_identity_and_scalar():
 
 
 def test_expm_semigroup_property(rng):
-    heis, _ = lindblad_super(random_hermitian(3, rng),
-                             [rng.standard_normal((3, 3)) / 2 for _ in range(2)])
+    heis = lindblad_super(random_hermitian(3, rng),
+                          [rng.standard_normal((3, 3)) / 2 for _ in range(2)])
     t1, t2 = 0.41, 0.77
     lhs = expm_superop(heis, t1) @ expm_superop(heis, t2)
     rhs = expm_superop(heis, t1 + t2)

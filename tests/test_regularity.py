@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qmix.generators import (
+    GeneratorError,
     build_depolarizing,
     build_projection,
     lift_channel,
@@ -173,3 +174,54 @@ def test_conjecture_scan_records(tmp_path):
     assert all(not r["strong_violation"] for r in recs
                if r.get("reversible") and "strong_violation" in r)
     assert len(out.read_text().strip().splitlines()) == 6
+
+
+def test_scan_records_a_failed_draw_with_its_kind(monkeypatch):
+    import qmix.regularity as regularity
+
+    def failed_draw(dim, kind, seed):
+        raise GeneratorError("failed to draw")
+
+    monkeypatch.setattr(regularity, "_scan_instance", failed_draw)
+    rec = regularity.scan_instance_record(0, (2,), 5, 4, (1.5,))
+    assert rec["error"] == "failed to draw" and rec["error_kind"] == "GeneratorError"
+
+
+def test_scan_lets_a_bug_raise(monkeypatch):
+    import qmix.regularity as regularity
+
+    def planted_bug(dim, kind, seed):
+        raise TypeError("planted bug")
+
+    monkeypatch.setattr(regularity, "_scan_instance", planted_bug)
+    with pytest.raises(TypeError, match="planted bug"):
+        regularity.scan_instance_record(0, (2,), 5, 4, (1.5,))
+
+
+def test_regularity_profile_lets_a_bug_raise(monkeypatch):
+    import qmix.regularity as regularity
+
+    def planted_bug(*args):
+        raise ValueError("planted bug")
+
+    monkeypatch.setattr(regularity, "_h_profile", planted_bug)
+    with pytest.raises(ValueError, match="planted bug"):
+        regularity_profile(build_depolarizing(2, 1.0), probes=2, seed=0)
+
+
+@pytest.mark.parametrize("exc", [PositivityError("not positive"), ArithmeticError("breakdown"),
+                                 np.linalg.LinAlgError("no convergence")])
+def test_regularity_profile_records_a_numerical_failure(exc, monkeypatch):
+    import qmix.regularity as regularity
+
+    original, calls = regularity._h_profile, []
+
+    def first_fails(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise exc
+        return original(*args)
+
+    monkeypatch.setattr(regularity, "_h_profile", first_fails)
+    prof = regularity_profile(build_depolarizing(2, 1.0), probes=2, seed=0)
+    assert prof.failures == [{"probe_index": 0, "t": 0.1, "error": str(exc)}]

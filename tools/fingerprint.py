@@ -15,7 +15,11 @@ does, and writes into ``--out``:
   numpy-only inputs seeded by ``--seed``: the closed-form evolutions
   (depolarizing d = 3 and 64, projection d = 3), the hat evolution of both
   families at d = 4, and ``entropy_decay_check``, ``pq_norm(hat=True)``,
-  ``two_two_norm_decay`` and ``h_profile`` at d = 3.
+  ``two_two_norm_decay`` and ``h_profile`` at d = 3;
+* ``cli_errors.txt`` -- the exit code and stderr of ``qmix analyze`` and
+  ``qmix mixing`` (``--seed 0``) on four failing specs: a pure-Hamiltonian
+  generator, ``{not json``, an unknown family and a depolarizing spec
+  without ``gamma`` (the spec directory reads ``<dir>``).
 
 JSON and ``repr`` print every float in full, so two trees compute the same
 numbers exactly when ``diff -r`` of their directories finds nothing.  To
@@ -28,6 +32,8 @@ same code taken 50 minutes apart.  Exits 1 when an op fails its check.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import shutil
 import sys
@@ -108,6 +114,32 @@ def library_lines(seed: int) -> list:
     return lines
 
 
+def cli_error_lines(work: str) -> list:
+    """Exit code and stderr of each CLI run listed in the docstring."""
+    from qmix.cli import main as qmix_main
+
+    specs = {"pure_hamiltonian.json": json.dumps(
+                 {"family": "generic", "hamiltonian": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+                  "lindblad_ops": []}),
+             "not_json.json": "{not json",
+             "unknown_family.json": json.dumps({"family": "unheard_of"}),
+             "no_gamma.json": json.dumps({"family": "depolarizing", "dim": 3})}
+    lines = []
+    for name, text in specs.items():
+        path = Path(work) / name
+        path.write_text(text)
+        for command in ("analyze", "mixing"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    result = f"exit {qmix_main([command, str(path), '--seed', '0'])}"
+                except Exception as exc:  # noqa: BLE001 - a crash is an output to compare
+                    result = f"raised {type(exc).__name__}: {exc}"
+            lines.append(f"{command} {name}: {result}")
+            lines += ["  " + line for line in err.getvalue().replace(work, "<dir>").splitlines()]
+    return lines
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seed", type=int, required=True)
@@ -131,6 +163,7 @@ def main(argv=None) -> int:
                     sys.stderr.write(f"fingerprint: check failed: {name} {op.label}: {msg}\n")
                     failed += 1
             write_outputs(name, wl, out)
+        (out / "cli_errors.txt").write_text("\n".join(cli_error_lines(work)) + "\n")
     (out / "library.txt").write_text("\n".join(library_lines(args.seed)) + "\n")
     print(f"fingerprint seed={args.seed}: outputs in {out}, {failed} failed checks")
     return 1 if failed else 0
