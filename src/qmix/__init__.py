@@ -20,6 +20,6 @@ from .generators import (
     hat_generator,
     gibbs_state,
 )
-from .dirichlet_gap import GapReport, dirichlet, dirichlet_hat, spectral_gap
+from .dirichlet_gap import GapReport, dirichlet, spectral_gap
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Command-line surface: qmix analyze | mixing | reproduce | scan.
 
-Exit codes: 0 success, 1 malformed input spec, 2 non-primitive generator,
-3 theory-verdict violation (so CI jobs can gate on consistency).  Errors
-are emitted to stderr as one JSON object per line.
+Exit codes: 0 success, 1 malformed or unreadable input spec, 2
+non-primitive generator, 3 theory-verdict violation (so CI jobs can gate
+on consistency).  Errors are emitted to stderr as one JSON object per line.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .generators import (
     lift_channel,
     stationary_state,
 )
+from .lp_space import PositivityError
 from .ls_estimator import (
     depolarizing_alpha2,
     estimate_alpha,
@@ -44,6 +45,9 @@ EXIT_OK = 0
 EXIT_BAD_SPEC = 1
 EXIT_NOT_PRIMITIVE = 2
 EXIT_VERDICT = 3
+
+# what the numerics of an analyze section raise; any other error is a bug
+SECTION_ERRORS = (PositivityError, NotPrimitiveError, ArithmeticError, np.linalg.LinAlgError)
 
 
 def _err(message: str, **extra) -> None:
@@ -97,14 +101,15 @@ def _load_spec_file(path: str) -> Generator:
 def _load_primitive(path: str):
     """(g, EXIT_OK) for a spec of a primitive generator; otherwise the error
     goes to stderr and the result is (None, EXIT_BAD_SPEC) for a malformed
-    spec or (None, EXIT_NOT_PRIMITIVE) for a non-primitive generator."""
+    spec or an unreadable file, (None, EXIT_NOT_PRIMITIVE) for a non-primitive
+    generator."""
     try:
         g = _load_spec_file(path)
         stationary_state(g)
     except NotPrimitiveError as exc:
         _err(str(exc), kind="not_primitive")
         return None, EXIT_NOT_PRIMITIVE
-    except ValueError as exc:  # GeneratorError included
+    except (ValueError, OSError) as exc:  # GeneratorError included
         _err(str(exc), kind="bad_spec", path=path)
         return None, EXIT_BAD_SPEC
     return g, EXIT_OK
@@ -169,7 +174,7 @@ def cmd_analyze(args) -> int:
                    verdict["ok_alpha1_le_lambda"] is False)
             if bad:
                 code = EXIT_VERDICT
-        except (ArithmeticError, ValueError) as exc:
+        except SECTION_ERRORS as exc:
             report["ls"] = None
             report["verdicts"] = None
             report["ls_error"] = str(exc)
@@ -177,7 +182,7 @@ def cmd_analyze(args) -> int:
         try:
             prof = regularity_profile(g, probes=args.probes, seed=seed)
             report["regularity"] = prof.to_dict()
-        except (ArithmeticError, ValueError) as exc:
+        except SECTION_ERRORS as exc:
             report["regularity"] = None
             report["regularity_error"] = str(exc)
     report["provenance"] = {
@@ -386,7 +391,7 @@ def main(argv=None) -> int:
     ps.add_argument("--probes", type=int, default=6)
     ps.add_argument("--out", default=None)
     ps.add_argument("--jobs", type=int, default=1,
-                    help="parallel scan instances (threads)")
+                    help="parallel scan instances (worker processes)")
     ps.add_argument("--resume", action="store_true",
                     help="continue an existing --out file from its line count")
     ps.set_defaults(func=cmd_scan)

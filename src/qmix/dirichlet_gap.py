@@ -4,7 +4,8 @@ dirichlet(G, p, f) evaluates
     E_p(f) = -p/(2(p-1)) <I_{q,p}(f), L(f)>_sigma,   1/p + 1/q = 1,
 with the exact closed forms at p = 2 (E_2(f) = -<f, L(f)>, no prefactor
 cancellation) and at p = 1 (the log form, which requires positive f).  The
-hat variants replace L by the sigma-adjoint Lhat.
+form acts with the generator it is given: dirichlet(hat_generator(G), p, f)
+is the hat variant Ehat_p, with L replaced by the sigma-adjoint Lhat.
 
 The spectral gap is computed spectrally on the sigma-self-adjoint
 symmetrization (1/2)(L + Lhat): conjugating by sigma^{1/4} turns it into a
@@ -30,7 +31,7 @@ from .operator_core import (
     vec,
 )
 
-__all__ = ["GapReport", "dirichlet", "dirichlet_hat", "spectral_gap"]
+__all__ = ["GapReport", "dirichlet", "spectral_gap"]
 
 DENSE_GAP_DIM_LIMIT = 32
 VAR_FLOOR = 1e-12
@@ -47,13 +48,8 @@ class GapReport:
         return {"lambda": self.lam, "method": self.method, "residual": self.residual}
 
 
-def _action(g: Generator, hat: bool):
-    """Trusting action of L (or Lhat), for complex matrices already checked."""
-    return (hat_generator(g) if hat else g)._apply
-
-
-def dirichlet(g: Generator, p: float, f, hat: bool = False) -> float:
-    """The L_p Dirichlet form E_p(f) (or the hat variant).
+def dirichlet(g: Generator, p: float, f) -> float:
+    """The L_p Dirichlet form E_p(f) of g; pass hat_generator(g) for Ehat_p.
 
     p and f are checked here; the p = 1, 2 closed forms are the kernels
     `_e1`/`_e2`, which the log-Sobolev ratio shares.
@@ -62,16 +58,15 @@ def dirichlet(g: Generator, p: float, f, hat: bool = False) -> float:
         raise ValueError(f"dirichlet requires p >= 1, got {p}")
     sp = stationary_state(g)
     f = sp._check_dim(f)
-    act = _action(g, hat)
     if abs(p - 2.0) < 1e-12:
-        val = _e2(sp, f, act(f))
+        val = _e2(sp, f, g._apply(f))
     elif p < 1.0 + 1e-6:
         _check_positive(f, "dirichlet (p=1 branch)")
-        val = _e1(sp, act(f), sp._log_ratio(f)[1])
+        val = _e1(sp, g._apply(f), sp._log_ratio(f)[1])
     else:
         q = p / (p - 1.0)
-        val = -p / (2.0 * (p - 1.0)) * sp.inner(sp.power_operator(q, p, f), act(f))
-    return _judge_negative(val, g, f, act)
+        val = -p / (2.0 * (p - 1.0)) * sp.inner(sp.power_operator(q, p, f), g._apply(f))
+    return _judge_negative(val, g, f)
 
 
 def _e1(sp: WeightedSpace, act_f, log_ratio) -> float:
@@ -85,22 +80,18 @@ def _e2(sp: WeightedSpace, f, act_f) -> float:
     return -sp._inner(f, act_f)
 
 
-def _judge_negative(val: float, g: Generator, f, act) -> float:
+def _judge_negative(val: float, g: Generator, f) -> float:
     """Clamp a Dirichlet value that rounding pushed below zero to 0; raise
     ArithmeticError below -1e-8 * (1 + max|f|)^2 * max(1, max|L(1)| + 1).
     That scale costs a generator application, so it is built only to judge
     a negative value."""
     if val < 0.0:
         scale = (1.0 + max_abs(f)) ** 2 * max(
-            1.0, max_abs(act(np.eye(g.dim, dtype=complex))) + 1.0)
+            1.0, max_abs(g._apply(np.eye(g.dim, dtype=complex))) + 1.0)
         if val < -1e-8 * scale:
             raise ArithmeticError(f"Dirichlet form came out negative: {val:.3e}")
         return 0.0
     return val
-
-
-def dirichlet_hat(g: Generator, p: float, f) -> float:
-    return dirichlet(g, p, f, hat=True)
 
 
 def _hermitize_witness(m: np.ndarray) -> np.ndarray:

@@ -28,11 +28,11 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import minimize, minimize_scalar
 
-from .dirichlet_gap import (GapReport, _action, _e1, _e2, _judge_negative, dirichlet,
-                            spectral_gap)
-from .generators import Generator, stationary_state
+from .dirichlet_gap import GapReport, _e1, _e2, _judge_negative, dirichlet, spectral_gap
+from .generators import Generator, hat_generator, stationary_state
 from .lp_space import PositivityError, _require_positive
 from .operator_core import _eigh, _matrix_function, hermitian_part, max_abs
 
@@ -161,10 +161,12 @@ def _dk_log_kernel(w: np.ndarray) -> np.ndarray:
     return k
 
 
-def _near_identity_direction(g: Generator, p: int, hat: bool) -> np.ndarray | None:
+def _near_identity_direction(g: Generator, p: int) -> np.ndarray | None:
     """Direction g* minimizing the second-order expansion of the LS ratio
-    around f = 1, via a generalized symmetric eigenproblem on the traceless
-    Hermitian basis.  Returns None if the eigenproblem degenerates."""
+    of g around f = 1, via a generalized symmetric eigenproblem on the
+    traceless Hermitian basis.  Returns None if the eigenproblem
+    degenerates: a non-finite curvature matrix, or a Gram matrix that
+    scipy finds not positive definite."""
     sp = stationary_state(g)
     d = g.dim
     w = sp.eigvals
@@ -185,9 +187,8 @@ def _near_identity_direction(g: Generator, p: int, hat: bool) -> np.ndarray | No
             b_mat[i, j] = b_mat[j, i] = val
 
     if p == 1:
-        act = _action(g, hat)
         # Dirichlet curvature: -tr[Gamma(L g) K(Gamma(g))] with K the DK-log map
-        lg_hats = [v.conj().T @ sp.gamma(hermitian_part(act(b))) @ v for b in basis]
+        lg_hats = [v.conj().T @ sp.gamma(hermitian_part(g._apply(b))) @ v for b in basis]
         gam_hats = [np.outer(np.sqrt(w), np.sqrt(w)) * bh for bh in hats]
         a_mat = np.empty((n, n))
         for i in range(n):
@@ -208,12 +209,12 @@ def _near_identity_direction(g: Generator, p: int, hat: bool) -> np.ndarray | No
                 val = -2.0 * (sp.inner(m_basis[i], lm[j]) + sp.inner(m_basis[j], lm[i]))
                 a_mat[i, j] = a_mat[j, i] = val
 
-    try:
-        import scipy.linalg
-        evals, evecs = scipy.linalg.eigh(a_mat, b_mat)
-    except (np.linalg.LinAlgError, ValueError):
+    if not (np.all(np.isfinite(a_mat)) and np.all(np.isfinite(b_mat))):
         return None
-    coeffs = evecs[:, 0]
+    try:
+        coeffs = scipy.linalg.eigh(a_mat, b_mat)[1][:, 0]
+    except np.linalg.LinAlgError:
+        return None
     direction = sum(c * b for c, b in zip(coeffs, basis))
     if p == 2:
         dh = v.conj().T @ direction @ v
@@ -228,20 +229,20 @@ def _near_identity_direction(g: Generator, p: int, hat: bool) -> np.ndarray | No
 # ---------------------------------------------------------------------------
 
 class _RatioProblem:
-    """The LS ratio E_p(f)/Ent_p(f), p in {1, 2}, on matrices the search built.
+    """The LS ratio E_p(f)/Ent_p(f) of g (a hat or not), p in {1, 2}, on
+    matrices the search built.
 
     One positivity eigh per evaluation; at p = 1 one Gamma(f) and one
     log Gamma(f) - log sigma serve both functionals.  The value equals
-    dirichlet(g, p, f, hat) / space.ent(p, f) exactly.  f outside A_d^+,
+    dirichlet(g, p, f) / space.ent(p, f) exactly.  f outside A_d^+,
     Ent_p(f) <= ENT_FLOOR and numerical breakdown give +inf; any other error
     (a wrong-dimension f, say) propagates.
     """
 
-    def __init__(self, g: Generator, p: int, hat: bool):
+    def __init__(self, g: Generator, p: int):
         self.g = g
         self.p = float(p)
         self.space = stationary_state(g)
-        self.act = _action(g, hat)
         self.n_evals = 0
 
     def ratio(self, f) -> float:
@@ -256,9 +257,9 @@ class _RatioProblem:
                 ent = sp._ent2(f)
             if ent <= ENT_FLOOR:
                 return np.inf
-            act_f = self.act(f)
+            act_f = self.g._apply(f)
             val = _e1(sp, act_f, log_ratio) if self.p == 1.0 else _e2(sp, f, act_f)
-            return _judge_negative(val, self.g, f, self.act) / ent
+            return _judge_negative(val, self.g, f) / ent
         except (PositivityError, ArithmeticError, np.linalg.LinAlgError):
             return np.inf
 
@@ -266,45 +267,38 @@ class _RatioProblem:
         return self.ratio(_expm_hermitian(_unpack(x, self.g.dim)))
 
 
-def _line_search_eps(prob: _RatioProblem, direction: np.ndarray):
-    """Minimize ratio(1 + eps*direction) over admissible eps > 0."""
-    d = prob.g.dim
-    eye = np.eye(d)
-    wmin = float(np.linalg.eigvalsh(direction)[0])
-    eps_max = 0.95 / max(-wmin, 1e-12) if wmin < 0 else 1e3
+def _bracketed_min(prob: _RatioProblem, make, grid):
+    """Minimize ratio(make(x)) over x: the grid's argmin, then a bounded
+    Brent search between its grid neighbours.  Returns the better of the two
+    as (value, make(x)), or (inf, None) when no grid point is finite."""
+    def func(x):
+        return prob.ratio(make(x))
 
-    def func(eps):
-        return prob.ratio(eye + eps * direction)
-
-    grid = np.geomspace(1e-4, eps_max, 25)
-    vals = [func(e) for e in grid]
+    vals = [func(x) for x in grid]
     i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
+    if not np.isfinite(vals[i]):
+        return np.inf, None
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     res = minimize_scalar(func, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-12})
-    best_eps, best_val = (res.x, res.fun) if res.fun < vals[i] else (grid[i], vals[i])
-    return best_val, eye + best_eps * direction
+    x, val = (res.x, res.fun) if res.fun < vals[i] else (grid[i], vals[i])
+    return val, make(x)
+
+
+def _line_search_eps(prob: _RatioProblem, direction: np.ndarray):
+    """Minimize ratio(1 + eps*direction) over admissible eps > 0."""
+    eye = np.eye(prob.g.dim)
+    wmin = float(np.linalg.eigvalsh(direction)[0])
+    eps_max = 0.95 / max(-wmin, 1e-12) if wmin < 0 else 1e3
+    return _bracketed_min(prob, lambda eps: eye + eps * direction,
+                          np.geomspace(1e-4, eps_max, 25))
 
 
 def _spike_search(prob: _RatioProblem, proj: np.ndarray):
     """Minimize ratio(exp(c * P)) over c for a rank-one projector P."""
-    d = prob.g.dim
-    eye = np.eye(d)
-
-    def func(c):
-        return prob.ratio(eye + (np.exp(c) - 1.0) * proj)
-
-    grid = np.linspace(-8.0, 8.0, 33)
-    vals = [func(c) for c in grid]
-    i = int(np.argmin(vals))
-    if not np.isfinite(vals[i]):
-        return np.inf, eye
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    res = minimize_scalar(func, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    c = res.x if res.fun < vals[i] else grid[i]
-    return min(res.fun, vals[i]), eye + (np.exp(c) - 1.0) * proj
+    eye = np.eye(prob.g.dim)
+    return _bracketed_min(prob, lambda c: eye + (np.exp(c) - 1.0) * proj,
+                          np.linspace(-8.0, 8.0, 33))
 
 
 def _coordinate_refine(prob: _RatioProblem, x0: np.ndarray, sweeps: int = 2):
@@ -376,15 +370,17 @@ def estimate_alpha(g: Generator, p: int, use_hat: bool | None = None,
         raise ValueError("estimate_alpha supports p in {1, 2} only")
     sp = stationary_state(g)
     hat = (p == 1) if use_hat is None else use_hat
-    prob = _RatioProblem(g, p, hat)
+    gen = hat_generator(g) if hat else g  # the generator of the LS ratio
+    prob = _RatioProblem(gen, p)
     rng = np.random.default_rng(seed)
     d = g.dim
 
     candidates: list[tuple[float, np.ndarray]] = []
 
     # the traceless-basis eigenproblem is O(d^4) in memory; past the dense
-    # design envelope the spike and gap-witness searches carry the estimate
-    direction = _near_identity_direction(g, p, hat) if d <= 24 else None
+    # design envelope the spike and gap-witness searches carry the estimate;
+    # E_2 and Ehat_2 coincide, so the p = 2 expansion keeps the base action
+    direction = _near_identity_direction(gen if p == 1 else g, p) if d <= 24 else None
     if direction is not None:
         candidates.append(_line_search_eps(prob, direction))
 
@@ -438,7 +434,7 @@ def estimate_alpha(g: Generator, p: int, use_hat: bool | None = None,
         best_val, witness = candidates[0]
 
     ent = sp.ent(float(p), witness)
-    alpha = dirichlet(g, float(p), witness, hat=hat) / ent
+    alpha = dirichlet(gen, float(p), witness) / ent
     converged = bool(np.isfinite(alpha) and
                      (pre_refine - best_val) <= 1e-6 * max(abs(best_val), 1e-30) + 1e-12)
 

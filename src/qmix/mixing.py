@@ -63,7 +63,6 @@ __all__ = [
 
 STATE_TOL = 1e-10
 PINSKER_SLACK = 1e-7
-DOMINATION_SLACK = 1e-7
 
 
 def trace_norm(a) -> float:
@@ -357,7 +356,7 @@ def entropy_decay_check(g: Generator, alpha1: float, f0, t_grid,
             fp = hermitian_part(hat.evolve_heisenberg(f0, t_up))
             fm = hermitian_part(hat.evolve_heisenberg(f0, t_down))
             fd = (sp.ent1(fp) - sp.ent1(fm)) / (t_up - t_down)
-            analytic = -2.0 * dirichlet(g, 1.0, ft, hat=True)
+            analytic = -2.0 * dirichlet(hat, 1.0, ft)
             deriv_err = max(deriv_err,
                             abs(fd - analytic) / (1.0 + abs(analytic)))
     return {"var_margin": None if lam is None else var_margin,
@@ -379,7 +378,7 @@ def entropy_production(g: Generator, rho) -> dict:
     ds_dt = -float(np.trace(lrho @ log_rho).real)
     phi = float(np.trace(lrho @ sp.log_sigma).real)
     pi = ds_dt + phi
-    pi_dirichlet = 2.0 * dirichlet(g, 1.0, sp.gamma_inv(rho), hat=True)
+    pi_dirichlet = 2.0 * dirichlet(hat_generator(g), 1.0, sp.gamma_inv(rho))
     scale = 1.0 + abs(pi) + abs(pi_dirichlet)
     if abs(pi - pi_dirichlet) > 1e-8 * scale:
         raise ArithmeticError(
@@ -387,25 +386,25 @@ def entropy_production(g: Generator, rho) -> dict:
     return {"Pi": pi, "dS_dt": ds_dt, "Phi": phi}
 
 
-def pq_norm(g: Generator, p: float, q: float, t: float, hat: bool = False,
+def pq_norm(g: Generator, p: float, q: float, t: float,
             restarts: int = 6, budget: int = 400, seed: int = 0) -> float:
-    """Lower-bound estimate of ||T_t||_{(p,sigma)->(q,sigma)} by multi-start
+    """Lower-bound estimate of ||T_t||_{(p,sigma)->(q,sigma)} for T_t = e^{tL}
+    of g (pass hat_generator(g) for the hat semigroup) by multi-start
     maximization of ||T_t(f)||_q / ||f||_p over positive f (the supremum is
     attained on positive matrices).  This is a lower bound on the true norm,
     not a certificate."""
     from scipy.optimize import minimize
     from .ls_estimator import _expm_hermitian, _pack, _unpack
     sp = stationary_state(g)
-    gen = hat_generator(g) if hat else g
     d = g.dim
 
     def ratio(f):
-        return sp.lp_norm(q, hermitian_part(gen.evolve_heisenberg(f, t))) / sp.lp_norm(p, f)
+        return sp.lp_norm(q, hermitian_part(g.evolve_heisenberg(f, t))) / sp.lp_norm(p, f)
 
     def neg_packed(x):
         try:
             return -ratio(_expm_hermitian(_unpack(x, d)))
-        except (ValueError, ArithmeticError):
+        except (ArithmeticError, np.linalg.LinAlgError):  # any other error is a bug
             return np.inf
 
     rng = np.random.default_rng(seed)

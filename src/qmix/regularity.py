@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -303,6 +302,12 @@ def scan_instance_record(index: int, dims, seed: int, probes, p_grid) -> dict:
     return rec
 
 
+def _record(task) -> dict:
+    """scan_instance_record(*task), a module-level name a worker process can
+    unpickle; it looks the function up at call time."""
+    return scan_instance_record(*task)
+
+
 def conjecture_scan(n_instances: int, dims=(2, 3), seed: int = 0,
                     out_path=None, probes: int = 8,
                     p_grid=(1.25, 1.5, 3.0, 4.0), start_index: int = 0,
@@ -316,22 +321,24 @@ def conjecture_scan(n_instances: int, dims=(2, 3), seed: int = 0,
     zero weak violations anywhere; strong violations only on non-reversible
     instances.  Violating instances carry full reproduction data.
 
-    jobs > 1 computes instances on that many threads; each record is
-    written and flushed in index order as soon as it and every earlier one
-    are done, so an interrupted scan keeps its finished prefix either way.
+    jobs > 1 computes instances in that many worker processes; each record
+    is written and flushed in index order as soon as it and every earlier
+    one are done, so an interrupted scan keeps its finished prefix either
+    way.
     """
-    def record(i):
-        return scan_instance_record(i, dims, seed, probes, p_grid)
-
+    tasks = [(i, dims, seed, probes, p_grid) for i in range(start_index, n_instances)]
     records = []
     with contextlib.ExitStack() as stack:
         fh = stack.enter_context(open(out_path, "a" if start_index else "w")) if out_path else None
         mapper = map
         if jobs > 1:
-            pool = ThreadPoolExecutor(max_workers=jobs)
+            # imported here, so a serial scan does not pay for it; the default
+            # start method (fork on Linux) spares each worker a fresh import
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(max_workers=jobs)
             stack.callback(pool.shutdown, cancel_futures=True)  # on error too
             mapper = pool.map  # yields in index order
-        for rec in mapper(record, range(start_index, n_instances)):
+        for rec in mapper(_record, tasks):
             records.append(rec)
             if fh:
                 fh.write(json.dumps(rec) + "\n")

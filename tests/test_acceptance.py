@@ -20,6 +20,7 @@ from qmix.generators import (
     build_projection,
     build_random_unitary,
     build_tensor_qubit_depolarizing,
+    hat_generator,
     random_davies,
     random_reversible_unital,
 )
@@ -361,7 +362,7 @@ def test_criterion_10_entropy_production():
         out = entropy_production(g, rho)  # raises if Pi != 2*Ehat_1 beyond 1e-8
         worst = max(worst, abs(out["Pi"] - out["dS_dt"] - out["Phi"]))
         worst = max(worst, abs(out["Pi"] - 2.0 * dirichlet(
-            g, 1.0, g.stationary.gamma_inv(rho), hat=True)))
+            hat_generator(g), 1.0, g.stationary.gamma_inv(rho))))
     ok = worst <= 1e-8
     assert report("criterion 10 (entropy production)", ok,
                   f"worst identity deviation {worst:.2e}")

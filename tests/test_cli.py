@@ -82,6 +82,40 @@ def test_analyze_malformed_spec_exit_1(tmp_path, capsys):
     assert main(["analyze", spec]) == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "mixing"])
+def test_missing_spec_file_exit_1(tmp_path, capsys, command):
+    path = str(tmp_path / "missing.json")
+    assert main([command, path, "--seed", "0"]) == 1
+    err = [json.loads(line) for line in capsys.readouterr().err.strip().splitlines()]
+    assert len(err) == 1
+    assert err[0]["kind"] == "bad_spec" and err[0]["path"] == path
+
+
+@pytest.mark.parametrize("section, target", [("ls", "partial_order_verdict"),
+                                             ("regularity", "regularity_profile")])
+def test_analyze_section_nulls_numerical_failure_and_raises_on_bug(tmp_path, monkeypatch,
+                                                                   section, target):
+    import qmix.cli as cli
+    spec = write_spec(tmp_path / "g.json", {"family": "depolarizing", "dim": 2, "gamma": 1.0})
+    out = tmp_path / "report.json"
+    other = "regularity" if section == "ls" else "ls"
+    argv = ["analyze", spec, "--out", str(out), "--seed", "0", "--skip", other]
+
+    def breakdown(*args, **kwargs):
+        raise ArithmeticError("planted breakdown")
+
+    def bug(*args, **kwargs):
+        raise ValueError("planted bug")
+
+    monkeypatch.setattr(cli, target, breakdown)
+    assert main(argv) == 0
+    rep = json.loads(out.read_text())
+    assert rep[section] is None and rep[f"{section}_error"] == "planted breakdown"
+    monkeypatch.setattr(cli, target, bug)
+    with pytest.raises(ValueError, match="planted bug"):
+        main(argv)
+
+
 def test_mixing_command(tmp_path, capsys):
     rng = np.random.default_rng(0)
     spec = write_spec(tmp_path / "g.json",

@@ -119,8 +119,8 @@ def test_depolarizing_d64_hat_evolves_in_closed_form(rng):
     assert res["var_margin"] >= -1e-7
     assert res["ent_margin"] >= -1e-7
     assert res["deriv_rel_err"] <= 1e-4
-    hat_norm = pq_norm(g, 2.0, 4.0, 0.5, hat=True, restarts=2, budget=1)
-    assert hat_norm == pq_norm(g, 2.0, 4.0, 0.5, hat=False, restarts=2, budget=1)
+    hat_norm = pq_norm(h, 2.0, 4.0, 0.5, restarts=2, budget=1)
+    assert hat_norm == pq_norm(g, 2.0, 4.0, 0.5, restarts=2, budget=1)
 
 
 @pytest.mark.parametrize("family", ["depolarizing", "projection"])

@@ -6,11 +6,15 @@ from qmix.generators import (
     build_depolarizing,
     build_projection,
     build_random_unitary,
+    hat_generator,
     random_davies,
     random_lindblad,
     random_reversible_unital,
 )
+from qmix import ls_estimator
 from qmix.ls_estimator import (
+    _bracketed_min,
+    _near_identity_direction,
     _pack,
     _RatioProblem,
     _unpack,
@@ -163,22 +167,58 @@ def test_fused_ratio_equals_public_path(rng):
         sp = g.stationary
         for p in (1, 2):
             for hat in (False, True):
-                prob = _RatioProblem(g, p, hat)
+                gen = hat_generator(g) if hat else g
+                prob = _RatioProblem(gen, p)
                 for _ in range(4):
                     f = matrix_function(random_hermitian(3, rng, 0.8), np.exp,
                                         eig_floor=-np.inf)
-                    public = dirichlet(g, float(p), f, hat=hat) / sp.ent(float(p), f)
+                    public = dirichlet(gen, float(p), f) / sp.ent(float(p), f)
                     assert prob.ratio(f) == public, (name, p, hat)
 
 
 def test_ratio_infinite_only_on_numerical_failure(rng):
     g = random_davies(3, rng)
     for p in (1, 2):
-        prob = _RatioProblem(g, p, hat=False)
+        prob = _RatioProblem(g, p)
         not_pd = np.diag([1.0, 0.5, -0.2]).astype(complex)
         assert prob.ratio(not_pd) == np.inf
         with pytest.raises(ValueError):
             prob.ratio(np.eye(4, dtype=complex))
+
+
+def test_bracketed_min_stops_at_an_infinite_grid(rng):
+    prob = _RatioProblem(random_davies(3, rng), 1)
+    grid = np.linspace(-1.0, 1.0, 5)
+    assert _bracketed_min(prob, lambda x: -np.eye(3), grid) == (np.inf, None)
+    assert prob.n_evals == len(grid)  # no Brent search after the grid
+
+
+def test_near_identity_direction_degenerates_to_none(monkeypatch, rng):
+    g = random_davies(3, rng)
+    kernel = ls_estimator._dk_log_kernel
+    for p in (1, 2):
+        assert _near_identity_direction(g, p) is not None
+    # a non-finite curvature matrix is tested for, not caught
+    monkeypatch.setattr(ls_estimator, "_dk_log_kernel", lambda w: np.full((len(w),) * 2, np.nan))
+    for p in (1, 2):
+        assert _near_identity_direction(g, p) is None
+    # an indefinite Gram matrix makes scipy raise LinAlgError
+    monkeypatch.setattr(ls_estimator, "_dk_log_kernel", lambda w: -kernel(w))
+    for p in (1, 2):
+        assert _near_identity_direction(g, p) is None
+
+
+def test_near_identity_direction_lets_a_bug_in_the_eigensolve_raise(monkeypatch, rng):
+    import scipy.linalg
+    g = random_davies(3, rng)
+
+    def planted(a, b):
+        raise ValueError("planted bug")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", planted)
+    for p in (1, 2):
+        with pytest.raises(ValueError, match="planted bug"):
+            _near_identity_direction(g, p)
 
 
 def _pack_loop(h):

@@ -319,9 +319,18 @@ def test_pq_norm_duality(rng):
     g = lift_channel([u1 / np.sqrt(2), u2 / np.sqrt(2)])
     p, q, t = 2.0, 4.0, 0.15
     n_direct = pq_norm(g, p, q, t, restarts=4, budget=300, seed=1)
-    n_dual = pq_norm(g, q / (q - 1), p / (p - 1), t, hat=True,
+    n_dual = pq_norm(hat_generator(g), q / (q - 1), p / (p - 1), t,
                      restarts=4, budget=300, seed=2)
     assert abs(n_direct - n_dual) <= 0.02 * max(n_direct, n_dual)
+
+
+def test_pq_norm_lets_a_bug_in_the_objective_raise(monkeypatch, rng):
+    import qmix.ls_estimator as ls_estimator
+    g = random_davies(3, rng)
+    # a wrong-dimension matrix reaches the evolution: a bug, not a value of inf
+    monkeypatch.setattr(ls_estimator, "_unpack", lambda x, d: np.eye(d + 1, dtype=complex))
+    with pytest.raises(ValueError):
+        pq_norm(g, 2.0, 4.0, 0.5, restarts=1, budget=5)
 
 
 def test_two_two_norm_decay(rng):

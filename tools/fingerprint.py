@@ -14,8 +14,11 @@ does, and writes into ``--out``:
 * ``library.txt`` -- ``repr`` of library calls that no bench op makes, on
   numpy-only inputs seeded by ``--seed``: the closed-form evolutions
   (depolarizing d = 3 and 64, projection d = 3), the hat evolution of both
-  families at d = 4, and ``entropy_decay_check``, ``pq_norm(hat=True)``,
-  ``two_two_norm_decay`` and ``h_profile`` at d = 3;
+  families at d = 4, ``entropy_decay_check``, ``pq_norm`` of the hat,
+  ``two_two_norm_decay`` and ``h_profile`` at d = 3, and on the generic
+  d = 3 generator the hat Dirichlet form ``dirichlet(hat_generator(g), p, f)``
+  at p = 1, 1.5 and 2, ``estimate_alpha(g, 2, use_hat=True, budget=60,
+  restarts=2)`` and ``entropy_production``;
 * ``cli_errors.txt`` -- the exit code and stderr of ``qmix analyze`` and
   ``qmix mixing`` (``--seed 0``) on four failing specs: a pure-Hamiltonian
   generator, ``{not json``, an unknown family and a depolarizing spec
@@ -65,8 +68,10 @@ def library_lines(seed: int) -> list:
     """``name: repr(value)`` of each library call listed in the docstring."""
     import numpy as np
 
+    from qmix.dirichlet_gap import dirichlet
     from qmix.generators import build_depolarizing, build_lindblad, build_projection, hat_generator
-    from qmix.mixing import entropy_decay_check, pq_norm, two_two_norm_decay
+    from qmix.ls_estimator import estimate_alpha
+    from qmix.mixing import entropy_decay_check, entropy_production, pq_norm, two_two_norm_decay
     from qmix.regularity import h_profile
 
     rng = np.random.default_rng(seed)
@@ -107,10 +112,17 @@ def library_lines(seed: int) -> list:
         f0 = positive(3)
         record(f"{name}.entropy_decay_check",
                entropy_decay_check(g, 0.1, f0, [0.2, 0.7], lam=0.1))
-        record(f"{name}.pq_norm(hat=True)",
-               pq_norm(g, 2.0, 4.0, 0.5, hat=True, restarts=2, budget=60, seed=seed))
+        record(f"hat({name}).pq_norm",
+               pq_norm(hat_generator(g), 2.0, 4.0, 0.5, restarts=2, budget=60, seed=seed))
         record(f"{name}.two_two_norm_decay", two_two_norm_decay(g, 0.5))
         record(f"{name}.h_profile", h_profile(g, positive(3), 0.5, np.linspace(0.0, 2.0, 9)))
+    f = positive(3)
+    for p in (1.0, 1.5, 2.0):
+        record(f"hat(generic_d3).dirichlet(p={p})", dirichlet(hat_generator(generic), p, f))
+    rep = estimate_alpha(generic, 2, use_hat=True, budget=60, restarts=2)
+    record("generic_d3.estimate_alpha(p=2, use_hat=True)", rep.to_dict())
+    record("generic_d3.estimate_alpha(p=2, use_hat=True).witness", rep.witness)
+    record("generic_d3.entropy_production", entropy_production(generic, state(3)))
     return lines
 
 
