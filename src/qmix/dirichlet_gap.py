@@ -65,7 +65,7 @@ def dirichlet(g: Generator, p: float, f) -> float:
         val = _e1(sp, g._apply(f), sp._log_ratio(f)[1])
     else:
         q = p / (p - 1.0)
-        val = -p / (2.0 * (p - 1.0)) * sp.inner(sp.power_operator(q, p, f), g._apply(f))
+        val = -p / (2.0 * (p - 1.0)) * sp._inner(sp.power_operator(q, p, f), g._apply(f))
     return _judge_negative(val, g, f)
 
 

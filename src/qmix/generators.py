@@ -413,16 +413,14 @@ class DaviesSpec:
 
     coupling_ops are the Hermitian system operators whose decomposition over
     the Hamiltonian eigenprojectors yields the jump operators; beta is the
-    inverse temperature.  rate_model fixes the KMS-compatible rate function
-    eta(omega); `flat_kms` uses eta(omega) = 1 for omega >= 0 and
-    e^{beta*omega} for omega < 0, which satisfies
+    inverse temperature.  The KMS-compatible rate function is eta(omega) = 1
+    for omega >= 0 and e^{beta*omega} for omega < 0, which satisfies
     eta(-omega) = e^{-beta*omega} eta(omega) exactly.
     """
     hamiltonian: np.ndarray
     coupling_ops: list = field(default_factory=list)
     beta: float = 1.0
     bohr_tol: float | None = None
-    rate_model: str = "flat_kms"
 
 
 def _bohr_groups(energies: np.ndarray, tol: float):
@@ -452,8 +450,6 @@ def davies_jump_operators(spec: DaviesSpec):
     KMS rates.  Returns a list of (k, omega, eta, S_k(omega))."""
     h = require_hermitian(spec.hamiltonian, name="hamiltonian")
     d = h.shape[0]
-    if spec.rate_model != "flat_kms":
-        raise GeneratorError(f"unknown rate model {spec.rate_model!r}")
     energies, v = eig_hermitian(h)
     tol = spec.bohr_tol
     if tol is None:
@@ -650,31 +646,27 @@ def random_lindblad(dim: int, rng, n_ops: int = 2,
     raise GeneratorError("failed to draw a primitive random Lindblad generator")
 
 
-def random_reversible_unital(dim: int, rng, n_pairs: int = 1) -> Generator:
-    """Random reversible unital generator with jump pairs {A, A^dag}."""
+def random_reversible_unital(dim: int, rng) -> Generator:
+    """Random reversible unital generator with the jump pair {A, A^dag}."""
     for _ in range(RANDOM_TRIES):
-        ops = []
-        for _ in range(n_pairs):
-            a = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) \
-                / np.sqrt(2 * dim)
-            ops += [a, a.conj().T]
-        g = build_lindblad(None, ops)
+        a = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) \
+            / np.sqrt(2 * dim)
+        g = build_lindblad(None, [a, a.conj().T])
         if g.primitive and g.reversible and g.unital:
             return g
     raise GeneratorError("failed to draw a primitive reversible unital generator")
 
 
-def random_davies(dim: int, rng, beta: float | None = None,
-                  n_couplings: int = 1) -> Generator:
-    """Random thermal generator: random nondegenerate H, random Hermitian
-    couplings, Gibbs stationary state."""
+def random_davies(dim: int, rng, beta: float | None = None) -> Generator:
+    """Random thermal generator: random nondegenerate H, one random Hermitian
+    coupling, Gibbs stationary state."""
     from .operator_core import random_hermitian
     for _ in range(RANDOM_TRIES):
         b = float(rng.uniform(0.2, 1.5)) if beta is None else beta
         energies = np.sort(rng.uniform(0.0, 2.0, size=dim))
         u = haar_unitary(dim, rng)
         h = hermitian_part(u @ np.diag(energies) @ u.conj().T)
-        couplings = [random_hermitian(dim, rng) for _ in range(n_couplings)]
+        couplings = [random_hermitian(dim, rng)]
         try:
             return build_davies(DaviesSpec(hamiltonian=h, coupling_ops=couplings, beta=b))
         except GeneratorError:

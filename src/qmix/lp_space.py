@@ -11,12 +11,13 @@ The entropy-type functionals are only defined on positive definite
 observables; inputs failing the positivity gate are rejected rather than
 clamped, since the functionals are ill-behaved on boundary-rank inputs.
 
-Checks happen at the public entry points: the WeightedSpace methods validate
-the shape and finiteness of their arguments, and the entropy-type ones also
-Hermiticity and positivity.  The underscore kernels (`_gamma`, `_inner`, `_log_ratio`, `_ent1`, `_ent2`) and
-`_require_positive` trust arrays the library built and skip those checks;
-each formula lives in one kernel, which the public method and the fused
-log-Sobolev ratio both call.
+A public WeightedSpace method checks its argument on entry -- shape and
+finiteness, and for the entropy-type ones also Hermiticity and positivity --
+and hands every intermediate it builds only to kernels (`_gamma`, `_inner`,
+`_log_ratio`, `_ent1`, `_ent2`, `_require_positive`,
+`operator_core._matrix_function`), which trust arrays the library built and
+check nothing.  Each formula lives in one kernel, which the public method
+and the fused log-Sobolev ratio both call.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .operator_core import (
     eig_hermitian,
     hermitian_part,
     left_right_super,
-    matrix_function,
     require_hermitian,
 )
 
@@ -136,7 +136,7 @@ class WeightedSpace:
         """||f||_{p,sigma} = tr|sigma^{1/2p} f sigma^{1/2p}|^p ^{1/p}."""
         if p < 1:
             raise ValueError(f"lp_norm requires p >= 1, got {p}")
-        x = self.gamma_power(1.0 / p, self._check_dim(f))
+        x = self._gamma(1.0 / p, self._check_dim(f))
         w = np.linalg.eigvalsh(x)
         return float(np.sum(np.abs(w) ** p) ** (1.0 / p))
 
@@ -161,10 +161,10 @@ class WeightedSpace:
         if p < 1 or q < 1:
             raise ValueError("power_operator requires p, q >= 1")
         f = self._check_dim(f)
-        x = self.gamma_power(1.0 / q, f)
+        x = self._gamma(1.0 / q, f)
         t = q / p
-        ax = matrix_function(x, lambda w: np.float_power(np.abs(w), t), eig_floor=-np.inf)
-        return self.gamma_power(-1.0 / p, ax)
+        ax = _matrix_function(x, lambda w: np.float_power(np.abs(w), t), eig_floor=-np.inf)
+        return self._gamma(-1.0 / p, ax)
 
     def op_relative_entropy(self, p: float, f) -> np.ndarray:
         """S_p(f) = Gamma^{-1/p}[X log X] - (1/2p){f, log sigma}, X = Gamma^{1/p}(f).
@@ -175,9 +175,9 @@ class WeightedSpace:
             raise ValueError("op_relative_entropy requires p >= 1")
         f = self._check_dim(f)
         _check_positive(f, "op_relative_entropy")
-        x = self.gamma_power(1.0 / p, f)
-        xlogx = matrix_function(x, lambda w: w * np.log(w))
-        term1 = self.gamma_power(-1.0 / p, xlogx)
+        x = self._gamma(1.0 / p, f)
+        xlogx = _matrix_function(x, lambda w: w * np.log(w))
+        term1 = self._gamma(-1.0 / p, xlogx)
         term2 = (f @ self._log_sigma + self._log_sigma @ f) / (2.0 * p)
         return hermitian_part(term1 - term2)
 
@@ -232,7 +232,7 @@ class WeightedSpace:
         iqp = self.power_operator(q, p, f)
         sp = self.op_relative_entropy(p, f)
         norm = self.lp_norm(p, f)
-        val = self.inner(iqp, sp) - norm ** p * np.log(norm)
+        val = self._inner(iqp, sp) - norm ** p * np.log(norm)
         return self._clamp_ent(val, scale=abs(val) + norm ** p + 1.0)
 
     @staticmethod

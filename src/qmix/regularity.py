@@ -81,26 +81,28 @@ def h_profile(g: Generator, probe, t: float, s_grid) -> np.ndarray:
     return _h_profile(g, probe, t, s_grid, _quarter_powers(stationary_state(g), s_grid))
 
 
-def _quarter_powers(sp, s_grid) -> list:
-    """(sigma^{s/4}, sigma^{-s/4}) for each s of the grid, formed once for
-    every probe and time of a profile."""
-    return [(sp.sigma_power(s / 4.0), sp.sigma_power(-s / 4.0)) for s in s_grid]
+def _quarter_powers(sp, s_grid):
+    """sigma^{s/4} and sigma^{-s/4} over the grid as two (n, d, d) stacks,
+    shared by every probe and time of a profile.  They are built one
+    `sigma_power` per s: a stacked w ** (s/4) rounds differently at
+    s/4 = 0.5, where numpy's scalar `w ** 0.5` takes a sqrt."""
+    shape = (len(s_grid), sp.dim, sp.dim)
+    return (np.array([sp.sigma_power(s / 4.0) for s in s_grid]).reshape(shape),
+            np.array([sp.sigma_power(-s / 4.0) for s in s_grid]).reshape(shape))
 
 
 def _h_profile(g: Generator, probe, t: float, s_grid, quarters) -> np.ndarray:
-    """h_profile given the grid's `_quarter_powers`."""
-    probe = hermitian_part(np.asarray(probe, dtype=complex))
+    """h_profile given the grid's per-s `_quarter_powers`, as one stack: every
+    g^s and g^{2-s} from the probe's one (w, v) by one stacked float_power and
+    matmul, one `Generator._evolve` of all n arguments of T_t, then n traces.
+    Each matrix gets the arithmetic it would get on its own."""
     w, v = _check_positive(probe, "h_profile probe")
-
-    def probe_power(s):
-        return hermitian_part((v * np.float_power(w, s)) @ v.conj().T)
-
-    out = np.empty(len(s_grid))
-    for i, (s, (sq, sq_inv)) in enumerate(zip(s_grid, quarters)):
-        gs, g2s = probe_power(float(s)), probe_power(2.0 - float(s))
-        evolved = g.evolve_heisenberg(sq_inv @ gs @ sq_inv, float(t))
-        out[i] = float(np.trace(sq @ g2s @ sq @ evolved).real)
-    return out
+    s = np.asarray(s_grid, dtype=float)
+    exponents = np.concatenate([s, 2.0 - s])[:, None, None]
+    gs, g2s = np.split(hermitian_part((v * np.float_power(w, exponents)) @ v.conj().T), 2)
+    sq, sq_inv = quarters
+    evolved = g._evolve(sq_inv @ gs @ sq_inv, float(t), heis=True)
+    return np.trace(sq @ g2s @ sq @ evolved, axis1=1, axis2=2).real
 
 
 def _left_half_monotonicity_order(h: np.ndarray, scale: float) -> int:

@@ -439,10 +439,3 @@ def test_hat_requires_primitive():
     g = build_lindblad(PAULI_Z, [])
     with pytest.raises(NotPrimitiveError):
         hat_generator(g)
-
-
-def test_davies_unknown_rate_model():
-    h = np.diag([0.0, 1.0]).astype(complex)
-    with pytest.raises(GeneratorError):
-        davies_jump_operators(DaviesSpec(hamiltonian=h, coupling_ops=[PAULI_X],
-                                         beta=1.0, rate_model="ohmic"))

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmix.dirichlet_gap import dirichlet
+from qmix.generators import random_davies
 from qmix.lp_space import PositivityError, WeightedSpace
 from qmix.operator_core import (
     haar_unitary,
+    hermitian_part,
     matrix_function,
     random_density_matrix,
     random_hermitian,
@@ -355,3 +358,41 @@ def test_functionals_unitary_invariance(rng):
         assert abs(sp.ent(p, f) - spu.ent(p, fu)) < 1e-10 * (1 + sp.ent(p, f))
     assert abs(sp.inner(f, g) - spu.inner(fu, gu)) < 1e-10
     assert abs(sp.variance(g) - spu.variance(gu)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# public methods against their composition from checked parts
+# ---------------------------------------------------------------------------
+
+def test_functionals_equal_their_checked_composition(rng):
+    # each method once composed its intermediates through the checking
+    # gamma_power, matrix_function and inner; the kernels give the same bits
+    g = random_davies(3, rng)
+    sp = g.stationary
+    f = random_positive(3, rng)
+
+    def lp_norm(p, x):
+        w = np.linalg.eigvalsh(sp.gamma_power(1.0 / p, x))
+        return float(np.sum(np.abs(w) ** p) ** (1.0 / p))
+
+    def power_operator(p, q, x):
+        ax = matrix_function(sp.gamma_power(1.0 / q, x),
+                             lambda w: np.float_power(np.abs(w), q / p), eig_floor=-np.inf)
+        return sp.gamma_power(-1.0 / p, ax)
+
+    def op_relative_entropy(p, x):
+        xlogx = matrix_function(sp.gamma_power(1.0 / p, x), lambda w: w * np.log(w))
+        term2 = (x @ sp.log_sigma + sp.log_sigma @ x) / (2.0 * p)
+        return hermitian_part(sp.gamma_power(-1.0 / p, xlogx) - term2)
+
+    for p in (1.5, 3.0):
+        q = p / (p - 1.0)
+        assert sp.lp_norm(p, f) == lp_norm(p, f)
+        assert np.array_equal(sp.power_operator(q, p, f), power_operator(q, p, f))
+        assert np.array_equal(sp.op_relative_entropy(p, f), op_relative_entropy(p, f))
+        norm = lp_norm(p, f)
+        ent = sp.inner(power_operator(q, p, f), op_relative_entropy(p, f)) \
+            - norm ** p * np.log(norm)
+        assert ent > 0.0 and sp.ent(p, f) == ent
+        form = -p / (2.0 * (p - 1.0)) * sp.inner(power_operator(q, p, f), g.apply(f))
+        assert form > 0.0 and dirichlet(g, p, f) == form

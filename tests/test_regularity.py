@@ -7,6 +7,7 @@ from qmix.generators import (
     build_projection,
     lift_channel,
     random_davies,
+    random_lindblad,
     random_reversible_unital,
 )
 from qmix.lp_space import PositivityError
@@ -49,6 +50,8 @@ def test_h_rejects_bad_inputs(rng):
         h_functional(g, np.diag([1.0, -0.2]), 0.5, 1.0)
     with pytest.raises(ValueError):
         h_functional(g, np.eye(2), 0.5, 2.5)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        h_functional(g, [[1, 0.5], [0, 1]], 0.5, 1.0)
 
 
 def test_h_unital_exponential_sum_route(rng):
@@ -146,23 +149,29 @@ def test_convexity_implies_weak_margins(rng):
 
 
 def test_h_profile_equals_table_fed_kernel(rng):
-    g = random_davies(3, rng)
-    sp = g.stationary
+    # the stacked profile against the per-s evaluation it replaced, at every s
     s_grid = np.linspace(0.0, 2.0, 101)  # 202 sigma powers, beyond the 64-entry cache
-    quarters = _quarter_powers(sp, s_grid)
-    for i in range(3):
-        probe = random_probe(3, rng, near_singular=(i == 0))
-        for t in (0.1, 1.0):
-            h = h_profile(g, probe, t, s_grid)
-            assert np.array_equal(h, _h_profile(g, probe, t, s_grid, quarters))
-            # the per-s form the table replaced
-            w, v = np.linalg.eigh(0.5 * (probe + probe.conj().T))
-            for s, hs in zip(s_grid[::10], h[::10]):
-                gs = hermitian_part((v * np.float_power(w, s)) @ v.conj().T)
-                g2s = hermitian_part((v * np.float_power(w, 2.0 - s)) @ v.conj().T)
-                sq, sq_inv = sp.sigma_power(s / 4.0), sp.sigma_power(-s / 4.0)
-                evolved = g.evolve_heisenberg(sq_inv @ gs @ sq_inv, t)
-                assert hs == float(np.trace(sq @ g2s @ sq @ evolved).real)
+    generic = random_lindblad(3, rng)
+    assert not generic.reversible
+    gens = (random_davies(3, rng), generic, build_depolarizing(4, 1.0),
+            build_projection(random_density_matrix(3, rng), 0.8))
+    for g in gens:
+        sp = g.stationary
+        quarters = _quarter_powers(sp, s_grid)
+        for i in range(3):
+            probe = random_probe(g.dim, rng, near_singular=(i == 0))
+            for t in (0.1, 1.0):
+                h = h_profile(g, probe, t, s_grid)
+                assert np.array_equal(h, _h_profile(g, probe, t, s_grid, quarters))
+                w, v = np.linalg.eigh(0.5 * (probe + probe.conj().T))
+                for s, hs in zip(s_grid, h):
+                    gs = hermitian_part((v * np.float_power(w, s)) @ v.conj().T)
+                    g2s = hermitian_part((v * np.float_power(w, 2.0 - s)) @ v.conj().T)
+                    sq, sq_inv = sp.sigma_power(s / 4.0), sp.sigma_power(-s / 4.0)
+                    evolved = g.evolve_heisenberg(sq_inv @ gs @ sq_inv, t)
+                    assert hs == float(np.trace(sq @ g2s @ sq @ evolved).real)
+                assert h_functional(g, probe, t, s_grid[37]) == h[37]  # a one-point grid
+            assert h_profile(g, probe, 0.5, []).shape == (0,)
 
 
 def test_conjecture_scan_records(tmp_path):

@@ -18,7 +18,14 @@ does, and writes into ``--out``:
   ``two_two_norm_decay`` and ``h_profile`` at d = 3, and on the generic
   d = 3 generator the hat Dirichlet form ``dirichlet(hat_generator(g), p, f)``
   at p = 1, 1.5 and 2, ``estimate_alpha(g, 2, use_hat=True, budget=60,
-  restarts=2)`` and ``entropy_production``;
+  restarts=2)`` and ``entropy_production``; the L_p functionals on
+  ``WeightedSpace`` of a random d = 3 state and a positive f:
+  ``lp_norm(3, f)``, ``power_operator(3, 1.5, f)``,
+  ``op_relative_entropy(1.5, f)``, ``ent`` at p = 1.5 and 3 and
+  ``norm_derivative_check(f, 1.5 + t, 0.3)``; on the generic d = 3
+  generator ``dirichlet`` at p = 3, ``direct_regularity_check(g, probes=4,
+  seed=--seed)`` and ``h_functional``; and ``h_profile`` of depolarizing
+  d = 4 on a 101-point grid;
 * ``cli_errors.txt`` -- the exit code and stderr of ``qmix analyze`` and
   ``qmix mixing`` (``--seed 0``) on four failing specs: a pure-Hamiltonian
   generator, ``{not json``, an unknown family and a depolarizing spec
@@ -70,9 +77,10 @@ def library_lines(seed: int) -> list:
 
     from qmix.dirichlet_gap import dirichlet
     from qmix.generators import build_depolarizing, build_lindblad, build_projection, hat_generator
+    from qmix.lp_space import WeightedSpace
     from qmix.ls_estimator import estimate_alpha
     from qmix.mixing import entropy_decay_check, entropy_production, pq_norm, two_two_norm_decay
-    from qmix.regularity import h_profile
+    from qmix.regularity import direct_regularity_check, h_functional, h_profile
 
     rng = np.random.default_rng(seed)
 
@@ -123,6 +131,20 @@ def library_lines(seed: int) -> list:
     record("generic_d3.estimate_alpha(p=2, use_hat=True)", rep.to_dict())
     record("generic_d3.estimate_alpha(p=2, use_hat=True).witness", rep.witness)
     record("generic_d3.entropy_production", entropy_production(generic, state(3)))
+    space, f = WeightedSpace(state(3)), positive(3)
+    record("lp_d3.lp_norm(p=3.0)", space.lp_norm(3.0, f))
+    record("lp_d3.power_operator(p=3.0, q=1.5)", space.power_operator(3.0, 1.5, f))
+    record("lp_d3.op_relative_entropy(p=1.5)", space.op_relative_entropy(1.5, f))
+    for p in (1.5, 3.0):
+        record(f"lp_d3.ent(p={p})", space.ent(p, f))
+    record("lp_d3.norm_derivative_check",
+           space.norm_derivative_check(f, lambda t: 1.5 + t, 0.3))
+    record("generic_d3.dirichlet(p=3.0)", dirichlet(generic, 3.0, f))
+    record("generic_d3.direct_regularity_check",
+           direct_regularity_check(generic, probes=4, seed=seed))
+    record("generic_d3.h_functional(t=0.5, s=0.7)", h_functional(generic, f, 0.5, 0.7))
+    record("depolarizing_d4.h_profile", h_profile(build_depolarizing(4, 1.0), positive(4), 0.5,
+                                                  np.linspace(0.0, 2.0, 101)))
     return lines
 
 
