@@ -8,6 +8,7 @@ on consistency).  Errors are emitted to stderr as one JSON object per line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -349,7 +350,10 @@ def cmd_scan(args) -> int:
     return EXIT_OK if n_weak == 0 and n_strong_rev == 0 else EXIT_VERDICT
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The qmix argument parser, built once per process: parsing leaves no
+    state in it, so every `main` call can share it."""
     parser = argparse.ArgumentParser(
         prog="qmix",
         description="Spectral gaps, log-Sobolev constants, regularity evidence "
@@ -395,8 +399,11 @@ def main(argv=None) -> int:
     ps.add_argument("--resume", action="store_true",
                     help="continue an existing --out file from its line count")
     ps.set_defaults(func=cmd_scan)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import Generator, NotPrimitiveError, hat_generator, stationary_state
-from .lp_space import WeightedSpace, _check_positive
+from .lp_space import WeightedSpace, _check_p, _check_positive
 from .operator_core import (
+    _re_trace,
     hermitian_part,
     max_abs,
     random_hermitian,
@@ -35,6 +36,7 @@ __all__ = ["GapReport", "dirichlet", "spectral_gap"]
 
 DENSE_GAP_DIM_LIMIT = 32
 VAR_FLOOR = 1e-12
+P1_BRANCH = 1.0 + 1e-6  # p below this takes the p = 1 (log) form
 
 
 @dataclass
@@ -51,40 +53,53 @@ class GapReport:
 def dirichlet(g: Generator, p: float, f) -> float:
     """The L_p Dirichlet form E_p(f) of g; pass hat_generator(g) for Ehat_p.
 
-    p and f are checked here; the p = 1, 2 closed forms are the kernels
-    `_e1`/`_e2`, which the log-Sobolev ratio shares.
+    p and f are checked here, and on the p = 1 branch f's positivity; the
+    value comes from the kernel `_dirichlet`, which direct_regularity_check
+    runs on its probe stack.  Its p = 1, 2 closed forms `_e1`/`_e2` are
+    shared with the log-Sobolev ratio.
     """
-    if p < 1:
-        raise ValueError(f"dirichlet requires p >= 1, got {p}")
+    _check_p(p, "dirichlet")
     sp = stationary_state(g)
     f = sp._check_dim(f)
-    if abs(p - 2.0) < 1e-12:
-        val = _e2(sp, f, g._apply(f))
-    elif p < 1.0 + 1e-6:
+    if p < P1_BRANCH:
         _check_positive(f, "dirichlet (p=1 branch)")
-        val = _e1(sp, g._apply(f), sp._log_ratio(f)[1])
-    else:
-        q = p / (p - 1.0)
-        val = -p / (2.0 * (p - 1.0)) * sp._inner(sp.power_operator(q, p, f), g._apply(f))
-    return _judge_negative(val, g, f)
+    return _judge_negative(_dirichlet(sp, p, f, g._apply(f)), g, f)
 
 
-def _e1(sp: WeightedSpace, act_f, log_ratio) -> float:
+def _dirichlet(sp: WeightedSpace, p: float, f, act_f, root_eig=None):
+    """E_p(f) before `_judge_negative`, given L(f): a float for a matrix f, an
+    array for an (n, d, d) stack.  The general-p branch uses root_eig, the
+    eigendecomposition `sp._root_eig(p, f)`, and forms it when not given."""
+    if abs(p - 2.0) < 1e-12:
+        return _e2(sp, f, act_f)
+    if p < P1_BRANCH:
+        return _e1(sp, act_f, sp._log_ratio(f)[1])
+    if root_eig is None:
+        root_eig = sp._root_eig(p, f)
+    q = p / (p - 1.0)
+    return -p / (2.0 * (p - 1.0)) * sp._inner(sp._power_operator(q, p, root_eig), act_f)
+
+
+def _e1(sp: WeightedSpace, act_f, log_ratio):
     """E_1(f) = -(1/2) tr[Gamma(L f) (log Gamma(f) - log sigma)], given L(f)
-    and the log ratio from `WeightedSpace._log_ratio`."""
-    return -0.5 * float((sp._gamma(1.0, act_f) @ log_ratio).trace().real)
+    and the log ratio from `WeightedSpace._log_ratio`; stack-capable."""
+    return -0.5 * _re_trace(sp._gamma(1.0, act_f) @ log_ratio)
 
 
-def _e2(sp: WeightedSpace, f, act_f) -> float:
-    """E_2(f) = -<f, L(f)>_sigma."""
+def _e2(sp: WeightedSpace, f, act_f):
+    """E_2(f) = -<f, L(f)>_sigma; stack-capable."""
     return -sp._inner(f, act_f)
 
 
-def _judge_negative(val: float, g: Generator, f) -> float:
+def _judge_negative(val, g: Generator, f):
     """Clamp a Dirichlet value that rounding pushed below zero to 0; raise
     ArithmeticError below -1e-8 * (1 + max|f|)^2 * max(1, max|L(1)| + 1).
     That scale costs a generator application, so it is built only to judge
-    a negative value."""
+    a negative value.  For an (n, d, d) stack f, val holds one value per
+    matrix; each is judged against its own matrix, in stack order, and the
+    judged values come back as a list of floats."""
+    if isinstance(val, np.ndarray):
+        return [_judge_negative(v, g, x) for v, x in zip(val.tolist(), f)]
     if val < 0.0:
         scale = (1.0 + max_abs(f)) ** 2 * max(
             1.0, max_abs(g._apply(np.eye(g.dim, dtype=complex))) + 1.0)

@@ -128,12 +128,17 @@ class Generator:
         return self._apply(as_matrix(f))
 
     def _apply(self, f) -> np.ndarray:
-        """`apply` without the input check, for a complex matrix the library built."""
+        """`apply` without the input check, for a complex matrix the library
+        built or for each matrix of an (n, d, d) stack.  Each matrix gets the
+        arithmetic it gets on its own: the jump terms of every matrix are
+        added in jump order by `_add_jumps`, and the closed-form and hat
+        closures act elementwise or by broadcast matmul."""
         if self._apply_heis is not None:
             return self._apply_heis(f)
         out = np.zeros_like(f)
         if self.hamiltonian is not None:
             out = out + 1j * (self.hamiltonian @ f - f @ self.hamiltonian)
+        f = f[..., None, :, :]  # broadcasts over the jump axis
         return self._add_jumps(out, self._kd @ f @ self._k, f)
 
     def apply_adjoint(self, rho) -> np.ndarray:
@@ -142,19 +147,21 @@ class Generator:
 
     def _apply_adjoint(self, rho) -> np.ndarray:
         """`apply_adjoint` without the input check, for a complex matrix the
-        library built."""
+        library built or an (n, d, d) stack, as `_apply`."""
         if self._apply_schro is not None:
             return self._apply_schro(rho)
         out = np.zeros_like(rho)
         if self.hamiltonian is not None:
             out = out - 1j * (self.hamiltonian @ rho - rho @ self.hamiltonian)
+        rho = rho[..., None, :, :]
         return self._add_jumps(out, self._k @ rho @ self._kd, rho)
 
     def _add_jumps(self, out, sandwiches, x):
-        """out + sum_k (sandwiches[k] - 0.5 {K_k^dag K_k, x}), added in jump order."""
+        """out + sum_k (sandwiches[..., k, :, :] - 0.5 {K_k^dag K_k, x}), added in
+        jump order; x carries a jump axis of length 1 before its matrix axes."""
         anti = 0.5 * (self._kk @ x + x @ self._kk)
-        for a, c in zip(sandwiches, anti):
-            out = out + a - c
+        for k in range(len(self._kk)):
+            out = out + sandwiches[..., k, :, :] - anti[..., k, :, :]
         return out
 
     # -- dense superoperators ----------------------------------------------------

@@ -14,10 +14,13 @@ clamped, since the functionals are ill-behaved on boundary-rank inputs.
 A public WeightedSpace method checks its argument on entry -- shape and
 finiteness, and for the entropy-type ones also Hermiticity and positivity --
 and hands every intermediate it builds only to kernels (`_gamma`, `_inner`,
-`_log_ratio`, `_ent1`, `_ent2`, `_require_positive`,
-`operator_core._matrix_function`), which trust arrays the library built and
-check nothing.  Each formula lives in one kernel, which the public method
-and the fused log-Sobolev ratio both call.
+`_root_eig`, `_power_operator`, `_op_relative_entropy`, `_lp_norm`,
+`_log_ratio`, `_ent1`, `_ent2`, `_require_positive`, and
+`operator_core._matrix_function` and `_eig_function`), which trust arrays
+the library built and check nothing.  Each formula lives in one kernel, which the public method,
+the fused log-Sobolev ratio and the Dirichlet forms all call.  `_gamma`,
+`_inner`, `_root_eig`, `_power_operator` and `_log_ratio` also take an
+(n, d, d) stack and give each matrix the arithmetic it gets on its own.
 """
 
 from __future__ import annotations
@@ -25,9 +28,11 @@ from __future__ import annotations
 import numpy as np
 
 from .operator_core import (
+    _eig_function,
     _eigh,
     _lru_get,
     _matrix_function,
+    _re_trace,
     as_matrix,
     eig_hermitian,
     hermitian_part,
@@ -46,6 +51,11 @@ ENT_CLAMP = 1e-8
 class PositivityError(ValueError):
     """Raised when an entropy-type functional receives a non positive
     definite input: these functionals require f in A_d^+."""
+
+
+def _check_p(p, name: str):
+    if p < 1:
+        raise ValueError(f"{name} requires p >= 1, got {p}")
 
 
 def _check_positive(f, name: str = "f"):
@@ -123,6 +133,7 @@ class WeightedSpace:
         return self._gamma(p, f)
 
     def _gamma(self, p: float, f) -> np.ndarray:
+        """Gamma^p of a matrix or of each matrix of an (n, d, d) stack."""
         s = self.sigma_power(p / 2.0)
         return hermitian_part(s @ f @ s)
 
@@ -134,18 +145,20 @@ class WeightedSpace:
 
     def lp_norm(self, p: float, f) -> float:
         """||f||_{p,sigma} = tr|sigma^{1/2p} f sigma^{1/2p}|^p ^{1/p}."""
-        if p < 1:
-            raise ValueError(f"lp_norm requires p >= 1, got {p}")
-        x = self._gamma(1.0 / p, self._check_dim(f))
-        w = np.linalg.eigvalsh(x)
+        _check_p(p, "lp_norm")
+        return self._lp_norm(p, self._check_dim(f))
+
+    def _lp_norm(self, p: float, f) -> float:
+        w = np.linalg.eigvalsh(self._gamma(1.0 / p, f))
         return float(np.sum(np.abs(w) ** p) ** (1.0 / p))
 
     def inner(self, f, g) -> float:
         """<f,g>_sigma = tr[Gamma(f) g]; real for Hermitian arguments."""
         return self._inner(self._check_dim(f), self._check_dim(g))
 
-    def _inner(self, f, g) -> float:
-        return float((self._gamma(1.0, f) @ g).trace().real)
+    def _inner(self, f, g):
+        """<f, g>_sigma, or the array of them over two (n, d, d) stacks."""
+        return _re_trace(self._gamma(1.0, f) @ g)
 
     def variance(self, g) -> float:
         """Var(g) = tr[Gamma(g) g] - tr[Gamma(g)]^2, clamped at zero."""
@@ -160,10 +173,17 @@ class WeightedSpace:
         """I_{p,q}(f) = Gamma^{-1/p}[ |Gamma^{1/q}(f)|^{q/p} ]."""
         if p < 1 or q < 1:
             raise ValueError("power_operator requires p, q >= 1")
-        f = self._check_dim(f)
-        x = self._gamma(1.0 / q, f)
+        return self._power_operator(p, q, self._root_eig(q, self._check_dim(f)))
+
+    def _root_eig(self, p: float, f):
+        """(w, v) of X = Gamma^{1/p}(f), for a matrix or an (n, d, d) stack: one
+        decomposition serves I_{q,p}(f) for every q."""
+        return _eigh(self._gamma(1.0 / p, f))
+
+    def _power_operator(self, p: float, q: float, root_eig) -> np.ndarray:
+        """I_{p,q}(f) = Gamma^{-1/p}[ |X|^{q/p} ], given root_eig = `_root_eig(q, f)`."""
         t = q / p
-        ax = _matrix_function(x, lambda w: np.float_power(np.abs(w), t), eig_floor=-np.inf)
+        ax = _eig_function(*root_eig, lambda w: np.float_power(np.abs(w), t), eig_floor=-np.inf)
         return self._gamma(-1.0 / p, ax)
 
     def op_relative_entropy(self, p: float, f) -> np.ndarray:
@@ -175,8 +195,10 @@ class WeightedSpace:
             raise ValueError("op_relative_entropy requires p >= 1")
         f = self._check_dim(f)
         _check_positive(f, "op_relative_entropy")
-        x = self._gamma(1.0 / p, f)
-        xlogx = _matrix_function(x, lambda w: w * np.log(w))
+        return self._op_relative_entropy(p, f)
+
+    def _op_relative_entropy(self, p: float, f) -> np.ndarray:
+        xlogx = _matrix_function(self._gamma(1.0 / p, f), lambda w: w * np.log(w))
         term1 = self._gamma(-1.0 / p, xlogx)
         term2 = (f @ self._log_sigma + self._log_sigma @ f) / (2.0 * p)
         return hermitian_part(term1 - term2)
@@ -220,8 +242,7 @@ class WeightedSpace:
         Dispatches to the dedicated closed forms at p = 1 (the Hoelder dual
         q = p/(p-1) blows up there) and p = 2.
         """
-        if p < 1:
-            raise ValueError(f"ent requires p >= 1, got {p}")
+        _check_p(p, "ent")
         if abs(p - 1.0) < 1e-6:
             return self.ent1(f)
         if abs(p - 2.0) < 1e-9:
@@ -229,9 +250,9 @@ class WeightedSpace:
         f = self._check_dim(f)
         _check_positive(f, "ent")
         q = p / (p - 1.0)
-        iqp = self.power_operator(q, p, f)
-        sp = self.op_relative_entropy(p, f)
-        norm = self.lp_norm(p, f)
+        iqp = self._power_operator(q, p, self._root_eig(p, f))
+        sp = self._op_relative_entropy(p, f)
+        norm = self._lp_norm(p, f)
         val = self._inner(iqp, sp) - norm ** p * np.log(norm)
         return self._clamp_ent(val, scale=abs(val) + norm ** p + 1.0)
 
@@ -259,7 +280,8 @@ class WeightedSpace:
 
         def npow(t):
             p = p_path(t)
-            return self.lp_norm(p, f) ** p
+            _check_p(p, "lp_norm")
+            return self._lp_norm(p, f) ** p
 
         lhs = (npow(t0 + dt) - npow(t0 - dt)) / (2.0 * dt)
         p = p_path(t0)
@@ -269,5 +291,6 @@ class WeightedSpace:
         q = p / (p - 1.0) if p > 1.0 + 1e-12 else np.inf
         if not np.isfinite(q):
             raise ValueError("norm_derivative_check needs p(t0) > 1")
-        rhs = pdot * self.inner(self.power_operator(q, p, f), self.op_relative_entropy(p, f))
+        rhs = pdot * self._inner(self._power_operator(q, p, self._root_eig(p, f)),
+                                 self._op_relative_entropy(p, f))
         return lhs, rhs

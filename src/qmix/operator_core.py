@@ -100,7 +100,8 @@ def eig_hermitian(a):
 
 
 def _eigh(m):
-    """eig_hermitian without the checks, for a matrix the library built."""
+    """eig_hermitian without the checks, for a matrix the library built or an
+    (n, d, d) stack of them."""
     return np.linalg.eigh(hermitian_part(m))
 
 
@@ -124,15 +125,26 @@ def matrix_function(a, f, eig_floor: float | None = None):
 
 
 def _matrix_function(m, f, eig_floor: float | None = None):
-    w, v = _eigh(m)
+    return _eig_function(*_eigh(m), f, eig_floor)
+
+
+def _eig_function(w, v, f, eig_floor: float | None = None):
+    """matrix_function from an eigendecomposition (w, v), of one matrix or of
+    an (n, d, d) stack, each matrix clamped at its own default floor."""
     if eig_floor is None:
-        eig_floor = DEFAULT_EIG_FLOOR_REL * max(float(w[-1]), 0.0)
+        eig_floor = DEFAULT_EIG_FLOOR_REL * np.maximum(w[..., -1:], 0.0)
     w = np.maximum(w, eig_floor)
     with np.errstate(divide="ignore", invalid="ignore"):
         fw = np.asarray(f(w), dtype=float)
     if not np.all(np.isfinite(fw)):
         raise ValueError("matrix_function: f is non-finite on the (clamped) spectrum")
-    return hermitian_part((v * fw) @ v.conj().T)
+    return hermitian_part((v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2))
+
+
+def _re_trace(x):
+    """Re tr x as a float, or the array of them over an (n, d, d) stack."""
+    tr = np.trace(x, axis1=-2, axis2=-1).real
+    return float(tr) if tr.ndim == 0 else tr
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirichlet_gap import dirichlet
+from .dirichlet_gap import _dirichlet, _e2, _judge_negative
 from .generators import (
     Generator,
     GeneratorError,
@@ -40,10 +40,10 @@ from .generators import (
     random_reversible_unital,
     stationary_state,
 )
-from .lp_space import PositivityError, _check_positive
+from .lp_space import PositivityError, _check_p, _check_positive
 from .operator_core import (
+    _matrix_function,
     hermitian_part,
-    matrix_function,
     matrix_to_json,
     random_hermitian,
 )
@@ -153,8 +153,8 @@ def random_probe(d: int, rng, near_singular: bool = False) -> np.ndarray:
         z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         z /= np.linalg.norm(z)
         return 1e-3 * np.eye(d) + np.outer(z, z.conj())
-    h = random_hermitian(d, rng, scale=0.6)
-    return matrix_function(h, np.exp, eig_floor=-np.inf)
+    h = random_hermitian(d, rng, scale=0.6)  # exactly Hermitian: nothing to check
+    return _matrix_function(h, np.exp, eig_floor=-np.inf)
 
 
 def regularity_profile(g: Generator, probes: int = 20, times=(0.1, 0.5, 1.0),
@@ -230,23 +230,33 @@ def direct_regularity_check(g: Generator, p_grid=DEFAULT_P_GRID, probes: int = 2
     p > 2 and continuous at p = 2, and the depolarizing family satisfies it
     with room while a (p-1) coefficient already fails there on diagonal
     two-valued inputs.
+
+    The probes are drawn, stacked once as an (n, d, d) stack and, being
+    library-built, not checked.  L(f) is formed once for all p; for each p
+    one eigendecomposition of Gamma^{1/p}(f) over the stack serves both E_p(f)
+    and I_{2,p}(f), and the Dirichlet kernels run on the whole stack.  Each
+    value is the one dirichlet and power_operator give its probe on its own,
+    and the margins are folded over the probes in draw order.
     """
     sp = stationary_state(g)
     rng = np.random.default_rng(seed)
     out = {}
-    probe_list = [random_probe(g.dim, rng, near_singular=(i % 5 == 4))
-                  for i in range(probes)]
+    f = np.array([random_probe(g.dim, rng, near_singular=(i % 5 == 4))
+                  for i in range(probes)], dtype=complex).reshape(probes, g.dim, g.dim)
+    act_f = g._apply(f)
     for p in p_grid:
-        weak_min = np.inf
-        strong_min = np.inf
-        scale = 0.0
-        for f in probe_list:
-            ep = dirichlet(g, float(p), f)
-            e2i = dirichlet(g, 2.0, sp.power_operator(2.0, float(p), f))
-            cw = 1.0 if p <= 2.0 else 1.0 / (p - 1.0)
-            weak_min = min(weak_min, ep - cw * e2i)
-            strong_min = min(strong_min, ep - (2.0 / p) * e2i)
-            scale = max(scale, abs(ep), abs(e2i))
+        ep = e2i = []
+        if probes:  # dirichlet checks p when it evaluates a probe
+            pf = float(p)
+            _check_p(pf, "dirichlet")
+            root_eig = sp._root_eig(pf, f)
+            ep = _judge_negative(_dirichlet(sp, pf, f, act_f, root_eig), g, f)
+            i2p = sp._power_operator(2.0, pf, root_eig)
+            e2i = _judge_negative(_e2(sp, i2p, g._apply(i2p)), g, i2p)
+        cw = 1.0 if p <= 2.0 else 1.0 / (p - 1.0)
+        weak_min = min([np.inf] + [a - cw * b for a, b in zip(ep, e2i)])
+        strong_min = min([np.inf] + [a - (2.0 / p) * b for a, b in zip(ep, e2i)])
+        scale = max([0.0] + [abs(x) for pair in zip(ep, e2i) for x in pair])
         out[float(p)] = {
             "weak_margin": float(weak_min),
             "strong_margin": float(strong_min),

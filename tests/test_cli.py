@@ -223,3 +223,24 @@ def test_interrupted_parallel_scan_keeps_its_prefix_and_resumes(tmp_path, capsys
     assert main(argv + ["--out", str(cut), "--resume"]) == 0
     assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["start_index"] == 3
     assert cut.read_bytes() == full.read_bytes()
+
+
+def test_parser_is_built_once():
+    import qmix.cli as cli
+    assert cli._parser() is cli._parser()
+
+
+def test_main_calls_carry_no_state_between_them(tmp_path, capsys):
+    argv = ["scan", "--dims", "2", "--n", "2", "--probes", "3", "--seed", "3"]
+    full = tmp_path / "full.jsonl"
+    assert main(argv + ["--out", str(full)]) == 0
+    out = tmp_path / "scan.jsonl"
+    out.write_bytes(full.read_bytes().splitlines(keepends=True)[0])
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out), "--resume"]) == 0
+    assert json.loads(capsys.readouterr().out)["start_index"] == 1
+    out.write_bytes(b"stale\n")
+    assert main(argv + ["--out", str(out)]) == 0  # no --resume: rewritten from index 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["start_index"] == 0 and summary["instances"] == 2
+    assert out.read_bytes() == full.read_bytes()

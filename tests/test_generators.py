@@ -214,6 +214,22 @@ def test_stacked_jump_action_equals_per_jump_loop(rng):
             assert np.array_equal(g._apply_adjoint(f), schro)
 
 
+def test_stacked_action_equals_each_matrix_on_its_own(rng):
+    base = random_lindblad(3, rng)
+    assert not base.reversible
+    lindblad = random_lindblad(3, rng)
+    assert lindblad.hamiltonian is not None and len(lindblad.lindblad_ops) == 2
+    gens = [lindblad, random_davies(3, rng), build_depolarizing(4, 1.0),
+            build_projection(random_density_matrix(3, rng), 0.9), hat_generator(base)]
+    for g in gens:
+        for n in (1, 7):
+            stack = (rng.standard_normal((n, g.dim, g.dim))
+                     + 1j * rng.standard_normal((n, g.dim, g.dim)))
+            assert np.array_equal(g._apply(stack), np.array([g._apply(x) for x in stack]))
+            assert np.array_equal(g._apply_adjoint(stack),
+                                  np.array([g._apply_adjoint(x) for x in stack]))
+
+
 # ---------------------------------------------------------------------------
 # depolarizing
 # ---------------------------------------------------------------------------

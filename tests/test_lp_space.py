@@ -396,3 +396,20 @@ def test_functionals_equal_their_checked_composition(rng):
         assert ent > 0.0 and sp.ent(p, f) == ent
         form = -p / (2.0 * (p - 1.0)) * sp.inner(power_operator(q, p, f), g.apply(f))
         assert form > 0.0 and dirichlet(g, p, f) == form
+
+
+def test_ent_decomposes_f_three_times(rng, monkeypatch):
+    # the positivity gate, Gamma^{1/p}(f) for I_{q,p} and for X log X; the
+    # public power_operator and op_relative_entropy would check f again
+    sp = random_space(3, rng)
+    f = random_positive(3, rng)
+    expected = sp.ent(1.5, f)
+    eigh, calls = np.linalg.eigh, []
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    assert sp.ent(1.5, f) == expected
+    assert calls == [(3, 3)] * 3

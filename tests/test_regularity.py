@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qmix.dirichlet_gap import dirichlet
 from qmix.generators import (
     GeneratorError,
     build_depolarizing,
@@ -137,6 +138,53 @@ def test_direct_check_depolarizing_strong(rng):
     for r in res.values():
         assert r["strong_margin"] >= -1e-8 * max(r["scale"], 1.0)
         assert not r["weak_violation"]
+
+
+def _direct_check_one_pair_at_a_time(g, p_grid, probes, seed):
+    """Reference for direct_regularity_check: the public dirichlet and
+    power_operator, one (p, probe) pair at a time."""
+    sp = g.stationary
+    rng = np.random.default_rng(seed)
+    out = {}
+    probe_list = [random_probe(g.dim, rng, near_singular=(i % 5 == 4))
+                  for i in range(probes)]
+    for p in p_grid:
+        weak_min = np.inf
+        strong_min = np.inf
+        scale = 0.0
+        for f in probe_list:
+            ep = dirichlet(g, float(p), f)
+            e2i = dirichlet(g, 2.0, sp.power_operator(2.0, float(p), f))
+            cw = 1.0 if p <= 2.0 else 1.0 / (p - 1.0)
+            weak_min = min(weak_min, ep - cw * e2i)
+            strong_min = min(strong_min, ep - (2.0 / p) * e2i)
+            scale = max(scale, abs(ep), abs(e2i))
+        out[float(p)] = {
+            "weak_margin": float(weak_min),
+            "strong_margin": float(strong_min),
+            "scale": float(scale),
+            "weak_violation": bool(weak_min < -1e-8 * max(scale, 1.0)),
+            "strong_violation": bool(strong_min < -1e-8 * max(scale, 1.0)),
+        }
+    return out
+
+
+@pytest.mark.parametrize("probes", [7, 0])
+def test_direct_check_equals_one_pair_at_a_time(rng, probes):
+    p_grid = (1.0, 1.1, 1.25, 2.0, 3.0, 6.0)  # the p = 1 and p = 2 branches too
+    for g in (random_davies(3, rng), random_lindblad(3, rng), build_depolarizing(4, 1.0)):
+        res = direct_regularity_check(g, p_grid=p_grid, probes=probes, seed=5)
+        ref = _direct_check_one_pair_at_a_time(g, p_grid, probes, seed=5)
+        assert list(res) == list(ref)
+        for p, entry in ref.items():
+            assert res[p].keys() == entry.keys()
+            for key, value in entry.items():
+                assert res[p][key] == value, (p, key)
+                assert type(res[p][key]) is type(value)
+        if probes == 0:
+            assert all(r["weak_margin"] == r["strong_margin"] == np.inf and r["scale"] == 0.0
+                       and not r["weak_violation"] and not r["strong_violation"]
+                       for r in res.values())
 
 
 def test_convexity_implies_weak_margins(rng):

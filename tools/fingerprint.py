@@ -24,8 +24,11 @@ does, and writes into ``--out``:
   ``op_relative_entropy(1.5, f)``, ``ent`` at p = 1.5 and 3 and
   ``norm_derivative_check(f, 1.5 + t, 0.3)``; on the generic d = 3
   generator ``dirichlet`` at p = 3, ``direct_regularity_check(g, probes=4,
-  seed=--seed)`` and ``h_functional``; and ``h_profile`` of depolarizing
-  d = 4 on a 101-point grid;
+  seed=--seed)`` and ``h_functional``; ``h_profile`` of depolarizing
+  d = 4 on a 101-point grid; and ``direct_regularity_check(g, p_grid=(1.0,
+  1.1, 2.0, 3.0), probes=5, seed=--seed)`` on the hat of the generic d = 3
+  generator, on depolarizing d = 4 and on a random Davies d = 3 generator
+  (the p = 1 branch, the hat and the closed-form stacks);
 * ``cli_errors.txt`` -- the exit code and stderr of ``qmix analyze`` and
   ``qmix mixing`` (``--seed 0``) on four failing specs: a pure-Hamiltonian
   generator, ``{not json``, an unknown family and a depolarizing spec
@@ -76,7 +79,8 @@ def library_lines(seed: int) -> list:
     import numpy as np
 
     from qmix.dirichlet_gap import dirichlet
-    from qmix.generators import build_depolarizing, build_lindblad, build_projection, hat_generator
+    from qmix.generators import (build_depolarizing, build_lindblad, build_projection,
+                                 hat_generator, random_davies)
     from qmix.lp_space import WeightedSpace
     from qmix.ls_estimator import estimate_alpha
     from qmix.mixing import entropy_decay_check, entropy_production, pq_norm, two_two_norm_decay
@@ -145,6 +149,11 @@ def library_lines(seed: int) -> list:
     record("generic_d3.h_functional(t=0.5, s=0.7)", h_functional(generic, f, 0.5, 0.7))
     record("depolarizing_d4.h_profile", h_profile(build_depolarizing(4, 1.0), positive(4), 0.5,
                                                   np.linspace(0.0, 2.0, 101)))
+    for name, g in (("hat(generic_d3)", hat_generator(generic)),
+                    ("depolarizing_d4", build_depolarizing(4, 1.0)),
+                    ("davies_d3", random_davies(3, rng))):
+        record(f"{name}.direct_regularity_check(p_grid=(1.0, 1.1, 2.0, 3.0), probes=5)",
+               direct_regularity_check(g, p_grid=(1.0, 1.1, 2.0, 3.0), probes=5, seed=seed))
     return lines
 
 
