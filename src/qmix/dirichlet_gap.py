@@ -24,10 +24,10 @@ import numpy as np
 from .generators import Generator, NotPrimitiveError, hat_generator, stationary_state
 from .lp_space import WeightedSpace, _check_p, _check_positive
 from .operator_core import (
+    STACK_ENTRIES,
     _re_trace,
     hermitian_part,
     max_abs,
-    random_hermitian,
     unvec,
     vec,
 )
@@ -157,6 +157,13 @@ def spectral_gap(g: Generator, n_witnesses: int = 200, seed: int = 0) -> GapRepo
     with method "variational_refine" and a RuntimeWarning names both values.
     Above d = 32 ARPACK starts from a vector drawn from its own generator
     seeded with `seed`, so the result is reproducible.
+
+    The witnesses are the `random_hermitian` draws of a generator seeded
+    with `seed`, drawn and checked as (n, d, d) stacks of at most
+    STACK_ENTRIES entries, so memory stays flat at any d: Var and
+    E_2 by the stack-capable kernels (each probe gets the arithmetic it gets
+    on its own), probes with Var <= VAR_FLOOR dropped before E_2 is judged,
+    and the ratios folded into lambda one at a time, in draw order.
     """
     if g.dim <= DENSE_GAP_DIM_LIMIT:
         sp, w, v = _symmetrized_eigensystem_dense(g)
@@ -176,17 +183,24 @@ def spectral_gap(g: Generator, n_witnesses: int = 200, seed: int = 0) -> GapRepo
     var_w = sp.variance(witness)
     residual = abs(dirichlet(g, 2.0, witness) / var_w - lam) if var_w > VAR_FLOOR else np.inf
     rng = np.random.default_rng(seed)
-    for _ in range(n_witnesses):
-        probe = random_hermitian(g.dim, rng)
-        var = sp.variance(probe)
-        if var <= VAR_FLOOR:
-            continue
-        ratio = dirichlet(g, 2.0, probe) / var
-        if ratio < lam * (1.0 - 1e-6):
-            lam = ratio
-            witness = probe
-            method = "variational_refine"
-            residual = 0.0
+    d = g.dim
+    chunk = max(1, STACK_ENTRIES // (d * d))
+    for start in range(0, n_witnesses, chunk):
+        z = rng.standard_normal((min(chunk, n_witnesses - start), 2, d, d))
+        probes = hermitian_part(z[:, 0] + 1j * z[:, 1])  # random_hermitian, drawn n at a time
+        gf = sp._gamma(1.0, probes)
+        variances = [max(a - b ** 2, 0.0) for a, b in
+                     zip(_re_trace(gf @ probes).tolist(), _re_trace(gf).tolist())]
+        kept = [i for i, var in enumerate(variances) if var > VAR_FLOOR]
+        f = probes[kept]
+        forms = _judge_negative(_e2(sp, f, g._apply(f)), g, f)
+        for i, form in zip(kept, forms):
+            ratio = form / variances[i]
+            if ratio < lam * (1.0 - 1e-6):
+                lam = ratio
+                witness = probes[i]
+                method = "variational_refine"
+                residual = 0.0
     if method == "variational_refine":
         warnings.warn(f"spectral_gap: eigensolver lambda {lam_eigen!r} is undercut by the "
                       f"probe ratio {lam!r}; returning the probe (variational_refine)",

@@ -28,6 +28,7 @@ import numpy as np
 
 from .lp_space import WeightedSpace
 from .operator_core import (
+    STACK_ENTRIES,
     _lru_get,
     as_matrix,
     eig_hermitian,
@@ -90,7 +91,8 @@ class Generator:
     stay cheap even when the dense superoperator would be large.
 
     The m jumps are held as three (m, d, d) stacks, K, K^dag and K^dag K,
-    so an action makes one stacked matmul per product over all jumps.  The
+    so an action makes one stacked matmul per product over all jumps (a
+    large (n, d, d) stack takes them one jump at a time).  The
     terms A_k = K_k^dag f K_k and C_k = (1/2){K_k^dag K_k, f} are then added
     one by one, in jump order, as out + A_k - C_k: summing the stack, or
     adding (A_k - C_k), rounds differently.
@@ -138,8 +140,7 @@ class Generator:
         out = np.zeros_like(f)
         if self.hamiltonian is not None:
             out = out + 1j * (self.hamiltonian @ f - f @ self.hamiltonian)
-        f = f[..., None, :, :]  # broadcasts over the jump axis
-        return self._add_jumps(out, self._kd @ f @ self._k, f)
+        return self._add_jumps(out, self._kd, f, self._k)
 
     def apply_adjoint(self, rho) -> np.ndarray:
         """Schrodinger action L*(rho)."""
@@ -153,15 +154,24 @@ class Generator:
         out = np.zeros_like(rho)
         if self.hamiltonian is not None:
             out = out - 1j * (self.hamiltonian @ rho - rho @ self.hamiltonian)
-        rho = rho[..., None, :, :]
-        return self._add_jumps(out, self._k @ rho @ self._kd, rho)
+        return self._add_jumps(out, self._k, rho, self._kd)
 
-    def _add_jumps(self, out, sandwiches, x):
-        """out + sum_k (sandwiches[..., k, :, :] - 0.5 {K_k^dag K_k, x}), added in
-        jump order; x carries a jump axis of length 1 before its matrix axes."""
+    def _add_jumps(self, out, left, x, right):
+        """out + sum_k (left_k x right_k - 0.5 {K_k^dag K_k, x}), added in jump
+        order.  One matrix, or a stack whose (n, m, d, d) sandwiches fit in
+        STACK_ENTRIES, forms all m sandwiches and anticommutators with one
+        stacked matmul each; a larger stack takes the jumps one at a time, so
+        memory stays O(n d^2) at any jump count (a Davies generator has up to
+        d^2 - d + 1 jumps).  Either way each matrix gets the same products."""
+        if x.ndim == 3 and x.size * len(self._kk) > STACK_ENTRIES:
+            for lk, rk, kk in zip(left, right, self._kk):
+                out = out + lk @ x @ rk - 0.5 * (kk @ x + x @ kk)
+            return out
+        x = x[..., None, :, :]  # broadcasts over the jump axis
         anti = 0.5 * (self._kk @ x + x @ self._kk)
-        for k in range(len(self._kk)):
-            out = out + sandwiches[..., k, :, :] - anti[..., k, :, :]
+        # the jump axis first: iterating it is cheaper than indexing it
+        for a, c in zip((left @ x @ right).swapaxes(0, -3), anti.swapaxes(0, -3)):
+            out = out + a - c
         return out
 
     # -- dense superoperators ----------------------------------------------------

@@ -101,8 +101,11 @@ class WeightedSpace:
 
     def sigma_power(self, s: float) -> np.ndarray:
         key = float(s)
-        return _lru_get(self._pow_cache, key, lambda: hermitian_part(
-            (self.eigvecs * self.eigvals ** key) @ self.eigvecs.conj().T))
+        return _lru_get(self._pow_cache, key, lambda: self._sigma_power(key))
+
+    def _sigma_power(self, s: float) -> np.ndarray:
+        """sigma^s, uncached, for a Python float s; `sigma_power` caches it."""
+        return hermitian_part((self.eigvecs * self.eigvals ** s) @ self.eigvecs.conj().T)
 
     def similarity_super(self, s: float, superop) -> np.ndarray:
         """The sigma^s similarity of a superoperator S, X -> sigma^s S(sigma^-s X

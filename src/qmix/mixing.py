@@ -103,11 +103,9 @@ def _require_states(rho, w):
         raise ValueError(f"state has negative eigenvalue {w[:, 0].min():.3e}")
 
 
-def _log_sigma(sigma) -> np.ndarray:
-    """log sigma for `relative_entropy_states`; sigma must be full rank."""
-    ws, vs = eig_hermitian(sigma)
-    if ws[0] <= 0:
-        raise ValueError("relative entropy needs full-rank sigma")
+def _log_sigma(ws, vs) -> np.ndarray:
+    """log sigma from its eigendecomposition: a WeightedSpace's cached
+    `eigvals` and `eigvecs`, or eig_hermitian of a full-rank sigma."""
     return (vs * np.log(ws)) @ vs.conj().T
 
 
@@ -115,7 +113,10 @@ def relative_entropy_states(rho, sigma) -> float:
     """D(rho||sigma) = tr[rho(log rho - log sigma)] with the 0*log(0) = 0
     convention on rho's null space (sigma must be full rank)."""
     rho = require_hermitian(rho)
-    return float(_relative_entropies(rho[None], _log_sigma(sigma))[0])
+    ws, vs = eig_hermitian(sigma)
+    if ws[0] <= 0:
+        raise ValueError("relative entropy needs full-rank sigma")
+    return float(_relative_entropies(rho[None], _log_sigma(ws, vs))[0])
 
 
 def _relative_entropies(rho, log_sigma) -> np.ndarray:
@@ -163,7 +164,8 @@ def distances(rho, space: WeightedSpace) -> dict:
     <= chi^2(rho, sigma) are verified on every call; a violation beyond
     slack indicates numerical breakdown and raises.
     """
-    tr, chi2, rel = _distances(_check_state(rho)[None], space, _log_sigma(space.sigma))
+    tr, chi2, rel = _distances(_check_state(rho)[None], space,
+                                _log_sigma(space.eigvals, space.eigvecs))
     return {"trace": float(tr[0]), "chi2": float(chi2[0]), "rel_ent": float(rel[0])}
 
 
@@ -265,7 +267,7 @@ def bound_curves(g: Generator, lam: float | None, alpha1: float | None, t_grid,
     sp = stationary_state(g)
     t_grid = np.asarray(list(t_grid), dtype=float)
     states = _check_states(worst_case_states(sp, n_haar=n_haar, seed=seed))
-    log_sigma = _log_sigma(sp.sigma)
+    log_sigma = _log_sigma(sp.eigvals, sp.eigvecs)
     worst = np.zeros((3, len(t_grid)))  # trace distance, chi^2, relative entropy
     for i, t in enumerate(t_grid):
         rho_t, w = _evolve_states(g, states, t)

@@ -42,6 +42,7 @@ __all__ = [
 HERMITICITY_TOL = 1e-12
 DEFAULT_EIG_FLOOR_REL = 1e-14
 CACHE_SIZE = 64  # entries kept by each `_lru_get` cache
+STACK_ENTRIES = 2 ** 16  # complex entries (1 MiB) in a stacked temporary of a chunked kernel
 
 
 def as_matrix(a) -> np.ndarray:

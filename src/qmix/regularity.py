@@ -64,6 +64,7 @@ CONVEXITY_TOL = 1e-8
 SYMMETRY_TOL = 1e-8
 CM_TOL = 1e-8
 CM_MAX_ORDER = 6
+_NUMERICAL_FAILURES = (PositivityError, ArithmeticError, np.linalg.LinAlgError)
 
 
 def h_functional(g: Generator, probe, t: float, s: float) -> float:
@@ -78,31 +79,41 @@ def h_profile(g: Generator, probe, t: float, s_grid) -> np.ndarray:
 
     The probe is decomposed once, by its positivity gate, and every g^s and
     g^{2-s} on the grid is formed from that one eigendecomposition."""
-    return _h_profile(g, probe, t, s_grid, _quarter_powers(stationary_state(g), s_grid))
+    quarters = _quarter_powers(stationary_state(g), s_grid)
+    return _h_profile(g, _probe_powers(probe, s_grid, quarters), t)
 
 
 def _quarter_powers(sp, s_grid):
     """sigma^{s/4} and sigma^{-s/4} over the grid as two (n, d, d) stacks,
     shared by every probe and time of a profile.  They are built one
-    `sigma_power` per s: a stacked w ** (s/4) rounds differently at
-    s/4 = 0.5, where numpy's scalar `w ** 0.5` takes a sqrt."""
+    `WeightedSpace._sigma_power` per s, past the `sigma_power` cache that a
+    grid's exponents would only flush: a stacked w ** (s/4) rounds
+    differently at s/4 = 0.5, where numpy's scalar `w ** 0.5` takes a sqrt."""
     shape = (len(s_grid), sp.dim, sp.dim)
-    return (np.array([sp.sigma_power(s / 4.0) for s in s_grid]).reshape(shape),
-            np.array([sp.sigma_power(-s / 4.0) for s in s_grid]).reshape(shape))
+    return (np.array([sp._sigma_power(float(s / 4.0)) for s in s_grid]).reshape(shape),
+            np.array([sp._sigma_power(float(-s / 4.0)) for s in s_grid]).reshape(shape))
 
 
-def _h_profile(g: Generator, probe, t: float, s_grid, quarters) -> np.ndarray:
-    """h_profile given the grid's per-s `_quarter_powers`, as one stack: every
-    g^s and g^{2-s} from the probe's one (w, v) by one stacked float_power and
-    matmul, one `Generator._evolve` of all n arguments of T_t, then n traces.
-    Each matrix gets the arithmetic it would get on its own."""
+def _probe_powers(probe, s_grid, quarters):
+    """The probe's share of h over the grid, given the grid's `_quarter_powers`:
+    the stacks sigma^{-s/4} g^s sigma^{-s/4} (the arguments of T_t) and
+    sigma^{s/4} g^{2-s} sigma^{s/4}.  Every g^s and g^{2-s} comes from the
+    probe's one (w, v), its positivity gate's, by one stacked float_power and
+    matmul; each matrix gets the arithmetic it would get on its own."""
     w, v = _check_positive(probe, "h_profile probe")
     s = np.asarray(s_grid, dtype=float)
     exponents = np.concatenate([s, 2.0 - s])[:, None, None]
     gs, g2s = np.split(hermitian_part((v * np.float_power(w, exponents)) @ v.conj().T), 2)
     sq, sq_inv = quarters
-    evolved = g._evolve(sq_inv @ gs @ sq_inv, float(t), heis=True)
-    return np.trace(sq @ g2s @ sq @ evolved, axis1=1, axis2=2).real
+    return sq_inv @ gs @ sq_inv, sq @ g2s @ sq
+
+
+def _h_profile(g: Generator, powers, t: float) -> np.ndarray:
+    """h over the grid at time t from a probe's `_probe_powers`: one
+    `Generator._evolve` of all n arguments of T_t, then n traces."""
+    args, weights = powers
+    evolved = g._evolve(args, float(t), heis=True)
+    return np.trace(weights @ evolved, axis1=1, axis2=2).real
 
 
 def _left_half_monotonicity_order(h: np.ndarray, scale: float) -> int:
@@ -166,6 +177,10 @@ def regularity_profile(g: Generator, probes: int = 20, times=(0.1, 0.5, 1.0),
     symmetric: max |h(s) - h(2-s)| <= 1e-8*scale;
     completely_monotone_to_order: alternating-difference order on [0, 1].
     All three are aggregated with AND (min for the order) over the samples.
+
+    Each probe is decomposed once, by `_probe_powers`, which every time of
+    the profile then shares; a probe that fails there is recorded as a
+    failure at each time.
     """
     rng = np.random.default_rng(seed)
     s_grid = np.linspace(0.0, 2.0, grid_n)
@@ -179,10 +194,15 @@ def regularity_profile(g: Generator, probes: int = 20, times=(0.1, 0.5, 1.0),
     n_sing = int(np.ceil(probes * 0.2))
     for i in range(probes):
         probe = random_probe(g.dim, rng, near_singular=(i < n_sing))
+        try:
+            powers = _probe_powers(probe, s_grid, quarters)
+        except _NUMERICAL_FAILURES as exc:  # recorded once per time, as each would fail
+            failures += [{"probe_index": i, "t": float(t), "error": str(exc)} for t in times]
+            continue
         for t in times:
             try:
-                h = _h_profile(g, probe, float(t), s_grid, quarters)
-            except (PositivityError, ArithmeticError, np.linalg.LinAlgError) as exc:
+                h = _h_profile(g, powers, float(t))
+            except _NUMERICAL_FAILURES as exc:
                 failures.append({"probe_index": i, "t": float(t), "error": str(exc)})
                 continue
             scale = max(np.max(np.abs(h)), 1e-300)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,10 +16,12 @@ from qmix.generators import (
     lift_channel,
     random_davies,
     random_lindblad,
+    random_reversible_unital,
     stationary_state,
 )
 from qmix.lp_space import PositivityError
 from qmix.operator_core import (
+    STACK_ENTRIES,
     haar_unitary,
     matrix_function,
     max_abs,
@@ -205,3 +208,121 @@ def test_gap_probe_override_warns(monkeypatch, rng):
         rep = spectral_gap(g)
     assert rep.method == "variational_refine"
     assert rep.lam >= exact.lam * (1.0 - 1e-6)  # a probe ratio never undercuts the gap
+
+
+def _gap_one_probe_at_a_time(g, eigen, n_witnesses, seed, rng=None):
+    """spectral_gap with its witnesses checked one at a time, as before they
+    were stacked: random_hermitian, variance and the public dirichlet per
+    probe, folded in draw order into eigen = spectral_gap(g, 0, seed)."""
+    lam, witness, method, residual = eigen.lam, eigen.witness, eigen.method, eigen.residual
+    sp = stationary_state(g)
+    rng = np.random.default_rng(seed) if rng is None else rng
+    for _ in range(n_witnesses):
+        probe = random_hermitian(g.dim, rng)
+        var = sp.variance(probe)
+        if var <= dirichlet_gap.VAR_FLOOR:
+            continue
+        ratio = dirichlet(g, 2.0, probe) / var
+        if ratio < lam * (1.0 - 1e-6):
+            lam, witness, method, residual = ratio, probe, "variational_refine", 0.0
+    return dirichlet_gap.GapReport(lam=lam, witness=witness, method=method, residual=residual)
+
+
+def _assert_same_gap(rep, ref):
+    assert rep.lam == ref.lam
+    assert rep.method == ref.method
+    assert rep.residual == ref.residual
+    assert np.array_equal(rep.witness, ref.witness)
+
+
+_CHUNK_D64 = STACK_ENTRIES // 64 ** 2
+_GAP_CASES = {
+    "davies_d3": (lambda rng: random_davies(3, rng), (0, 1, 200)),
+    "generic_d3": (lambda rng: random_lindblad(3, rng), (0, 1, 200)),
+    "hat_generic_d3": (lambda rng: hat_generator(random_lindblad(3, rng)), (0, 1, 200)),
+    "reversible_unital_d16": (lambda rng: random_reversible_unital(16, rng), (0, 1, 200)),
+    "depolarizing_d64": (lambda rng: build_depolarizing(64, 1.0),
+                         (0, 1, _CHUNK_D64 - 1, _CHUNK_D64, _CHUNK_D64 + 1)),
+}
+
+
+def _inflated(eigensystem):
+    """An eigensystem whose gap lies beyond the whole spectrum, so that every
+    witness undercuts it and each probe ratio reaches the fold."""
+    def inflate(*args):
+        sp, w, v = eigensystem(*args)
+        w = w.copy()
+        w[-2] = 1.5 * w[0]
+        return sp, w, v
+    return inflate
+
+
+@pytest.mark.parametrize("inflate", [False, True])
+@pytest.mark.parametrize("name", list(_GAP_CASES))
+def test_stacked_witnesses_equal_one_probe_at_a_time(name, inflate, monkeypatch):
+    build, counts = _GAP_CASES[name]
+    g = build(np.random.default_rng(12))
+    assert name != "hat_generic_d3" or not g.reversible
+    if inflate:
+        for kernel in ("_symmetrized_eigensystem_dense", "_gap_sparse"):
+            monkeypatch.setattr(dirichlet_gap, kernel, _inflated(getattr(dirichlet_gap, kernel)))
+    eigen = spectral_gap(g, n_witnesses=0, seed=7)
+    for n in counts:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the inflated gap is undercut
+            rep = spectral_gap(g, n_witnesses=n, seed=7)
+        _assert_same_gap(rep, _gap_one_probe_at_a_time(g, eigen, n, seed=7))
+        if inflate and n:
+            assert rep.method == "variational_refine"
+
+
+class _ReplayRng:
+    """Serves standard_normal draws in order from a fixed buffer."""
+
+    def __init__(self, values):
+        self.values, self.pos = values, 0
+
+    def standard_normal(self, shape):
+        n = int(np.prod(shape))
+        out = self.values[self.pos:self.pos + n].reshape(shape)
+        self.pos += n
+        return out
+
+
+def test_zero_variance_witness_is_skipped_before_judging(monkeypatch):
+    g = random_davies(3, np.random.default_rng(3))
+    d, n, ident = 3, 6, 2.5 * np.eye(3)
+    values = np.random.default_rng(5).standard_normal(n * 2 * d * d)
+    block = values[2 * 2 * d * d:3 * 2 * d * d]  # witness 2 draws 2.5 * identity
+    block[:d * d] = ident.ravel()
+    block[d * d:] = 0.0
+    assert stationary_state(g).variance(ident) <= dirichlet_gap.VAR_FLOOR
+    judged, judge = [], dirichlet_gap._judge_negative
+
+    def spy(val, gen, f):
+        judged.extend(np.reshape(f, (-1, d, d)))
+        return judge(val, gen, f)
+
+    monkeypatch.setattr(dirichlet_gap, "_judge_negative", spy)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _ReplayRng(values))
+    rep = spectral_gap(g, n_witnesses=n)
+    assert len(judged) > n  # the eigen witness and the other five probes
+    assert not any(np.array_equal(f, ident) for f in judged)
+    ref = _gap_one_probe_at_a_time(g, spectral_gap(g, n_witnesses=0), n, seed=0,
+                                   rng=_ReplayRng(values))
+    _assert_same_gap(rep, ref)
+
+
+def test_witness_memory_does_not_grow_with_the_jump_count():
+    # Davies d = 8 has 57 jumps: the 200 witnesses with all jumps at once
+    # would hold 200 * 57 * 64 entries (11.7 MB) in each of several arrays
+    g = random_davies(8, np.random.default_rng(1))
+    assert len(g.lindblad_ops) == 57
+    spectral_gap(g)  # caches filled
+    tracemalloc.start()
+    try:
+        spectral_gap(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20

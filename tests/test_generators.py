@@ -23,6 +23,7 @@ from qmix.generators import (
     stationary_state,
 )
 from qmix.operator_core import (
+    STACK_ENTRIES,
     choi_from_super,
     expm_superop,
     haar_unitary,
@@ -455,3 +456,15 @@ def test_hat_requires_primitive():
     g = build_lindblad(PAULI_Z, [])
     with pytest.raises(NotPrimitiveError):
         hat_generator(g)
+
+
+def test_large_stacked_action_equals_each_matrix_on_its_own(rng):
+    # stacks on both sides of the size where the jumps are taken one at a time
+    for g in (random_davies(3, rng), random_davies(4, rng), random_lindblad(3, rng)):
+        largest_batched = STACK_ENTRIES // (len(g.lindblad_ops) * g.dim ** 2)
+        for n in (largest_batched, largest_batched + 1):
+            stack = (rng.standard_normal((n, g.dim, g.dim))
+                     + 1j * rng.standard_normal((n, g.dim, g.dim)))
+            assert np.array_equal(g._apply(stack), np.array([g._apply(x) for x in stack]))
+            assert np.array_equal(g._apply_adjoint(stack),
+                                  np.array([g._apply_adjoint(x) for x in stack]))

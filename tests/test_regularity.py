@@ -22,6 +22,7 @@ from qmix.operator_core import (
 )
 from qmix.regularity import (
     _h_profile,
+    _probe_powers,
     _quarter_powers,
     conjecture_scan,
     direct_regularity_check,
@@ -210,7 +211,7 @@ def test_h_profile_equals_table_fed_kernel(rng):
             probe = random_probe(g.dim, rng, near_singular=(i == 0))
             for t in (0.1, 1.0):
                 h = h_profile(g, probe, t, s_grid)
-                assert np.array_equal(h, _h_profile(g, probe, t, s_grid, quarters))
+                assert np.array_equal(h, _h_profile(g, _probe_powers(probe, s_grid, quarters), t))
                 w, v = np.linalg.eigh(0.5 * (probe + probe.conj().T))
                 for s, hs in zip(s_grid, h):
                     gs = hermitian_part((v * np.float_power(w, s)) @ v.conj().T)
@@ -282,3 +283,78 @@ def test_regularity_profile_records_a_numerical_failure(exc, monkeypatch):
     monkeypatch.setattr(regularity, "_h_profile", first_fails)
     prof = regularity_profile(build_depolarizing(2, 1.0), probes=2, seed=0)
     assert prof.failures == [{"probe_index": 0, "t": 0.1, "error": str(exc)}]
+
+
+def _profile_one_probe_at_a_time(g, probes, seed):
+    """regularity_profile's loop as it ran before the per-probe decomposition:
+    the public h_profile per (probe, t), on the default grid and times."""
+    import qmix.regularity as regularity
+
+    rng = np.random.default_rng(seed)
+    s_grid, times = np.linspace(0.0, 2.0, 101), (0.1, 0.5, 1.0)
+    worst, convex_all, symmetric_all, cm_order, endpoint_worst, failures = (
+        None, True, True, regularity.CM_MAX_ORDER, 0.0, [])
+    n_sing = int(np.ceil(probes * 0.2))
+    for i in range(probes):
+        probe = regularity.random_probe(g.dim, rng, near_singular=(i < n_sing))
+        for t in times:
+            try:
+                h = h_profile(g, probe, float(t), s_grid)
+            except (PositivityError, ArithmeticError, np.linalg.LinAlgError) as exc:
+                failures.append({"probe_index": i, "t": float(t), "error": str(exc)})
+                continue
+            scale = max(np.max(np.abs(h)), 1e-300)
+            min_d2 = float(np.min(np.diff(h, n=2)))
+            convex_all &= min_d2 >= -regularity.CONVEXITY_TOL * scale
+            symmetric_all &= float(np.max(np.abs(h - h[::-1]))) <= regularity.SYMMETRY_TOL * scale
+            cm_order = min(cm_order, regularity._left_half_monotonicity_order(h, scale))
+            endpoint = max(abs(h[0] - h[-1]), abs(h[0] - float(np.trace(probe @ probe).real)))
+            endpoint_worst = max(endpoint_worst, endpoint / scale)
+            if worst is None or min_d2 / scale < worst[0]:
+                worst = (min_d2 / scale, h, float(t), probe, min_d2)
+    _, h, t, probe, min_d2 = worst
+    return regularity.RegularityProfile(
+        s_grid=s_grid, h_values=h, t=t, probe=probe,
+        verdicts={"convex": bool(convex_all), "symmetric": bool(symmetric_all),
+                  "completely_monotone_to_order": int(cm_order)},
+        min_second_difference=min_d2, endpoint_dev=endpoint_worst,
+        n_probes=probes, n_times=len(times), failures=failures)
+
+
+def _assert_same_profile(prof, ref):
+    for name in ("s_grid", "h_values", "probe"):
+        assert np.array_equal(getattr(prof, name), getattr(ref, name)), name
+    for name in ("t", "verdicts", "min_second_difference", "endpoint_dev", "n_probes",
+                 "n_times", "failures"):
+        assert getattr(prof, name) == getattr(ref, name), name
+
+
+def _profile_generators(rng):
+    # the generators of test_h_profile_equals_table_fed_kernel
+    return (random_davies(3, rng), random_lindblad(3, rng), build_depolarizing(4, 1.0),
+            build_projection(random_density_matrix(3, rng), 0.8))
+
+
+def test_regularity_profile_equals_one_probe_at_a_time(rng):
+    for g in _profile_generators(rng):
+        _assert_same_profile(regularity_profile(g, probes=5, seed=4),
+                             _profile_one_probe_at_a_time(g, probes=5, seed=4))
+
+
+def test_regularity_profile_records_a_failed_probe_at_each_time(rng, monkeypatch):
+    import qmix.regularity as regularity
+
+    draw, calls = regularity.random_probe, []
+
+    def second_not_positive(d, rng, near_singular=False):
+        probe = draw(d, rng, near_singular)
+        calls.append(probe)
+        return -probe if len(calls) % 5 == 2 else probe  # probe 1 of each profile
+
+    monkeypatch.setattr(regularity, "random_probe", second_not_positive)
+    for g in _profile_generators(rng):
+        prof = regularity_profile(g, probes=5, seed=4)
+        ref = _profile_one_probe_at_a_time(g, probes=5, seed=4)
+        assert [f["probe_index"] for f in prof.failures] == [1, 1, 1]
+        assert [f["t"] for f in prof.failures] == [0.1, 0.5, 1.0]
+        _assert_same_profile(prof, ref)

@@ -28,7 +28,12 @@ does, and writes into ``--out``:
   d = 4 on a 101-point grid; and ``direct_regularity_check(g, p_grid=(1.0,
   1.1, 2.0, 3.0), probes=5, seed=--seed)`` on the hat of the generic d = 3
   generator, on depolarizing d = 4 and on a random Davies d = 3 generator
-  (the p = 1 branch, the hat and the closed-form stacks);
+  (the p = 1 branch, the hat and the closed-form stacks); the gap report
+  of ``spectral_gap(hat_generator(g), n_witnesses=17, seed=--seed)`` on the
+  generic d = 3 generator; and ``regularity_profile(g, probes=5, times=(0.1,
+  0.7), grid_n=41, seed=--seed).to_dict()`` on the hat of the generic d = 3
+  generator and on the projection d = 3 generator (a hat, a grid, times and
+  a witness count that no bench op uses);
 * ``cli_errors.txt`` -- the exit code and stderr of ``qmix analyze`` and
   ``qmix mixing`` (``--seed 0``) on four failing specs: a pure-Hamiltonian
   generator, ``{not json``, an unknown family and a depolarizing spec
@@ -78,13 +83,14 @@ def library_lines(seed: int) -> list:
     """``name: repr(value)`` of each library call listed in the docstring."""
     import numpy as np
 
-    from qmix.dirichlet_gap import dirichlet
+    from qmix.dirichlet_gap import dirichlet, spectral_gap
     from qmix.generators import (build_depolarizing, build_lindblad, build_projection,
                                  hat_generator, random_davies)
     from qmix.lp_space import WeightedSpace
     from qmix.ls_estimator import estimate_alpha
     from qmix.mixing import entropy_decay_check, entropy_production, pq_norm, two_two_norm_decay
-    from qmix.regularity import direct_regularity_check, h_functional, h_profile
+    from qmix.regularity import (direct_regularity_check, h_functional, h_profile,
+                                 regularity_profile)
 
     rng = np.random.default_rng(seed)
 
@@ -154,6 +160,12 @@ def library_lines(seed: int) -> list:
                     ("davies_d3", random_davies(3, rng))):
         record(f"{name}.direct_regularity_check(p_grid=(1.0, 1.1, 2.0, 3.0), probes=5)",
                direct_regularity_check(g, p_grid=(1.0, 1.1, 2.0, 3.0), probes=5, seed=seed))
+    record("hat(generic_d3).spectral_gap(n_witnesses=17)",
+           spectral_gap(hat_generator(generic), n_witnesses=17, seed=seed).to_dict())
+    for name, g in (("hat(generic_d3)", hat_generator(generic)),
+                    ("projection_d3", gens["projection_d3"])):
+        record(f"{name}.regularity_profile(probes=5, times=(0.1, 0.7), grid_n=41)",
+               regularity_profile(g, probes=5, times=(0.1, 0.7), grid_n=41, seed=seed).to_dict())
     return lines
 
 
