@@ -188,9 +188,7 @@ def spectral_gap(g: Generator, n_witnesses: int = 200, seed: int = 0) -> GapRepo
     for start in range(0, n_witnesses, chunk):
         z = rng.standard_normal((min(chunk, n_witnesses - start), 2, d, d))
         probes = hermitian_part(z[:, 0] + 1j * z[:, 1])  # random_hermitian, drawn n at a time
-        gf = sp._gamma(1.0, probes)
-        variances = [max(a - b ** 2, 0.0) for a, b in
-                     zip(_re_trace(gf @ probes).tolist(), _re_trace(gf).tolist())]
+        variances = sp._variance(probes).tolist()
         kept = [i for i, var in enumerate(variances) if var > VAR_FLOOR]
         f = probes[kept]
         forms = _judge_negative(_e2(sp, f, g._apply(f)), g, f)

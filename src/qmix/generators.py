@@ -36,8 +36,8 @@ from .operator_core import (
     haar_unitary,
     hermitian_part,
     left_right_super,
-    lindblad_super,
     max_abs,
+    random_hermitian,
     require_hermitian,
     unvec,
     vec,
@@ -88,7 +88,8 @@ class Generator:
     construction/classification inside the builders.  `apply` and
     `apply_adjoint` act through the Lindblad data (or through wrapped
     callables for derived generators such as the hat generator), so they
-    stay cheap even when the dense superoperator would be large.
+    stay cheap even when the dense superoperator would be large.  The dense
+    `super_L` and `super_Lstar` are built one way, by `_dense`, and cached.
 
     The m jumps are held as three (m, d, d) stacks, K, K^dag and K^dag K,
     so an action makes one stacked matmul per product over all jumps (a
@@ -176,34 +177,46 @@ class Generator:
 
     # -- dense superoperators ----------------------------------------------------
 
-    def _dense(self, from_jumps, action) -> np.ndarray:
-        """A dense superoperator: from_jumps() when there are jumps, else built
-        column by column from the action."""
-        if self.dim > SUPEROP_DIM_LIMIT:
-            raise GeneratorError(
-                f"dense superoperator requested at d={self.dim} > {SUPEROP_DIM_LIMIT} "
-                "(design ceiling); use the action methods instead")
-        if self.lindblad_ops is not None:
-            return from_jumps()
+    def _dense(self, heis: bool) -> np.ndarray:
+        """The dense superoperator of L (heis) or L*.  With jumps, L is the sum
+        of `left_right_super` terms i[H, .], then K^dag . K and -(1/2){K^dag K, .}
+        jump by jump, from the held stacks, and L* is its conjugate transpose.
+        A closure generator acts once on the stack of basis matrices E_j,
+        vec(E_j) = e_j, in chunks of at most STACK_ENTRIES entries."""
         d = self.dim
-        s = np.empty((d * d, d * d), dtype=complex)
-        basis = np.zeros((d, d), dtype=complex)
-        for j in range(d * d):
-            basis.flat[:] = 0.0
-            # column-stacking: j-th basis vector is E[j % d, j // d]
-            basis[j % d, j // d] = 1.0
-            s[:, j] = vec(action(basis))
+        if d > SUPEROP_DIM_LIMIT:
+            raise GeneratorError(
+                f"dense superoperator requested at d={d} > {SUPEROP_DIM_LIMIT} "
+                "(design ceiling); use the action methods instead")
+        n = d * d
+        if self.lindblad_ops is not None:
+            if not heis:
+                return self.super_L.conj().T
+            eye = np.eye(d)
+            h = self.hamiltonian
+            s = (np.zeros((n, n), dtype=complex) if h is None
+                 else 1j * (left_right_super(h, eye) - left_right_super(eye, h)))
+            for kd, k, kk in zip(self._kd, self._k, self._kk):
+                s += left_right_super(kd, k)
+                s -= 0.5 * (left_right_super(kk, eye) + left_right_super(eye, kk))
+            return s
+        action = self._apply if heis else self._apply_adjoint
+        s = np.empty((n, n), dtype=complex)
+        chunk = max(1, STACK_ENTRIES // n)
+        for start in range(0, n, chunk):
+            j = np.arange(start, min(start + chunk, n))
+            basis = np.zeros((len(j), d, d), dtype=complex)
+            basis[j - start, j % d, j // d] = 1.0  # column stacking: e_j is E[j % d, j // d]
+            s[:, start:start + len(j)] = action(basis).transpose(0, 2, 1).reshape(len(j), n).T
         return s
 
     @property
     def super_L(self) -> np.ndarray:
-        return _lru_get(self._super_cache, "L", lambda: self._dense(
-            lambda: lindblad_super(self.hamiltonian, self.lindblad_ops), self.apply))
+        return _lru_get(self._super_cache, "L", lambda: self._dense(heis=True))
 
     @property
     def super_Lstar(self) -> np.ndarray:
-        return _lru_get(self._super_cache, "Lstar", lambda: self._dense(
-            lambda: self.super_L.conj().T, self.apply_adjoint))
+        return _lru_get(self._super_cache, "Lstar", lambda: self._dense(heis=False))
 
     # -- semigroup actions --------------------------------------------------------
 
@@ -652,7 +665,6 @@ def hat_generator(g: Generator) -> Generator:
 def random_lindblad(dim: int, rng, n_ops: int = 2,
                     with_hamiltonian: bool = True) -> Generator:
     """Random primitive generic Lindblad generator."""
-    from .operator_core import random_hermitian
     for _ in range(RANDOM_TRIES):
         h = random_hermitian(dim, rng) if with_hamiltonian else None
         ops = [(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
@@ -677,7 +689,6 @@ def random_reversible_unital(dim: int, rng) -> Generator:
 def random_davies(dim: int, rng, beta: float | None = None) -> Generator:
     """Random thermal generator: random nondegenerate H, one random Hermitian
     coupling, Gibbs stationary state."""
-    from .operator_core import random_hermitian
     for _ in range(RANDOM_TRIES):
         b = float(rng.uniform(0.2, 1.5)) if beta is None else beta
         energies = np.sort(rng.uniform(0.0, 2.0, size=dim))

@@ -14,13 +14,13 @@ clamped, since the functionals are ill-behaved on boundary-rank inputs.
 A public WeightedSpace method checks its argument on entry -- shape and
 finiteness, and for the entropy-type ones also Hermiticity and positivity --
 and hands every intermediate it builds only to kernels (`_gamma`, `_inner`,
-`_root_eig`, `_power_operator`, `_op_relative_entropy`, `_lp_norm`,
+`_variance`, `_root_eig`, `_power_operator`, `_op_relative_entropy`, `_lp_norm`,
 `_log_ratio`, `_ent1`, `_ent2`, `_require_positive`, and
 `operator_core._matrix_function` and `_eig_function`), which trust arrays
 the library built and check nothing.  Each formula lives in one kernel, which the public method,
 the fused log-Sobolev ratio and the Dirichlet forms all call.  `_gamma`,
-`_inner`, `_root_eig`, `_power_operator` and `_log_ratio` also take an
-(n, d, d) stack and give each matrix the arithmetic it gets on its own.
+`_inner`, `_variance`, `_root_eig`, `_power_operator` and `_log_ratio` also
+take an (n, d, d) stack and give each matrix the arithmetic it gets on its own.
 """
 
 from __future__ import annotations
@@ -165,10 +165,15 @@ class WeightedSpace:
 
     def variance(self, g) -> float:
         """Var(g) = tr[Gamma(g) g] - tr[Gamma(g)]^2, clamped at zero."""
-        g = self._check_dim(g)
-        gg = self.gamma(g)
-        val = float(np.trace(gg @ g).real) - float(np.trace(gg).real) ** 2
-        return max(val, 0.0)
+        return float(self._variance(self._check_dim(g)))
+
+    def _variance(self, f):
+        """Var of a matrix, or the array of them over an (n, d, d) stack.  The
+        square is float_power's: a float's `** 2` takes libm's pow, which can
+        differ in the last bit from numpy's array square."""
+        gf = self._gamma(1.0, f)
+        val = _re_trace(gf @ f) - np.float_power(_re_trace(gf), 2)
+        return np.where(val < 0.0, 0.0, val)
 
     # -- power operator and entropies -----------------------------------------
 

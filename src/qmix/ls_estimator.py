@@ -24,7 +24,6 @@ treated as excluded from the infimum (the ratio returns +inf there).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,14 @@ from scipy.optimize import minimize, minimize_scalar
 from .dirichlet_gap import GapReport, _e1, _e2, _judge_negative, dirichlet, spectral_gap
 from .generators import Generator, hat_generator, stationary_state
 from .lp_space import PositivityError, _require_positive
-from .operator_core import _eigh, _matrix_function, hermitian_part, max_abs
+from .operator_core import (
+    _expm_hermitian,
+    _matrix_function,
+    _pack,
+    _unpack,
+    hermitian_part,
+    max_abs,
+)
 
 __all__ = [
     "LSReport",
@@ -46,7 +52,6 @@ __all__ = [
 ]
 
 ENT_FLOOR = 1e-10
-H_CLIP = 40.0
 
 
 # ---------------------------------------------------------------------------
@@ -84,45 +89,6 @@ def expander_alpha2_upper(D: int, d: int) -> float:
     if d < 2 or 3.0 * d / 4.0 <= 1.0:
         raise ValueError("expander bound needs d >= 2 with 3d/4 > 1")
     return float(np.log(D) * (4.0 + np.log(np.log(d))) / (2.0 * np.log(3.0 * d / 4.0)))
-
-
-# ---------------------------------------------------------------------------
-# Hermitian parameterization
-# ---------------------------------------------------------------------------
-
-@functools.cache
-def _layout(d: int):
-    """Strict-upper-triangle indices, diagonal indices and identity at d."""
-    return np.triu_indices(d, 1), np.diag_indices(d), np.eye(d)
-
-
-def _pack(h: np.ndarray) -> np.ndarray:
-    """Real coordinates of a Hermitian h: the diagonal, then (Re, Im) of the
-    strict upper triangle in row-major order."""
-    d = h.shape[0]
-    upper = h[_layout(d)[0]]
-    out = np.empty(d * d)
-    out[:d] = np.diag(h).real
-    out[d::2] = upper.real
-    out[d + 1::2] = upper.imag
-    return out
-
-
-def _unpack(x: np.ndarray, d: int) -> np.ndarray:
-    (rows, cols), diag, eye = _layout(d)
-    re, im = x[d::2], x[d + 1::2]
-    h = np.zeros((d, d), dtype=complex)
-    h[diag] = x[:d]
-    h[rows, cols] = re + 1j * im
-    h[cols, rows] = re - 1j * im
-    h -= h.trace().real / d * eye  # ratio is scale invariant; pin tr h = 0
-    return h
-
-
-def _expm_hermitian(h: np.ndarray) -> np.ndarray:
-    w, v = _eigh(h)
-    w = np.clip(w, -H_CLIP, H_CLIP)
-    return hermitian_part((v * np.exp(w)) @ v.conj().T)
 
 
 # ---------------------------------------------------------------------------

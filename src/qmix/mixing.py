@@ -25,15 +25,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .dirichlet_gap import dirichlet
 from .generators import Generator, hat_generator, lift_channel, stationary_state
 from .lp_space import WeightedSpace
 from .operator_core import (
+    _expm_hermitian,
+    _pack,
+    _re_trace,
+    _unpack,
     eig_hermitian,
     hermitian_part,
     kraus_schrodinger_super,
     matrix_function,
+    random_hermitian,
     random_pure_state,
     require_hermitian,
     unvec,
@@ -75,11 +81,6 @@ def _trace_norms(a) -> np.ndarray:
     return np.sum(np.abs(np.linalg.eigvalsh(a)), axis=-1)
 
 
-def _traces(a) -> np.ndarray:
-    """Real part of the trace of each matrix in a stack."""
-    return np.trace(a, axis1=-2, axis2=-1).real
-
-
 def _check_states(states) -> np.ndarray:
     """Validate each state once (Hermitian, unit trace, positive) and return
     them as one (n, d, d) stack."""
@@ -95,7 +96,7 @@ def _check_state(rho) -> np.ndarray:
 def _require_states(rho, w):
     """Unit trace and positivity to STATE_TOL of each matrix in a Hermitian
     stack, given its eigenvalues w."""
-    tr = _traces(rho)
+    tr = _re_trace(rho)
     bad = np.abs(tr - 1.0) > STATE_TOL * np.maximum(1.0, np.abs(tr))
     if bad.any():
         raise ValueError(f"state trace is {float(tr[bad][0])!r}, not 1")
@@ -125,7 +126,7 @@ def _relative_entropies(rho, log_sigma) -> np.ndarray:
     # per matrix over its own positive eigenvalues: zero padding would regroup
     # numpy's pairwise sum and change the last bits
     plogp = np.array([np.sum(x[x > 0] * np.log(x[x > 0])) for x in w])
-    val = plogp - _traces(rho @ log_sigma)
+    val = plogp - _re_trace(rho @ log_sigma)
     return np.where(val < 0.0, 0.0, val)
 
 
@@ -137,7 +138,7 @@ def chi2_divergence(rho, space: WeightedSpace) -> float:
 def _chi2s(delta, space: WeightedSpace) -> np.ndarray:
     """chi^2 = tr[delta Gamma^{-1}(delta)], delta = rho - sigma, of each
     matrix in a Hermitian stack."""
-    val = _traces(delta @ space._gamma(-1.0, delta))
+    val = _re_trace(delta @ space._gamma(-1.0, delta))
     return np.where(val < 0.0, 0.0, val)
 
 
@@ -199,7 +200,7 @@ def _evolve_states(g: Generator, states, t: float):
     rho_t = hermitian_part(g._evolve(states, float(t), heis=False))
     if not np.isfinite(rho_t).all():
         raise ArithmeticError("evolution produced non-finite entries")
-    tr = _traces(rho_t)
+    tr = _re_trace(rho_t)
     bad = np.abs(tr - 1.0) > 1e-9
     if bad.any():
         raise ArithmeticError(f"evolution lost trace: {float(tr[bad][0])!r}")
@@ -395,8 +396,6 @@ def pq_norm(g: Generator, p: float, q: float, t: float,
     maximization of ||T_t(f)||_q / ||f||_p over positive f (the supremum is
     attained on positive matrices).  This is a lower bound on the true norm,
     not a certificate."""
-    from scipy.optimize import minimize
-    from .ls_estimator import _expm_hermitian, _pack, _unpack
     sp = stationary_state(g)
     d = g.dim
 
@@ -497,7 +496,6 @@ def hypercontractivity_check(g: Generator, alpha: float, times=(0.1, 0.5, 1.0),
     """Worst margin of ||T_t f||_{p(t)} <= ||f||_2 over random positive
     probes, with p(t) = 1 + e^{2 alpha t} (strong regularity) or
     1 + e^{alpha t} (weak).  Positive margins mean contraction holds."""
-    from .operator_core import random_hermitian
     sp = stationary_state(g)
     rng = np.random.default_rng(seed)
     rate = 2.0 * alpha if strong else alpha

@@ -3,12 +3,17 @@
 Everything here works on plain numpy arrays: square complex matrices of
 shape (d, d) for operators, and (d*d, d*d) matrices for superoperators
 acting on column-vectorized operators.  The vectorization convention is
-column stacking, so vec(A X B) = kron(B.T, A) @ vec(X); it is fixed once
-here and asserted by a dedicated test because every superoperator built
-downstream depends on it.
+column stacking, so vec(A X B) = kron(B.T, A) @ vec(X).  `left_right_super`
+is the only function that knows this layout: its broadcast outer product
+gives the bits of kron(B.T, A), every superoperator downstream is a sum of
+its products or a stacked action read off basis matrices, and a dedicated
+test asserts the convention.  The Hermitian parametrization of the
+log-Sobolev and (p, q)-norm searches lives here too.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.linalg
@@ -25,9 +30,7 @@ __all__ = [
     "vec",
     "unvec",
     "left_right_super",
-    "conjugation_super",
     "kraus_schrodinger_super",
-    "lindblad_super",
     "expm_superop",
     "choi_from_super",
     "random_hermitian",
@@ -43,6 +46,7 @@ HERMITICITY_TOL = 1e-12
 DEFAULT_EIG_FLOOR_REL = 1e-14
 CACHE_SIZE = 64  # entries kept by each `_lru_get` cache
 STACK_ENTRIES = 2 ** 16  # complex entries (1 MiB) in a stacked temporary of a chunked kernel
+H_CLIP = 40.0  # `_expm_hermitian` clips the spectrum of h to [-H_CLIP, H_CLIP]
 
 
 def as_matrix(a) -> np.ndarray:
@@ -137,7 +141,7 @@ def _eig_function(w, v, f, eig_floor: float | None = None):
     w = np.maximum(w, eig_floor)
     with np.errstate(divide="ignore", invalid="ignore"):
         fw = np.asarray(f(w), dtype=float)
-    if not np.all(np.isfinite(fw)):
+    if not np.isfinite(fw).all():
         raise ValueError("matrix_function: f is non-finite on the (clamped) spectrum")
     return hermitian_part((v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
@@ -146,6 +150,44 @@ def _re_trace(x):
     """Re tr x as a float, or the array of them over an (n, d, d) stack."""
     tr = np.trace(x, axis1=-2, axis2=-1).real
     return float(tr) if tr.ndim == 0 else tr
+
+
+# ---------------------------------------------------------------------------
+# Hermitian parametrization: f = exp(h), h packed into d^2 real coordinates
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _layout(d: int):
+    """Strict-upper-triangle indices, diagonal indices and identity at d."""
+    return np.triu_indices(d, 1), np.diag_indices(d), np.eye(d)
+
+
+def _pack(h: np.ndarray) -> np.ndarray:
+    """Real coordinates of a Hermitian h: the diagonal, then (Re, Im) of the
+    strict upper triangle in row-major order."""
+    d = h.shape[0]
+    upper = h[_layout(d)[0]]
+    out = np.empty(d * d)
+    out[:d] = np.diag(h).real
+    out[d::2] = upper.real
+    out[d + 1::2] = upper.imag
+    return out
+
+
+def _unpack(x: np.ndarray, d: int) -> np.ndarray:
+    (rows, cols), diag, eye = _layout(d)
+    re, im = x[d::2], x[d + 1::2]
+    h = np.zeros((d, d), dtype=complex)
+    h[diag] = x[:d]
+    h[rows, cols] = re + 1j * im
+    h[cols, rows] = re - 1j * im
+    h -= h.trace().real / d * eye  # ratio is scale invariant; pin tr h = 0
+    return h
+
+
+def _expm_hermitian(h: np.ndarray) -> np.ndarray:
+    """exp(h) with h's spectrum clipped to [-H_CLIP, H_CLIP]."""
+    return _matrix_function(h, lambda w: np.exp(np.clip(w, -H_CLIP, H_CLIP)), eig_floor=-np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +209,14 @@ def unvec(v, d: int | None = None) -> np.ndarray:
 
 
 def left_right_super(a, b) -> np.ndarray:
-    """Superoperator matrix of X -> A X B, i.e. kron(B.T, A)."""
+    """Superoperator matrix of X -> A X B, i.e. kron(B.T, A): entry
+    ((i, k), (j, l)) is B[j, i] A[k, l], one product each, as in np.kron."""
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape:
         raise ValueError("left/right factors must share the dimension")
-    return np.kron(b.T, a)
-
-
-def conjugation_super(a) -> np.ndarray:
-    """Superoperator of X -> A X A^dag."""
-    a = as_matrix(a)
-    return np.kron(a.conj(), a)
+    d = a.shape[0]
+    return (b.T[:, None, :, None] * a[None, :, None, :]).reshape(d * d, d * d)
 
 
 def kraus_schrodinger_super(ops) -> np.ndarray:
@@ -187,30 +225,8 @@ def kraus_schrodinger_super(ops) -> np.ndarray:
     d = ops[0].shape[0]
     s = np.zeros((d * d, d * d), dtype=complex)
     for k in ops:
-        s += conjugation_super(k)
+        s += left_right_super(k, k.conj().T)
     return s
-
-
-def lindblad_super(hamiltonian, ops):
-    """Heisenberg superoperator matrix of the Lindblad generator
-    L(f) = i[H, f] + sum_i L_i^dag f L_i - (1/2){L_i^dag L_i, f}; the
-    Schrodinger one is its conjugate transpose."""
-    if hamiltonian is None:
-        d = as_matrix(ops[0]).shape[0]
-        h = np.zeros((d, d), dtype=complex)
-    else:
-        h = require_hermitian(hamiltonian, name="hamiltonian")
-        d = h.shape[0]
-    eye = np.eye(d)
-    heis = 1j * (left_right_super(h, eye) - left_right_super(eye, h))
-    for k in ops:
-        k = as_matrix(k)
-        if k.shape[0] != d:
-            raise ValueError("Lindblad operator dimension mismatch")
-        kk = k.conj().T @ k
-        heis += left_right_super(k.conj().T, k)
-        heis -= 0.5 * (left_right_super(kk, eye) + left_right_super(eye, kk))
-    return heis
 
 
 def expm_superop(s, t: float) -> np.ndarray:

@@ -43,6 +43,7 @@ from .generators import (
 from .lp_space import PositivityError, _check_p, _check_positive
 from .operator_core import (
     _matrix_function,
+    _re_trace,
     hermitian_part,
     matrix_to_json,
     random_hermitian,
@@ -113,7 +114,7 @@ def _h_profile(g: Generator, powers, t: float) -> np.ndarray:
     `Generator._evolve` of all n arguments of T_t, then n traces."""
     args, weights = powers
     evolved = g._evolve(args, float(t), heis=True)
-    return np.trace(weights @ evolved, axis1=1, axis2=2).real
+    return _re_trace(weights @ evolved)
 
 
 def _left_half_monotonicity_order(h: np.ndarray, scale: float) -> int:

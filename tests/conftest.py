@@ -6,6 +6,13 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def same_bits(a, b):
+    """Equal arrays with equal signs of every zero, real and imaginary parts."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a.dtype == b.dtype and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.view(float)), np.signbit(b.view(float))))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

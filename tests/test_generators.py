@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qmix.generators import (
+    SUPEROP_DIM_LIMIT,
     DaviesSpec,
     GeneratorError,
     NotPrimitiveError,
@@ -12,6 +13,7 @@ from qmix.generators import (
     build_lindblad,
     build_projection,
     build_random_unitary,
+    build_tensor_qubit_depolarizing,
     davies_jump_operators,
     gibbs_state,
     hat_generator,
@@ -41,6 +43,7 @@ from conftest import (
     depolarizing_lindblad_ops,
     projection_lindblad_ops,
     qubit_davies,
+    same_bits,
 )
 
 
@@ -229,6 +232,61 @@ def test_stacked_action_equals_each_matrix_on_its_own(rng):
             assert np.array_equal(g._apply(stack), np.array([g._apply(x) for x in stack]))
             assert np.array_equal(g._apply_adjoint(stack),
                                   np.array([g._apply_adjoint(x) for x in stack]))
+
+
+def _kron_lindblad_super(hamiltonian, ops):
+    """Reference Heisenberg superoperator: the Lindblad form summed from
+    np.kron products, vec(A X B) = kron(B.T, A) vec(X)."""
+    d = ops[0].shape[0]
+    h = np.zeros((d, d), dtype=complex) if hamiltonian is None else hamiltonian
+    eye = np.eye(d, dtype=complex)
+    heis = 1j * (np.kron(eye.T, h) - np.kron(h.T, eye))
+    for k in ops:
+        k = np.asarray(k, dtype=complex)
+        kk = k.conj().T @ k
+        heis += np.kron(k.T, k.conj().T)
+        heis -= 0.5 * (np.kron(eye.T, kk) + np.kron(kk.T, eye))
+    return heis
+
+
+def test_jump_superoperators_match_kron_reference_bit_for_bit(rng):
+    gens = [random_lindblad(d, rng) for d in (2, 3, 5)]
+    gens += [random_lindblad(4, rng, with_hamiltonian=False), random_reversible_unital(6, rng),
+             random_davies(3, rng), random_davies(4, rng),
+             build_tensor_qubit_depolarizing(2), build_random_unitary(4, 2, seed=3)]
+    for g in gens:
+        ref = _kron_lindblad_super(g.hamiltonian, g.lindblad_ops)
+        assert same_bits(g.super_L, ref)
+        assert same_bits(g.super_Lstar, ref.conj().T)
+
+
+def _column_super(action, d):
+    """Reference dense superoperator: column j is vec(action(E_j)), vec(E_j) = e_j."""
+    s = np.empty((d * d, d * d), dtype=complex)
+    for j in range(d * d):
+        basis = np.zeros((d, d), dtype=complex)
+        basis[j % d, j // d] = 1.0
+        s[:, j] = vec(action(basis))
+    return s
+
+
+def test_closure_superoperators_match_column_reference_bit_for_bit(rng):
+    depolarizing_d20 = build_depolarizing(20, 0.6)
+    assert (20 * 20) ** 2 > STACK_ENTRIES  # the basis stack takes several chunks
+    gens = [build_depolarizing(3, 1.3), depolarizing_d20,
+            build_projection(random_density_matrix(4, rng), 0.9),
+            hat_generator(random_lindblad(3, rng)), hat_generator(build_depolarizing(3, 1.0)),
+            hat_generator(random_davies(3, rng))]
+    for g in gens:
+        assert g.lindblad_ops is None
+        assert same_bits(g.super_L, _column_super(g.apply, g.dim))
+        assert same_bits(g.super_Lstar, _column_super(g.apply_adjoint, g.dim))
+
+
+def test_dense_superoperator_refused_above_the_dimension_limit():
+    g = build_depolarizing(SUPEROP_DIM_LIMIT + 1, 1.0)
+    with pytest.raises(GeneratorError, match="dense superoperator"):
+        g.super_L
 
 
 # ---------------------------------------------------------------------------

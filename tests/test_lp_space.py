@@ -146,6 +146,21 @@ def test_variance_examples(rng):
     assert abs(half.variance(PAULI_Z) - 1.0) < 1e-14
 
 
+def test_stacked_variance_matches_each_matrix_bit_for_bit(rng):
+    # reference: the formula on Python floats, one matrix at a time, whose
+    # square is libm's pow
+    for d in (2, 3, 5):
+        sp = random_space(d, rng)
+        stack = np.array([random_hermitian(d, rng, scale=float(np.exp(rng.uniform(-4, 4))))
+                          for _ in range(1000)])
+        stack[::50] = 2.3 * np.eye(d)  # Var = 0 up to rounding, either sign
+        stacked = sp._variance(stack)
+        for f, var in zip(stack, stacked.tolist()):
+            gf = sp.gamma(f)
+            ref = max(float(np.trace(gf @ f).real) - float(np.trace(gf).real) ** 2, 0.0)
+            assert repr(var) == repr(ref) == repr(sp.variance(f))
+
+
 @settings(max_examples=25, deadline=None)
 @given(entries=st.lists(st.floats(min_value=-3, max_value=3), min_size=3, max_size=3),
        shift=st.floats(min_value=-5, max_value=5))

@@ -15,16 +15,20 @@ from qmix import ls_estimator
 from qmix.ls_estimator import (
     _bracketed_min,
     _near_identity_direction,
-    _pack,
     _RatioProblem,
-    _unpack,
     depolarizing_alpha2,
     estimate_alpha,
     expander_alpha2_upper,
     partial_order_verdict,
     unital_alpha2_lower,
 )
-from qmix.operator_core import matrix_function, random_density_matrix, random_hermitian
+from qmix.operator_core import (
+    _pack,
+    _unpack,
+    matrix_function,
+    random_density_matrix,
+    random_hermitian,
+)
 
 
 def test_depolarizing_alpha2_closed_form():

@@ -325,10 +325,10 @@ def test_pq_norm_duality(rng):
 
 
 def test_pq_norm_lets_a_bug_in_the_objective_raise(monkeypatch, rng):
-    import qmix.ls_estimator as ls_estimator
+    import qmix.mixing as mixing
     g = random_davies(3, rng)
     # a wrong-dimension matrix reaches the evolution: a bug, not a value of inf
-    monkeypatch.setattr(ls_estimator, "_unpack", lambda x, d: np.eye(d + 1, dtype=complex))
+    monkeypatch.setattr(mixing, "_unpack", lambda x, d: np.eye(d + 1, dtype=complex))
     with pytest.raises(ValueError):
         pq_norm(g, 2.0, 4.0, 0.5, restarts=1, budget=5)
 

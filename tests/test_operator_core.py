@@ -10,7 +10,6 @@ from qmix.operator_core import (
     hermitian_part,
     kraus_schrodinger_super,
     left_right_super,
-    lindblad_super,
     matrix_from_json,
     matrix_function,
     matrix_to_json,
@@ -21,7 +20,9 @@ from qmix.operator_core import (
     vec,
 )
 
-from conftest import PAULI_X
+from qmix.generators import build_lindblad
+
+from conftest import PAULI_X, same_bits
 
 
 def test_as_matrix_rejects_bad_input():
@@ -122,6 +123,34 @@ def test_vectorization_convention_is_column_stacking(rng):
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+def _with_signed_zeros(a, rng):
+    a = a.copy()
+    a[rng.random(a.shape) < 0.3] = -0.0
+    a[rng.random(a.shape) < 0.2] = 0.0
+    return a
+
+
+def test_left_right_super_is_kron_bit_for_bit(rng):
+    for d in range(1, 9):
+        for _ in range(3):
+            re_a, re_b = (_with_signed_zeros(rng.standard_normal((d, d)), rng) for _ in range(2))
+            a = _with_signed_zeros(re_a + 1j * rng.standard_normal((d, d)), rng)
+            b = _with_signed_zeros(re_b + 1j * rng.standard_normal((d, d)), rng)
+            for x, y in ((re_a, re_b), (a, b), (re_a, b), (np.eye(d), a)):
+                ref = np.kron(np.asarray(y, dtype=complex).T, np.asarray(x, dtype=complex))
+                assert same_bits(left_right_super(x, y), ref)
+
+
+def test_kraus_schrodinger_super_is_kron_sum_bit_for_bit(rng):
+    for d in (1, 2, 3, 5, 8):
+        ks = [_with_signed_zeros(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)),
+                                 rng) for _ in range(3)]
+        ref = np.zeros((d * d, d * d), dtype=complex)
+        for k in ks:
+            ref += np.kron(k.conj(), k)
+        assert same_bits(kraus_schrodinger_super(ks), ref)
+
+
 def test_vectorize_identity_and_diagonal_examples():
     assert np.allclose(left_right_super(np.eye(2), np.eye(2)), np.eye(4))
     a = np.diag([2.0, 5.0])
@@ -149,8 +178,8 @@ def test_expm_identity_and_scalar():
 
 
 def test_expm_semigroup_property(rng):
-    heis = lindblad_super(random_hermitian(3, rng),
-                          [rng.standard_normal((3, 3)) / 2 for _ in range(2)])
+    heis = build_lindblad(random_hermitian(3, rng),
+                          [rng.standard_normal((3, 3)) / 2 for _ in range(2)]).super_L
     t1, t2 = 0.41, 0.77
     lhs = expm_superop(heis, t1) @ expm_superop(heis, t2)
     rhs = expm_superop(heis, t1 + t2)

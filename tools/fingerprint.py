@@ -33,7 +33,12 @@ does, and writes into ``--out``:
   generic d = 3 generator; and ``regularity_profile(g, probes=5, times=(0.1,
   0.7), grid_n=41, seed=--seed).to_dict()`` on the hat of the generic d = 3
   generator and on the projection d = 3 generator (a hat, a grid, times and
-  a witness count that no bench op uses);
+  a witness count that no bench op uses); ``super_L`` and ``super_Lstar``
+  of the generic d = 3, a random Davies d = 3, depolarizing d = 4,
+  projection d = 3, hat(generic d = 3), tensor-qubit N = 2 and
+  random-unitary d = 4 generators; and ``lazy_channel_super`` and
+  ``discrete_vs_continuous(lazy, 3, rho0)`` on a lazy channel drawn as in
+  acceptance criterion 9 (the first primitive draw);
 * ``cli_errors.txt`` -- the exit code and stderr of ``qmix analyze`` and
   ``qmix mixing`` (``--seed 0``) on four failing specs: a pure-Hamiltonian
   generator, ``{not json``, an unknown family and a depolarizing spec
@@ -85,10 +90,13 @@ def library_lines(seed: int) -> list:
 
     from qmix.dirichlet_gap import dirichlet, spectral_gap
     from qmix.generators import (build_depolarizing, build_lindblad, build_projection,
-                                 hat_generator, random_davies)
+                                 build_random_unitary, build_tensor_qubit_depolarizing,
+                                 hat_generator, lift_channel, random_davies)
     from qmix.lp_space import WeightedSpace
     from qmix.ls_estimator import estimate_alpha
-    from qmix.mixing import entropy_decay_check, entropy_production, pq_norm, two_two_norm_decay
+    from qmix.mixing import (discrete_vs_continuous, entropy_decay_check, entropy_production,
+                             lazy_channel_super, pq_norm, two_two_norm_decay)
+    from qmix.operator_core import haar_unitary, random_density_matrix
     from qmix.regularity import (direct_regularity_check, h_functional, h_profile,
                                  regularity_profile)
 
@@ -166,6 +174,24 @@ def library_lines(seed: int) -> list:
                     ("projection_d3", gens["projection_d3"])):
         record(f"{name}.regularity_profile(probes=5, times=(0.1, 0.7), grid_n=41)",
                regularity_profile(g, probes=5, times=(0.1, 0.7), grid_n=41, seed=seed).to_dict())
+    for name, g in (("generic_d3", generic), ("davies_d3", random_davies(3, rng)),
+                    ("depolarizing_d4", build_depolarizing(4, 1.0)),
+                    ("projection_d3", gens["projection_d3"]),
+                    ("hat(generic_d3)", hat_generator(generic)),
+                    ("tensor_qubit_n2", build_tensor_qubit_depolarizing(2)),
+                    ("random_unitary_d4", build_random_unitary(4, 2, seed))):
+        record(f"{name}.super_L", g.super_L)
+        record(f"{name}.super_Lstar", g.super_Lstar)
+    while True:  # a lazy channel as in acceptance criterion 9, redrawn until primitive
+        u, v = haar_unitary(3, rng), haar_unitary(3, rng)
+        s_kraus = [0.5 * u, 0.5 * u.conj().T, 0.5 * v, 0.5 * v.conj().T]
+        lazy = [np.sqrt(0.5) * np.eye(3)] + [np.sqrt(0.5) * k for k in s_kraus]
+        rho0 = random_density_matrix(3, rng)
+        g = lift_channel(lazy)
+        if g.primitive:
+            break
+    record("lazy_d3.lazy_channel_super", lazy_channel_super(g))
+    record("lazy_d3.discrete_vs_continuous(n=3)", discrete_vs_continuous(lazy, 3, rho0))
     return lines
 
 
