@@ -25,6 +25,7 @@ from .generators import Generator, NotPrimitiveError, hat_generator, stationary_
 from .lp_space import WeightedSpace, _check_p, _check_positive
 from .operator_core import (
     STACK_ENTRIES,
+    _eig_function,
     _re_trace,
     hermitian_part,
     max_abs,
@@ -68,12 +69,16 @@ def dirichlet(g: Generator, p: float, f) -> float:
 
 def _dirichlet(sp: WeightedSpace, p: float, f, act_f, root_eig=None):
     """E_p(f) before `_judge_negative`, given L(f): a float for a matrix f, an
-    array for an (n, d, d) stack.  The general-p branch uses root_eig, the
-    eigendecomposition `sp._root_eig(p, f)`, and forms it when not given."""
+    array for an (n, d, d) stack.  root_eig is the eigendecomposition
+    `sp._root_eig(p, f)`, formed when not given; the p = 1 branch takes its
+    log ratio from it at p = 1.0 exactly, where X = Gamma(f), and otherwise
+    decomposes Gamma(f) itself."""
     if abs(p - 2.0) < 1e-12:
         return _e2(sp, f, act_f)
     if p < P1_BRANCH:
-        return _e1(sp, act_f, sp._log_ratio(f)[1])
+        if root_eig is None or p != 1.0:
+            root_eig = sp._root_eig(1.0, f)
+        return _e1(sp, act_f, _eig_function(*root_eig, np.log) - sp._log_sigma)
     if root_eig is None:
         root_eig = sp._root_eig(p, f)
     q = p / (p - 1.0)
@@ -82,7 +87,7 @@ def _dirichlet(sp: WeightedSpace, p: float, f, act_f, root_eig=None):
 
 def _e1(sp: WeightedSpace, act_f, log_ratio):
     """E_1(f) = -(1/2) tr[Gamma(L f) (log Gamma(f) - log sigma)], given L(f)
-    and the log ratio from `WeightedSpace._log_ratio`; stack-capable."""
+    and the log ratio log Gamma(f) - log sigma; stack-capable."""
     return -0.5 * _re_trace(sp._gamma(1.0, act_f) @ log_ratio)
 
 

@@ -186,8 +186,11 @@ def _unpack(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def _expm_hermitian(h: np.ndarray) -> np.ndarray:
-    """exp(h) with h's spectrum clipped to [-H_CLIP, H_CLIP]."""
-    return _matrix_function(h, lambda w: np.exp(np.clip(w, -H_CLIP, H_CLIP)), eig_floor=-np.inf)
+    """exp(h) with h's spectrum clipped to [-H_CLIP, H_CLIP]: the clipped exp
+    is finite and needs no floor, so `_eig_function`'s guards are skipped."""
+    w, v = _eigh(h)
+    fw = np.exp(np.clip(w, -H_CLIP, H_CLIP))
+    return hermitian_part((v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
+import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,3 +18,36 @@ def test_every_exported_name_resolves(name):
     mod = importlib.import_module(name)
     missing = [attr for attr in getattr(mod, "__all__", ()) if not hasattr(mod, attr)]
     assert missing == []
+
+
+THREAD_PROBE = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import qmix
+from run import _openblas_threads
+from qmix.dirichlet_gap import spectral_gap
+from qmix.generators import random_lindblad
+
+g = random_lindblad(16, np.random.default_rng(3))
+print(_openblas_threads())
+print(hashlib.sha256(g.schrodinger_propagator(1.0).tobytes()).hexdigest())
+print(repr(spectral_gap(g).lam))
+"""
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    """Importing qmix sets the bundled OpenBLAS to one thread, so a run with
+    OPENBLAS_NUM_THREADS=2 computes the bits of a one-thread run."""
+    src = Path(qmix.__file__).resolve().parent.parent
+    bench = src.parent / "bench"
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        res = subprocess.run([sys.executable, "-c", THREAD_PROBE, str(bench)], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        outs.append(res.stdout)
+    assert outs[0] == outs[1]
+    reported = ast.literal_eval(outs[0].splitlines()[0])
+    assert set((reported or {}).values()) <= {1}, reported

@@ -42,16 +42,20 @@ does, and writes into ``--out``:
 * ``cli_errors.txt`` -- the exit code and stderr of ``qmix analyze`` and
   ``qmix mixing`` (``--seed 0``) on four failing specs: a pure-Hamiltonian
   generator, ``{not json``, an unknown family and a depolarizing spec
-  without ``gamma`` (the spec directory reads ``<dir>``).
+  without ``gamma`` (the spec directory reads ``<dir>``);
+* ``blas.txt`` -- the thread count of each bundled OpenBLAS, as
+  ``bench/run.py`` reads it back after the ops ran, so that a change of
+  the thread policy shows in the diff.
 
 JSON and ``repr`` print every float in full, so two trees compute the same
 numbers exactly when ``diff -r`` of their directories finds nothing.  To
 compare a change with its parent, copy this file into a checkout of the
 parent (it imports qmix from the checkout it sits in) and run both trees
-side by side, one right after the other on the same machine: the
-``reversible_unital_d16`` mixing op samples from the eigenprojectors of a
-degenerate sigma, and its ``tau_mix`` has moved between two runs of the
-same code taken 50 minutes apart.  Exits 1 when an op fails its check.
+on the same machine.  Both must compute on the same number of BLAS
+threads: the ``reversible_unital_d16`` mixing op samples from the
+eigenprojectors of a degenerate sigma, and that basis follows the bits of
+sigma's null-space SVD, which change with the thread count.  qmix sets one
+thread when it is imported, so two runs of one build agree.  Exits 1 when an op fails its check.
 """
 
 import argparse
@@ -65,7 +69,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
-from run import WORKLOAD_NAMES, import_program  # noqa: E402
+from run import WORKLOAD_NAMES, _openblas_threads, import_program  # noqa: E402
 
 
 def write_outputs(name, wl, out: Path):
@@ -246,6 +250,7 @@ def main(argv=None) -> int:
             write_outputs(name, wl, out)
         (out / "cli_errors.txt").write_text("\n".join(cli_error_lines(work)) + "\n")
     (out / "library.txt").write_text("\n".join(library_lines(args.seed)) + "\n")
+    (out / "blas.txt").write_text(f"{_openblas_threads()!r}\n")
     print(f"fingerprint seed={args.seed}: outputs in {out}, {failed} failed checks")
     return 1 if failed else 0
 
