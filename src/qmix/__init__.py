@@ -4,33 +4,7 @@ Computes spectral gaps, log-Sobolev constants, L_p-regularity evidence and
 mixing-time bounds for finite-dimensional Lindblad generators.
 """
 
-
-def _one_blas_thread():
-    """Set each OpenBLAS bundled with numpy (``eigh``, ``matmul``) and scipy
-    (``expm``) to one thread.  qmix's kernels are small (d^2 <= 1024), where a
-    BLAS thread pool costs more than it gains and the bits of some results
-    follow the thread count; parallel work runs in processes (``scan --jobs``).
-    A build with no bundled OpenBLAS (MKL, Accelerate) is left as it is."""
-    import ctypes
-    from pathlib import Path
-
-    import numpy
-    import scipy.linalg  # loads scipy's OpenBLAS, so the handle below is the one in use
-
-    for pkg in (numpy, scipy):
-        libdir = Path(pkg.__file__).resolve().parent.parent / f"{pkg.__name__}.libs"
-        for lib in sorted(libdir.glob("*openblas*")):
-            handle = ctypes.CDLL(str(lib))
-            for sym in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                        "openblas_set_num_threads"):
-                setter = getattr(handle, sym, None)
-                if setter is not None:
-                    setter(1)
-                    break
-
-
-_one_blas_thread()
-
+from . import _blas  # noqa: F401  (the BLAS thread policy, set before any kernel runs)
 from .lp_space import WeightedSpace, PositivityError
 from .generators import (
     Generator,

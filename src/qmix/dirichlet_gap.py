@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import blas_threads_for
 from .generators import Generator, NotPrimitiveError, hat_generator, stationary_state
 from .lp_space import WeightedSpace, _check_p, _check_positive
 from .operator_core import (
     STACK_ENTRIES,
-    _eig_function,
     _re_trace,
     hermitian_part,
     max_abs,
@@ -69,16 +69,12 @@ def dirichlet(g: Generator, p: float, f) -> float:
 
 def _dirichlet(sp: WeightedSpace, p: float, f, act_f, root_eig=None):
     """E_p(f) before `_judge_negative`, given L(f): a float for a matrix f, an
-    array for an (n, d, d) stack.  root_eig is the eigendecomposition
-    `sp._root_eig(p, f)`, formed when not given; the p = 1 branch takes its
-    log ratio from it at p = 1.0 exactly, where X = Gamma(f), and otherwise
-    decomposes Gamma(f) itself."""
+    array for an (n, d, d) stack.  The general-p branch uses root_eig, the
+    eigendecomposition `sp._root_eig(p, f)`, and forms it when not given."""
     if abs(p - 2.0) < 1e-12:
         return _e2(sp, f, act_f)
     if p < P1_BRANCH:
-        if root_eig is None or p != 1.0:
-            root_eig = sp._root_eig(1.0, f)
-        return _e1(sp, act_f, _eig_function(*root_eig, np.log) - sp._log_sigma)
+        return _e1(sp, act_f, sp._log_ratio(f)[1])
     if root_eig is None:
         root_eig = sp._root_eig(p, f)
     q = p / (p - 1.0)
@@ -87,7 +83,7 @@ def _dirichlet(sp: WeightedSpace, p: float, f, act_f, root_eig=None):
 
 def _e1(sp: WeightedSpace, act_f, log_ratio):
     """E_1(f) = -(1/2) tr[Gamma(L f) (log Gamma(f) - log sigma)], given L(f)
-    and the log ratio log Gamma(f) - log sigma; stack-capable."""
+    and the log ratio from `WeightedSpace._log_ratio`; stack-capable."""
     return -0.5 * _re_trace(sp._gamma(1.0, act_f) @ log_ratio)
 
 
@@ -126,7 +122,8 @@ def _symmetrized_eigensystem_dense(g: Generator):
     sp = stationary_state(g)
     x = sp.similarity_super(0.25, g.super_L)
     s_tilde = 0.5 * (x + x.conj().T)
-    w, v = np.linalg.eigh(s_tilde)
+    with blas_threads_for(s_tilde.shape[0]):
+        w, v = np.linalg.eigh(s_tilde)
     return sp, w, v
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import blas_threads_for
 from .lp_space import WeightedSpace
 from .operator_core import (
     STACK_ENTRIES,
@@ -292,7 +293,8 @@ def _null_space_state(g: Generator):
     """Null space of L*; returns the unique full-rank stationary state or
     raises NotPrimitiveError."""
     s = g.super_Lstar
-    u, sv, vh = np.linalg.svd(s)
+    with blas_threads_for(s.shape[0]):
+        u, sv, vh = np.linalg.svd(s)
     smax = max(sv[0], 1.0)
     null_idx = np.nonzero(sv <= NULLSPACE_TOL * smax)[0]
     if len(null_idx) == 0:
@@ -313,8 +315,9 @@ def _null_space_state(g: Generator):
 
 def _detailed_balance_residual(g: Generator, space: WeightedSpace) -> float:
     gam = left_right_super(space.sigma_power(0.5), space.sigma_power(0.5))
-    lhs = gam @ g.super_L
-    rhs = g.super_Lstar @ gam
+    with blas_threads_for(gam.shape[0]):
+        lhs = gam @ g.super_L
+        rhs = g.super_Lstar @ gam
     return max_abs(lhs - rhs) / _scale(g)
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._blas import blas_threads_for
 from .operator_core import (
     _eig_function,
     _eigh,
@@ -114,7 +115,8 @@ class WeightedSpace:
         makes a reversible L Hermitian (the gap, the exact 2 -> 2 decay)."""
         left = left_right_super(self.sigma_power(s), self.sigma_power(s))
         right = left_right_super(self.sigma_power(-s), self.sigma_power(-s))
-        return left @ superop @ right
+        with blas_threads_for(left.shape[0]):
+            return left @ superop @ right
 
     @property
     def log_sigma(self) -> np.ndarray:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from ._blas import blas_threads_for
 from .dirichlet_gap import dirichlet
 from .generators import Generator, hat_generator, lift_channel, stationary_state
 from .lp_space import WeightedSpace
@@ -429,7 +430,8 @@ def two_two_norm_decay(g: Generator, t: float) -> float:
     prop = g.heisenberg_propagator(float(t))
     t_inf = np.outer(vec(np.eye(g.dim)), vec(sp.sigma).conj())
     m = sp.similarity_super(0.25, prop - t_inf)
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    with blas_threads_for(m.shape[0]):
+        return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def lazy_channel_super(g: Generator) -> np.ndarray:
@@ -438,7 +440,9 @@ def lazy_channel_super(g: Generator) -> np.ndarray:
     similarity must be nonnegative.  Raises ValueError otherwise."""
     sp = stationary_state(g)
     s = kraus_schrodinger_super(g.params["kraus"])
-    w = np.linalg.eigvalsh(hermitian_part(sp.similarity_super(-0.25, s)))
+    m = hermitian_part(sp.similarity_super(-0.25, s))
+    with blas_threads_for(m.shape[0]):
+        w = np.linalg.eigvalsh(m)
     if w[0] < -1e-10:
         raise ValueError(f"channel is not lazy: transformed spectrum min {w[0]:.3e}")
     return s

@@ -18,6 +18,8 @@ import functools
 import numpy as np
 import scipy.linalg
 
+from ._blas import blas_threads_for
+
 __all__ = [
     "HERMITICITY_TOL",
     "DEFAULT_EIG_FLOOR_REL",
@@ -186,11 +188,8 @@ def _unpack(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def _expm_hermitian(h: np.ndarray) -> np.ndarray:
-    """exp(h) with h's spectrum clipped to [-H_CLIP, H_CLIP]: the clipped exp
-    is finite and needs no floor, so `_eig_function`'s guards are skipped."""
-    w, v = _eigh(h)
-    fw = np.exp(np.clip(w, -H_CLIP, H_CLIP))
-    return hermitian_part((v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2))
+    """exp(h) with h's spectrum clipped to [-H_CLIP, H_CLIP]."""
+    return _matrix_function(h, lambda w: np.exp(np.clip(w, -H_CLIP, H_CLIP)), eig_floor=-np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +236,9 @@ def expm_superop(s, t: float) -> np.ndarray:
     Pade expm (generic Liouvillians are non-normal, so no eigendecomposition)."""
     if not np.isfinite(t):
         raise ValueError("time must be finite")
-    return scipy.linalg.expm(t * np.asarray(s, dtype=complex))
+    s = np.asarray(s, dtype=complex)
+    with blas_threads_for(s.shape[0]):
+        return scipy.linalg.expm(t * s)
 
 
 def choi_from_super(s, d: int) -> np.ndarray:

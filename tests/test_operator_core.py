@@ -2,9 +2,6 @@ import numpy as np
 import pytest
 
 from qmix.operator_core import (
-    H_CLIP,
-    _expm_hermitian,
-    _matrix_function,
     as_matrix,
     choi_from_super,
     eig_hermitian,
@@ -152,20 +149,6 @@ def test_kraus_schrodinger_super_is_kron_sum_bit_for_bit(rng):
         for k in ks:
             ref += np.kron(k.conj(), k)
         assert same_bits(kraus_schrodinger_super(ks), ref)
-
-
-def test_expm_hermitian_equals_the_clipped_matrix_function_bit_for_bit(rng):
-    """_expm_hermitian skips _eig_function's floor and finiteness guards; its
-    bits are those of the guarded expression, inside and beyond +-H_CLIP."""
-    for d in range(2, 7):
-        for scale in (0.3, 5.0, 2.0 * H_CLIP, 10.0 * H_CLIP):
-            for _ in range(20):
-                h = scale * random_hermitian(d, rng)
-                ref = _matrix_function(h, lambda w: np.exp(np.clip(w, -H_CLIP, H_CLIP)),
-                                       eig_floor=-np.inf)
-                assert same_bits(_expm_hermitian(h), ref)
-    h = np.diag([-3.0 * H_CLIP, 0.0, 3.0 * H_CLIP]).astype(complex)
-    assert np.allclose(np.diag(_expm_hermitian(h)).real, np.exp([-H_CLIP, 0.0, H_CLIP]))
 
 
 def test_vectorize_identity_and_diagonal_examples():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmix.dirichlet_gap import _dirichlet, _e1, dirichlet
+from qmix.dirichlet_gap import dirichlet
 from qmix.generators import (
     GeneratorError,
     build_depolarizing,
@@ -13,7 +13,6 @@ from qmix.generators import (
 )
 from qmix.lp_space import PositivityError
 from qmix.operator_core import (
-    _eig_function,
     choi_from_super,
     haar_unitary,
     hermitian_part,
@@ -187,32 +186,6 @@ def test_direct_check_equals_one_pair_at_a_time(rng, probes):
             assert all(r["weak_margin"] == r["strong_margin"] == np.inf and r["scale"] == 0.0
                        and not r["weak_violation"] and not r["strong_violation"]
                        for r in res.values())
-
-
-def test_p1_branch_takes_its_log_ratio_from_the_given_decomposition(rng, monkeypatch):
-    g = random_davies(3, rng)
-    sp = g.stationary
-    f = np.array([random_probe(3, rng, near_singular=(i % 5 == 4)) for i in range(8)])
-    act_f = g._apply(f)
-    root_eig = sp._root_eig(1.0, f)
-    log_ratio = sp._log_ratio(f)[1]
-    assert np.array_equal(_eig_function(*root_eig, np.log) - sp._log_sigma, log_ratio)
-    ref = _e1(sp, act_f, log_ratio)
-    assert np.array_equal(_dirichlet(sp, 1.0, f, act_f, root_eig), ref)
-    assert np.array_equal(_dirichlet(sp, 1.0, f, act_f), ref)
-    near = 1.0 + 5e-7  # still the log form, whose Gamma(f) is not X = Gamma^{1/p}(f)
-    assert np.array_equal(_dirichlet(sp, near, f, act_f, sp._root_eig(near, f)), ref)
-
-    shapes = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    direct_regularity_check(g, p_grid=(1.0,), probes=8)
-    assert shapes.count((8, 3, 3)) == 1
 
 
 def test_convexity_implies_weak_margins(rng):

@@ -54,8 +54,10 @@ parent (it imports qmix from the checkout it sits in) and run both trees
 on the same machine.  Both must compute on the same number of BLAS
 threads: the ``reversible_unital_d16`` mixing op samples from the
 eigenprojectors of a degenerate sigma, and that basis follows the bits of
-sigma's null-space SVD, which change with the thread count.  qmix sets one
-thread when it is imported, so two runs of one build agree.  Exits 1 when an op fails its check.
+sigma's null-space SVD, which change with the thread count.  qmix runs
+kernels on superoperators of d <= 16 on one thread whatever the
+environment says, and no op here is larger, so two runs of one build
+agree.  Exits 1 when an op fails its check.
 """
 
 import argparse
