@@ -1,8 +1,8 @@
 """Command-line surface: qmix analyze | mixing | reproduce | scan.
 
-Exit codes: 0 success, 1 malformed or unreadable input spec, 2
-non-primitive generator, 3 theory-verdict violation (so CI jobs can gate
-on consistency).  Errors are emitted to stderr as one JSON object per line.
+Exit codes: 0 success, 1 malformed or unreadable input spec or malformed
+flag (checked first), 2 non-primitive generator, 3 theory-verdict violation
+(so CI jobs can gate on consistency).  Errors go to stderr, one JSON line each.
 """
 
 from __future__ import annotations
@@ -116,20 +116,12 @@ def _load_primitive(path: str):
     return g, EXIT_OK
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return None  # matrices are dropped from reports
-    return obj
+def _json_default(obj):
+    """json.dumps hook: a numpy scalar as the Python number it holds; nothing
+    else (an array, say) belongs in a report."""
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +183,7 @@ def cmd_analyze(args) -> int:
         "version": __version__,
         "wall_time": time.time() - t0,
     }
-    payload = json.dumps(_jsonable(report), indent=1, sort_keys=True)
+    payload = json.dumps(report, indent=1, sort_keys=True, default=_json_default)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload + "\n")
@@ -205,6 +197,14 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_mixing(args) -> int:
+    for flag, value, ok, rule in (
+            ("--epsilon", args.epsilon, 0.0 < args.epsilon < np.inf, "positive and finite"),
+            ("--t-max", args.t_max, 0.0 <= args.t_max < np.inf, "finite and >= 0"),
+            ("--grid-n", args.grid_n, args.grid_n >= 1, ">= 1"),
+            ("--n-haar", args.n_haar, args.n_haar >= 0, ">= 0")):
+        if not ok:
+            _err(f"{flag} must be {rule}, got {value!r}", kind="bad_args")
+            return EXIT_BAD_SPEC
     g, code = _load_primitive(args.spec)
     if g is None:
         return code
@@ -221,7 +221,7 @@ def cmd_mixing(args) -> int:
     log_inv = np.log(1.0 / sp.sigma_min)
     t_chi = np.log(np.sqrt(1.0 / sp.sigma_min) / args.epsilon) / gap.lam
     t_ls = np.log(np.sqrt(2.0 * log_inv) / args.epsilon) / rep1.alpha_estimate
-    print(json.dumps(_jsonable({
+    print(json.dumps({
         "tau_mix": tau,
         "epsilon": args.epsilon,
         "lambda": gap.lam,
@@ -230,7 +230,7 @@ def cmd_mixing(args) -> int:
         "ls_bound_crossing": t_ls,
         "domination_margin": curve.domination_margin,
         "n_states": curve.n_states,
-    }), indent=1, sort_keys=True))
+    }, indent=1, sort_keys=True, default=_json_default))
     return EXIT_OK
 
 
@@ -328,7 +328,12 @@ def cmd_reproduce(args) -> int:
 
 def cmd_scan(args) -> int:
     import os
-    dims = tuple(int(x) for x in args.dims.split(","))
+    parts = args.dims.split(",")
+    if not all(x.strip().isdecimal() and int(x) >= 1 for x in parts):
+        _err(f"--dims must be comma-separated positive integers, got {args.dims!r}",
+             kind="bad_args")
+        return EXIT_BAD_SPEC
+    dims = tuple(int(x) for x in parts)
     seed = _resolve_seed(args)
     start = 0
     if args.resume and args.out and os.path.exists(args.out):

@@ -21,6 +21,7 @@ built only by `hat_generator`, and shared by all its holders.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass, field
 
@@ -121,7 +122,6 @@ class Generator:
         self.primitive = None
         self.stationary: WeightedSpace | None = None
         self._no_stationary = f"{family} generator has no stationary state"  # see classify
-        self._super_cache: dict[str, np.ndarray] = {}
         self._prop_cache: dict[tuple, np.ndarray] = {}
         self._hat: weakref.ref | None = None  # see hat_generator
 
@@ -211,13 +211,13 @@ class Generator:
             s[:, start:start + len(j)] = action(basis).transpose(0, 2, 1).reshape(len(j), n).T
         return s
 
-    @property
+    @functools.cached_property
     def super_L(self) -> np.ndarray:
-        return _lru_get(self._super_cache, "L", lambda: self._dense(heis=True))
+        return self._dense(heis=True)
 
-    @property
+    @functools.cached_property
     def super_Lstar(self) -> np.ndarray:
-        return _lru_get(self._super_cache, "Lstar", lambda: self._dense(heis=False))
+        return self._dense(heis=False)
 
     # -- semigroup actions --------------------------------------------------------
 

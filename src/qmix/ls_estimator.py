@@ -33,6 +33,7 @@ from scipy.optimize import minimize, minimize_scalar
 from .dirichlet_gap import GapReport, _e1, _e2, _judge_negative, dirichlet, spectral_gap
 from .generators import Generator, hat_generator, stationary_state
 from .lp_space import PositivityError, _require_positive
+from .mixing import worst_case_states
 from .operator_core import (
     _expm_hermitian,
     _matrix_function,
@@ -40,6 +41,7 @@ from .operator_core import (
     _unpack,
     hermitian_part,
     max_abs,
+    report_dict,
 )
 
 __all__ = [
@@ -306,27 +308,16 @@ class LSReport:
     n_evals: int
     analytic_bounds: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {
-            "p": self.p,
-            "alpha_estimate": self.alpha_estimate,
-            "restarts": self.restarts,
-            "converged": self.converged,
-            "use_hat": self.use_hat,
-            "witness_min_eig": self.witness_min_eig,
-            "n_evals": self.n_evals,
-            "analytic_bounds": dict(self.analytic_bounds),
-        }
+    to_dict = report_dict
 
 
-def estimate_alpha(g: Generator, p: int, use_hat: bool | None = None,
-                   budget: int = 1500, restarts: int = 8, seed: int = 0,
-                   extra_starts=(), gap: GapReport | None = None,
+def estimate_alpha(g: Generator, p: int, budget: int = 1500, restarts: int = 8,
+                   seed: int = 0, extra_starts=(), gap: GapReport | None = None,
                    refine_sweeps: int = 2) -> LSReport:
     """Multi-start upper-bound estimate of the LS_p constant, p in {1, 2}.
 
-    use_hat defaults to True for p = 1 (the mixing bounds are stated for the
-    hat generator; for p = 2 the two Dirichlet forms coincide anyway).  The
+    The ratio is on the hat generator exactly when p = 1 (the mixing bounds
+    are stated for it; for p = 2 the two Dirichlet forms coincide).  The
     returned alpha_estimate is the smallest Dirichlet/entropy ratio found;
     it upper-bounds the true constant and the report carries the witness,
     its smallest eigenvalue (rank-deficiency audit) and the applicable
@@ -335,8 +326,7 @@ def estimate_alpha(g: Generator, p: int, use_hat: bool | None = None,
     if p not in (1, 2):
         raise ValueError("estimate_alpha supports p in {1, 2} only")
     sp = stationary_state(g)
-    hat = (p == 1) if use_hat is None else use_hat
-    gen = hat_generator(g) if hat else g  # the generator of the LS ratio
+    gen = hat_generator(g) if p == 1 else g  # the generator of the LS ratio
     prob = _RatioProblem(gen, p)
     rng = np.random.default_rng(seed)
     d = g.dim
@@ -344,9 +334,8 @@ def estimate_alpha(g: Generator, p: int, use_hat: bool | None = None,
     candidates: list[tuple[float, np.ndarray]] = []
 
     # the traceless-basis eigenproblem is O(d^4) in memory; past the dense
-    # design envelope the spike and gap-witness searches carry the estimate;
-    # E_2 and Ehat_2 coincide, so the p = 2 expansion keeps the base action
-    direction = _near_identity_direction(gen if p == 1 else g, p) if d <= 24 else None
+    # design envelope the spike and gap-witness searches carry the estimate
+    direction = _near_identity_direction(gen, p) if d <= 24 else None
     if direction is not None:
         candidates.append(_line_search_eps(prob, direction))
 
@@ -355,12 +344,7 @@ def estimate_alpha(g: Generator, p: int, use_hat: bool | None = None,
     gw = gap.witness / max(max_abs(gap.witness), 1e-30)
     candidates.append(_line_search_eps(prob, gw))
 
-    projectors = [np.outer(sp.eigvecs[:, j], sp.eigvecs[:, j].conj()) for j in range(d)]
-    for _ in range(3):
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        z /= np.linalg.norm(z)
-        projectors.append(np.outer(z, z.conj()))
-    for proj in projectors:
+    for proj in worst_case_states(sp, n_haar=3, seed=rng):
         candidates.append(_spike_search(prob, proj))
 
     for f0 in extra_starts:
@@ -415,7 +399,7 @@ def estimate_alpha(g: Generator, p: int, use_hat: bool | None = None,
 
     return LSReport(
         p=float(p), alpha_estimate=float(alpha), witness=witness,
-        restarts=restarts, converged=converged, use_hat=hat,
+        restarts=restarts, converged=converged, use_hat=p == 1,
         witness_min_eig=float(np.linalg.eigvalsh(witness)[0]),
         n_evals=prob.n_evals, analytic_bounds=bounds)
 

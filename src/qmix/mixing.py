@@ -211,9 +211,11 @@ def _evolve_states(g: Generator, states, t: float):
     return rho_t, w
 
 
-def worst_case_states(space: WeightedSpace, n_haar: int = 50, seed: int = 0):
+def worst_case_states(space: WeightedSpace, n_haar: int = 50, seed=0):
     """Initial states for worst-case sampling: all eigenprojectors of sigma
-    (including the sigma_min one) plus Haar-random pure states."""
+    (including the sigma_min one) plus Haar-random pure states.  A numpy
+    Generator as seed is used as is (`default_rng` returns it unchanged), so
+    the LS spike search draws its spikes here from its own generator."""
     rng = np.random.default_rng(seed)
     states = [np.outer(space.eigvecs[:, j], space.eigvecs[:, j].conj())
               for j in range(space.dim)]
@@ -412,9 +414,7 @@ def pq_norm(g: Generator, p: float, q: float, t: float,
     rng = np.random.default_rng(seed)
     best = ratio(np.eye(d))
     starts = [_pack(np.zeros((d, d), dtype=complex))]
-    starts += [_pack(hermitian_part(rng.standard_normal((d, d))
-                                    + 1j * rng.standard_normal((d, d))))
-               for _ in range(restarts - 1)]
+    starts += [_pack(random_hermitian(d, rng)) for _ in range(restarts - 1)]
     for x0 in starts:
         res = minimize(neg_packed, x0, method="Nelder-Mead",
                        options={"maxfev": budget, "fatol": 1e-12})

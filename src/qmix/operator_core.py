@@ -13,6 +13,8 @@ log-Sobolev and (p, q)-norm searches lives here too.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import functools
 
 import numpy as np
@@ -42,6 +44,7 @@ __all__ = [
     "random_pure_state",
     "matrix_to_json",
     "matrix_from_json",
+    "report_dict",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -289,7 +292,7 @@ def random_pure_state(d: int, rng) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization: nested arrays of [re, im] pairs, row-major
+# JSON serialization: nested arrays of [re, im] pairs, row-major; reports
 # ---------------------------------------------------------------------------
 
 def matrix_to_json(a) -> list:
@@ -302,3 +305,11 @@ def matrix_from_json(data) -> np.ndarray:
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
         raise ValueError("matrix JSON must be a d x d array of [re, im] pairs")
     return as_matrix(arr[..., 0] + 1j * arr[..., 1])
+
+
+def report_dict(obj) -> dict:
+    """The JSON view of a report dataclass: each field that is not an ndarray,
+    in field order, shallow-copied.  Report classes bind it as `to_dict`, so
+    a new field reaches the JSON with no second edit."""
+    values = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    return {name: copy.copy(v) for name, v in values if not isinstance(v, np.ndarray)}

@@ -47,6 +47,8 @@ from .operator_core import (
     hermitian_part,
     matrix_to_json,
     random_hermitian,
+    random_pure_state,
+    report_dict,
 )
 
 __all__ = [
@@ -146,25 +148,14 @@ class RegularityProfile:
     n_times: int = 0
     failures: list = field(default_factory=list)
 
-    def to_dict(self):
-        return {
-            "t": self.t,
-            "verdicts": dict(self.verdicts),
-            "min_second_difference": self.min_second_difference,
-            "endpoint_dev": self.endpoint_dev,
-            "n_probes": self.n_probes,
-            "n_times": self.n_times,
-            "failures": list(self.failures),
-        }
+    to_dict = report_dict
 
 
 def random_probe(d: int, rng, near_singular: bool = False) -> np.ndarray:
     """Positive probe: exp of a Gaussian Hermitian, or eps*1 + projector to
     stress the log endpoints."""
     if near_singular:
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        z /= np.linalg.norm(z)
-        return 1e-3 * np.eye(d) + np.outer(z, z.conj())
+        return 1e-3 * np.eye(d) + random_pure_state(d, rng)
     h = random_hermitian(d, rng, scale=0.6)  # exactly Hermitian: nothing to check
     return _matrix_function(h, np.exp, eig_floor=-np.inf)
 

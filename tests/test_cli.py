@@ -140,6 +140,16 @@ def test_reproduce_davies_qubit(capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
 
 
+@pytest.mark.parametrize("target", [
+    "tensor_qubit",
+    pytest.param("depolarizing_table", marks=pytest.mark.slow),
+])
+def test_reproduce_target_passes(capsys, target):
+    assert main(["reproduce", target, "--seed", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.startswith("[PASS]") for line in lines)
+
+
 def test_reproduce_unknown_target(capsys):
     assert main(["reproduce", "no_such_thing"]) == 1
 
@@ -244,3 +254,38 @@ def test_main_calls_carry_no_state_between_them(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["start_index"] == 0 and summary["instances"] == 2
     assert out.read_bytes() == full.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["mixing", "SPEC", "--epsilon", "0"],
+    ["mixing", "SPEC", "--epsilon", "nan"],
+    ["mixing", "SPEC", "--t-max", "-1"],
+    ["mixing", "SPEC", "--t-max", "inf"],
+    ["mixing", "SPEC", "--grid-n", "0"],
+    ["mixing", "SPEC", "--n-haar", "-1"],
+    ["scan", "--dims", "x"],
+    ["scan", "--dims", "2,0"],
+])
+def test_malformed_flag_is_one_json_error_before_any_computation(tmp_path, capsys,
+                                                                 monkeypatch, argv):
+    import qmix.cli as cli
+
+    def computed(*args, **kwargs):
+        raise AssertionError("computation started before the flags were checked")
+
+    monkeypatch.setattr(cli, "_load_primitive", computed)
+    monkeypatch.setattr(cli, "conjecture_scan", computed)
+    spec = write_spec(tmp_path / "g.json", {"family": "depolarizing", "dim": 2, "gamma": 1.0})
+    assert main([spec if a == "SPEC" else a for a in argv]) == 1
+    out, err = capsys.readouterr()
+    err = [json.loads(line) for line in err.splitlines()]
+    assert out == "" and len(err) == 1
+    assert err[0]["kind"] == "bad_args" and argv[-2] in err[0]["error"]
+
+
+def test_json_hook_takes_numpy_scalars_and_refuses_arrays():
+    import qmix.cli as cli
+    payload = {"b": np.bool_(True), "i": np.int64(3), "x": np.float64(0.1)}
+    assert json.dumps(payload, default=cli._json_default) == '{"b": true, "i": 3, "x": 0.1}'
+    with pytest.raises(TypeError, match="ndarray"):
+        json.dumps({"m": np.eye(2)}, default=cli._json_default)

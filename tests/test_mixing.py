@@ -237,6 +237,17 @@ def test_stacked_mixing_equals_single_state_loop(family, d, rng):
         assert rec["chi2_worst"] == ref_chi2
 
 
+def test_worst_case_states_draw_from_a_given_generator(rng):
+    sp = random_davies(3, rng).stationary
+    drawn, twin = np.random.default_rng(5), np.random.default_rng(5)
+    states = worst_case_states(sp, n_haar=3, seed=drawn)
+    for j in range(3):
+        assert np.array_equal(states[j], np.outer(sp.eigvecs[:, j], sp.eigvecs[:, j].conj()))
+    for state in states[3:]:
+        assert np.array_equal(state, random_pure_state(3, twin))
+    assert drawn.standard_normal() == twin.standard_normal()  # advanced alike
+
+
 def test_stacked_evolution_keeps_per_state_checks(monkeypatch, rng):
     g = random_davies(3, rng)
     propagator = g.schrodinger_propagator

@@ -1,3 +1,5 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from qmix.operator_core import (
     matrix_to_json,
     random_hermitian,
     random_psd,
+    report_dict,
     require_hermitian,
     unvec,
     vec,
@@ -219,3 +222,19 @@ def test_matrix_json_round_trip(rng):
     assert np.max(np.abs(a - back)) == 0.0
     with pytest.raises(ValueError):
         matrix_from_json([[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_report_dict_keeps_non_array_fields_in_order_shallow_copied():
+    @dataclass
+    class Report:
+        x: float
+        witness: np.ndarray
+        tags: dict = field(default_factory=dict)
+        failures: list = field(default_factory=list)
+
+    rep = Report(x=0.5, witness=np.eye(2), tags={"a": [1]}, failures=[{"i": 0}])
+    out = report_dict(rep)
+    assert list(out) == ["x", "tags", "failures"]
+    assert out == {"x": 0.5, "tags": {"a": [1]}, "failures": [{"i": 0}]}
+    assert out["tags"] is not rep.tags and out["tags"]["a"] is rep.tags["a"]
+    assert out["failures"] is not rep.failures and out["failures"][0] is rep.failures[0]

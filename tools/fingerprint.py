@@ -17,8 +17,8 @@ does, and writes into ``--out``:
   families at d = 4, ``entropy_decay_check``, ``pq_norm`` of the hat,
   ``two_two_norm_decay`` and ``h_profile`` at d = 3, and on the generic
   d = 3 generator the hat Dirichlet form ``dirichlet(hat_generator(g), p, f)``
-  at p = 1, 1.5 and 2, ``estimate_alpha(g, 2, use_hat=True, budget=60,
-  restarts=2)`` and ``entropy_production``; the L_p functionals on
+  at p = 1, 1.5 and 2, ``estimate_alpha(g, 2, budget=60, restarts=2)``
+  and ``entropy_production``; the L_p functionals on
   ``WeightedSpace`` of a random d = 3 state and a positive f:
   ``lp_norm(3, f)``, ``power_operator(3, 1.5, f)``,
   ``op_relative_entropy(1.5, f)``, ``ent`` at p = 1.5 and 3 and
@@ -43,9 +43,9 @@ does, and writes into ``--out``:
   ``qmix mixing`` (``--seed 0``) on four failing specs: a pure-Hamiltonian
   generator, ``{not json``, an unknown family and a depolarizing spec
   without ``gamma`` (the spec directory reads ``<dir>``);
-* ``blas.txt`` -- the thread count of each bundled OpenBLAS, as
-  ``bench/run.py`` reads it back after the ops ran, so that a change of
-  the thread policy shows in the diff.
+* ``blas.txt`` -- the thread count of each bundled OpenBLAS, read through
+  ``qmix._blas`` after the ops ran, so that a change of the thread policy
+  shows in the diff.
 
 JSON and ``repr`` print every float in full, so two trees compute the same
 numbers exactly when ``diff -r`` of their directories finds nothing.  To
@@ -71,7 +71,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
-from run import WORKLOAD_NAMES, _openblas_threads, import_program  # noqa: E402
+from run import WORKLOAD_NAMES, import_program  # noqa: E402
 
 
 def write_outputs(name, wl, out: Path):
@@ -151,9 +151,9 @@ def library_lines(seed: int) -> list:
     f = positive(3)
     for p in (1.0, 1.5, 2.0):
         record(f"hat(generic_d3).dirichlet(p={p})", dirichlet(hat_generator(generic), p, f))
-    rep = estimate_alpha(generic, 2, use_hat=True, budget=60, restarts=2)
-    record("generic_d3.estimate_alpha(p=2, use_hat=True)", rep.to_dict())
-    record("generic_d3.estimate_alpha(p=2, use_hat=True).witness", rep.witness)
+    rep = estimate_alpha(generic, 2, budget=60, restarts=2)
+    record("generic_d3.estimate_alpha(p=2)", rep.to_dict())
+    record("generic_d3.estimate_alpha(p=2).witness", rep.witness)
     record("generic_d3.entropy_production", entropy_production(generic, state(3)))
     space, f = WeightedSpace(state(3)), positive(3)
     record("lp_d3.lp_norm(p=3.0)", space.lp_norm(3.0, f))
@@ -252,7 +252,8 @@ def main(argv=None) -> int:
             write_outputs(name, wl, out)
         (out / "cli_errors.txt").write_text("\n".join(cli_error_lines(work)) + "\n")
     (out / "library.txt").write_text("\n".join(library_lines(args.seed)) + "\n")
-    (out / "blas.txt").write_text(f"{_openblas_threads()!r}\n")
+    from qmix._blas import _LIBS
+    (out / "blas.txt").write_text(f"{[get() for _, get, _ in _LIBS]!r}\n")
     print(f"fingerprint seed={args.seed}: outputs in {out}, {failed} failed checks")
     return 1 if failed else 0
 
