@@ -1,8 +1,9 @@
 """Command-line surface: qmix analyze | mixing | reproduce | scan.
 
-Exit codes: 0 success, 1 malformed or unreadable input spec or malformed
-flag (checked first), 2 non-primitive generator, 3 theory-verdict violation
-(so CI jobs can gate on consistency).  Errors go to stderr, one JSON line each.
+Exit codes: 0 success, 1 malformed or unreadable input spec, or a usage
+error (an unknown or malformed flag, checked by the parser before any
+computation), 2 non-primitive generator, 3 theory-verdict violation (so CI
+jobs can gate on consistency).  Errors go to stderr, one JSON line each.
 """
 
 from __future__ import annotations
@@ -197,14 +198,6 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_mixing(args) -> int:
-    for flag, value, ok, rule in (
-            ("--epsilon", args.epsilon, 0.0 < args.epsilon < np.inf, "positive and finite"),
-            ("--t-max", args.t_max, 0.0 <= args.t_max < np.inf, "finite and >= 0"),
-            ("--grid-n", args.grid_n, args.grid_n >= 1, ">= 1"),
-            ("--n-haar", args.n_haar, args.n_haar >= 0, ">= 0")):
-        if not ok:
-            _err(f"{flag} must be {rule}, got {value!r}", kind="bad_args")
-            return EXIT_BAD_SPEC
     g, code = _load_primitive(args.spec)
     if g is None:
         return code
@@ -328,12 +321,6 @@ def cmd_reproduce(args) -> int:
 
 def cmd_scan(args) -> int:
     import os
-    parts = args.dims.split(",")
-    if not all(x.strip().isdecimal() and int(x) >= 1 for x in parts):
-        _err(f"--dims must be comma-separated positive integers, got {args.dims!r}",
-             kind="bad_args")
-        return EXIT_BAD_SPEC
-    dims = tuple(int(x) for x in parts)
     seed = _resolve_seed(args)
     start = 0
     if args.resume and args.out and os.path.exists(args.out):
@@ -343,7 +330,7 @@ def cmd_scan(args) -> int:
             data = fh.read()
             start = data.count(b"\n")
             fh.truncate(data.rfind(b"\n") + 1)
-    records = conjecture_scan(args.n, dims=dims, seed=seed,
+    records = conjecture_scan(args.n, dims=args.dims, seed=seed,
                               out_path=args.out, probes=args.probes,
                               start_index=start, jobs=args.jobs)
     n_weak = sum(1 for r in records if r.get("weak_violation"))
@@ -355,11 +342,51 @@ def cmd_scan(args) -> int:
     return EXIT_OK if n_weak == 0 and n_strong_rev == 0 else EXIT_VERDICT
 
 
+class _UsageError(Exception):
+    """An unknown, missing or malformed argument; `main` exits EXIT_BAD_SPEC."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors reach `main` as `_UsageError`
+    (argparse itself would exit 2, the code of a non-primitive generator);
+    its subparsers are of this class too."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
+def _checked(kind, ok, rule: str):
+    """An argparse type: kind(text), refused with `rule` unless ok(value).
+    Text that kind() cannot parse gets argparse's own "invalid int value"
+    message, which names the type by its __name__."""
+    def convert(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    convert.__name__ = kind.__name__
+    return convert
+
+
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
+_NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, ">= 0")
+_POSITIVE_FLOAT = _checked(float, lambda v: 0.0 < v < np.inf, "positive and finite")
+_NONNEGATIVE_FLOAT = _checked(float, lambda v: 0.0 <= v < np.inf, "finite and >= 0")
+
+
+def _dims(text: str) -> tuple:
+    parts = text.split(",")
+    if not all(x.strip().isdecimal() and int(x) >= 1 for x in parts):
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated positive integers, got {text!r}")
+    return tuple(int(x) for x in parts)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The qmix argument parser, built once per process: parsing leaves no
     state in it, so every `main` call can share it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmix",
         description="Spectral gaps, log-Sobolev constants, regularity evidence "
                     "and mixing bounds for quantum Markov semigroups")
@@ -368,38 +395,38 @@ def _parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="full report for one generator spec")
     pa.add_argument("spec")
     pa.add_argument("--out", default=None)
-    pa.add_argument("--seed", type=int, default=None,
+    pa.add_argument("--seed", type=_NONNEGATIVE_INT, default=None,
                     help="omit for a logged random seed")
-    pa.add_argument("--budget", type=int, default=1000)
-    pa.add_argument("--probes", type=int, default=12)
+    pa.add_argument("--budget", type=_POSITIVE_INT, default=1000)
+    pa.add_argument("--probes", type=_POSITIVE_INT, default=12)
     pa.add_argument("--skip", default="", help="comma-separated: ls,regularity")
     pa.set_defaults(func=cmd_analyze)
 
     pm = sub.add_parser("mixing", help="mixing curve, tau_mix and bound crossings")
     pm.add_argument("spec")
-    pm.add_argument("--epsilon", type=float, default=0.01)
-    pm.add_argument("--t-max", dest="t_max", type=float, default=10.0)
-    pm.add_argument("--grid-n", dest="grid_n", type=int, default=41)
-    pm.add_argument("--n-haar", dest="n_haar", type=int, default=50)
+    pm.add_argument("--epsilon", type=_POSITIVE_FLOAT, default=0.01)
+    pm.add_argument("--t-max", dest="t_max", type=_NONNEGATIVE_FLOAT, default=10.0)
+    pm.add_argument("--grid-n", dest="grid_n", type=_POSITIVE_INT, default=41)
+    pm.add_argument("--n-haar", dest="n_haar", type=_NONNEGATIVE_INT, default=50)
     pm.add_argument("--out-csv", dest="out_csv", default=None)
-    pm.add_argument("--seed", type=int, default=None)
-    pm.add_argument("--budget", type=int, default=1000)
+    pm.add_argument("--seed", type=_NONNEGATIVE_INT, default=None)
+    pm.add_argument("--budget", type=_POSITIVE_INT, default=1000)
     pm.set_defaults(func=cmd_mixing)
 
     pr = sub.add_parser("reproduce", help="re-run a quantitative experiment")
     pr.add_argument("target", help="depolarizing_table|tensor_qubit|expander|davies_qubit")
-    pr.add_argument("--seed", type=int, default=None)
-    pr.add_argument("--budget", type=int, default=1000)
+    pr.add_argument("--seed", type=_NONNEGATIVE_INT, default=None)
+    pr.add_argument("--budget", type=_POSITIVE_INT, default=1000)
     pr.add_argument("--full", action="store_true", help="include the larger variants")
     pr.set_defaults(func=cmd_reproduce)
 
     ps = sub.add_parser("scan", help="regularity falsification scan (JSONL stream)")
-    ps.add_argument("--dims", default="2,3")
-    ps.add_argument("--n", type=int, default=30)
-    ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--probes", type=int, default=6)
+    ps.add_argument("--dims", type=_dims, default=(2, 3))
+    ps.add_argument("--n", type=_NONNEGATIVE_INT, default=30)
+    ps.add_argument("--seed", type=_NONNEGATIVE_INT, default=None)
+    ps.add_argument("--probes", type=_POSITIVE_INT, default=6)
     ps.add_argument("--out", default=None)
-    ps.add_argument("--jobs", type=int, default=1,
+    ps.add_argument("--jobs", type=_POSITIVE_INT, default=1,
                     help="parallel scan instances (worker processes)")
     ps.add_argument("--resume", action="store_true",
                     help="continue an existing --out file from its line count")
@@ -408,7 +435,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except _UsageError as exc:
+        _err(str(exc), kind="bad_args")
+        return EXIT_BAD_SPEC
     return args.func(args)
 
 

@@ -14,7 +14,10 @@ random pure states; every report states the sample size, since no finite
 sample certifies the supremum over all inputs.
 
 `bound_curves`, `mixing_time` and `chi2_gap_time_check` validate the sampled
-states once and then evolve and measure them as one (n, d, d) stack per time.
+states once and then evolve and measure them as (n, d, d) stacks of at most
+STACK_ENTRIES // d^2 states per time (16 at d = 64, 256 at d = 16), so their
+temporaries stay near 1 MiB at any d; the propagator of a time they ask for
+once is not kept in the generator's cache (`Generator._evolve`).
 The public single-state `evolve`, `distances`, `trace_norm`, `chi2_divergence`
 and `relative_entropy_states` run the same kernels on a stack of one, so every
 state gets the same arithmetic and the same checks either way.
@@ -32,6 +35,7 @@ from .dirichlet_gap import dirichlet
 from .generators import Generator, hat_generator, lift_channel, stationary_state
 from .lp_space import WeightedSpace
 from .operator_core import (
+    STACK_ENTRIES,
     _expm_hermitian,
     _pack,
     _re_trace,
@@ -198,7 +202,7 @@ def _evolve_states(g: Generator, states, t: float):
     checks on each output; returns the stack and its eigenvalues."""
     if t < 0:
         raise ValueError("evolve needs t >= 0")
-    rho_t = hermitian_part(g._evolve(states, float(t), heis=False))
+    rho_t = hermitian_part(g._evolve(states, float(t), heis=False, keep=False))
     if not np.isfinite(rho_t).all():
         raise ArithmeticError("evolution produced non-finite entries")
     tr = _re_trace(rho_t)
@@ -209,6 +213,16 @@ def _evolve_states(g: Generator, states, t: float):
     if (w[:, 0] < -1e-9).any():
         raise ArithmeticError(f"evolution lost positivity: min eig {w[:, 0].min():.3e}")
     return rho_t, w
+
+
+def _per_state(measure, states, *args) -> np.ndarray:
+    """measure(chunk, *args) over chunks of at most STACK_ENTRIES // d^2
+    states of a validated stack, its per-state values (last axis) joined in
+    stack order.  Each matrix gets the arithmetic it gets in a whole-stack
+    call; a failing check raises in the first chunk that fails it."""
+    step = max(1, STACK_ENTRIES // states[0].size)
+    return np.concatenate([measure(states[i:i + step], *args)
+                           for i in range(0, len(states), step)], axis=-1)
 
 
 def worst_case_states(space: WeightedSpace, n_haar: int = 50, seed=0):
@@ -272,11 +286,15 @@ def bound_curves(g: Generator, lam: float | None, alpha1: float | None, t_grid,
     t_grid = np.asarray(list(t_grid), dtype=float)
     states = _check_states(worst_case_states(sp, n_haar=n_haar, seed=seed))
     log_sigma = _log_sigma(sp.eigvals, sp.eigvecs)
+
+    def measure(chunk, t):
+        rho_t, w = _evolve_states(g, chunk, t)
+        _require_states(rho_t, w)
+        return np.array(_distances(rho_t, sp, log_sigma))
+
     worst = np.zeros((3, len(t_grid)))  # trace distance, chi^2, relative entropy
     for i, t in enumerate(t_grid):
-        rho_t, w = _evolve_states(g, states, t)
-        _require_states(rho_t, w)
-        for row, dist in zip(worst, _distances(rho_t, sp, log_sigma)):
+        for row, dist in zip(worst, _per_state(measure, states, t)):
             row[i] = max(0.0, *dist.tolist())
     trace_w, chi2_w, rel_w = worst
     log_inv = np.log(1.0 / sp.sigma_min)
@@ -310,8 +328,11 @@ def mixing_time(g: Generator, epsilon: float, n_haar: int = 50, seed: int = 0,
     sp = stationary_state(g)
     states = _check_states(worst_case_states(sp, n_haar=n_haar, seed=seed))
 
+    def trace_dists(chunk, t):
+        return _trace_norms(_evolve_states(g, chunk, t)[0] - sp.sigma)
+
     def worst(t):
-        return max(_trace_norms(_evolve_states(g, states, t)[0] - sp.sigma).tolist())
+        return max(_per_state(trace_dists, states, t).tolist())
 
     if worst(0.0) <= epsilon:
         return 0.0
@@ -345,13 +366,17 @@ def entropy_decay_check(g: Generator, alpha1: float, f0, t_grid,
         f0 = f0.value
     f0 = require_hermitian(f0)
     hat = hat_generator(g)
+
+    def f_at(t):  # each time is asked for once: its propagator is not kept
+        return hermitian_part(hat._evolve(f0[None], t, heis=True, keep=False)[0])
+
     var0 = sp.variance(f0)
     ent0 = sp.ent1(f0) if np.linalg.eigvalsh(f0)[0] > 0 else None
     var_margin = np.inf
     ent_margin = np.inf
     deriv_err = 0.0
     for t in t_grid:
-        ft = hermitian_part(hat.evolve_heisenberg(f0, float(t)))
+        ft = f_at(float(t))
         if lam is not None:
             var_margin = min(var_margin,
                              np.exp(-2.0 * lam * t) * var0 - sp.variance(ft))
@@ -359,9 +384,7 @@ def entropy_decay_check(g: Generator, alpha1: float, f0, t_grid,
             ent_t = sp.ent1(ft)
             ent_margin = min(ent_margin, np.exp(-2.0 * alpha1 * t) * ent0 - ent_t)
             t_up, t_down = float(t) + 1e-4, max(float(t) - 1e-4, 0.0)
-            fp = hermitian_part(hat.evolve_heisenberg(f0, t_up))
-            fm = hermitian_part(hat.evolve_heisenberg(f0, t_down))
-            fd = (sp.ent1(fp) - sp.ent1(fm)) / (t_up - t_down)
+            fd = (sp.ent1(f_at(t_up)) - sp.ent1(f_at(t_down))) / (t_up - t_down)
             analytic = -2.0 * dirichlet(hat, 1.0, ft)
             deriv_err = max(deriv_err,
                             abs(fd - analytic) / (1.0 + abs(analytic)))
@@ -484,11 +507,15 @@ def chi2_gap_time_check(g: Generator, alpha2: float, lam: float, c_values=(1.0, 
     sp = stationary_state(g)
     states = _check_states(worst_case_states(sp, n_haar=n_haar, seed=seed))
     loglog = np.log(max(np.log(1.0 / sp.sigma_min), 1.0 + 1e-12))
+
+    def chi2s(chunk, t):
+        return _chi2s(_evolve_states(g, chunk, t)[0] - sp.sigma, sp)
+
     out = {}
     for c in c_values:
         t = loglog / (2.0 * alpha2) + c / lam
         bound = np.exp(2.0 * (1.0 - c))
-        worst = max(_chi2s(_evolve_states(g, states, t)[0] - sp.sigma, sp).tolist())
+        worst = max(_per_state(chi2s, states, t).tolist())
         out[float(c)] = {"t": float(t), "bound": float(bound),
                          "chi2_worst": float(worst), "margin": float(bound - worst)}
     return out

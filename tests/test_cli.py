@@ -265,6 +265,15 @@ def test_main_calls_carry_no_state_between_them(tmp_path, capsys):
     ["mixing", "SPEC", "--n-haar", "-1"],
     ["scan", "--dims", "x"],
     ["scan", "--dims", "2,0"],
+    ["mixing", "SPEC", "--budget", "0"],
+    ["analyze", "SPEC", "--budget", "0"],
+    ["analyze", "SPEC", "--probes", "0"],
+    ["reproduce", "depolarizing_table", "--budget", "-5"],
+    ["scan", "--probes", "0"],
+    ["scan", "--n", "-1"],
+    ["scan", "--jobs", "0"],
+    ["scan", "--n", "x"],
+    ["analyze", "SPEC", "--seed", "-1"],
 ])
 def test_malformed_flag_is_one_json_error_before_any_computation(tmp_path, capsys,
                                                                  monkeypatch, argv):
@@ -273,14 +282,35 @@ def test_malformed_flag_is_one_json_error_before_any_computation(tmp_path, capsy
     def computed(*args, **kwargs):
         raise AssertionError("computation started before the flags were checked")
 
-    monkeypatch.setattr(cli, "_load_primitive", computed)
-    monkeypatch.setattr(cli, "conjecture_scan", computed)
+    for name in ("_load_primitive", "conjecture_scan", "estimate_alpha", "spectral_gap"):
+        monkeypatch.setattr(cli, name, computed)
     spec = write_spec(tmp_path / "g.json", {"family": "depolarizing", "dim": 2, "gamma": 1.0})
     assert main([spec if a == "SPEC" else a for a in argv]) == 1
     out, err = capsys.readouterr()
     err = [json.loads(line) for line in err.splitlines()]
     assert out == "" and len(err) == 1
     assert err[0]["kind"] == "bad_args" and argv[-2] in err[0]["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["mixing", "SPEC", "--bogus"],
+    ["analyze"],
+    ["no_such_command"],
+    [],
+])
+def test_usage_error_is_one_json_error_and_exit_1(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path / "g.json", {"family": "depolarizing", "dim": 2, "gamma": 1.0})
+    assert main([spec if a == "SPEC" else a for a in argv]) == 1
+    out, err = capsys.readouterr()
+    err = [json.loads(line) for line in err.splitlines()]
+    assert out == "" and len(err) == 1 and err[0]["kind"] == "bad_args"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["mixing", "--help"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0 and "usage: qmix" in capsys.readouterr().out
 
 
 def test_json_hook_takes_numpy_scalars_and_refuses_arrays():

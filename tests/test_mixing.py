@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,8 @@ from qmix.mixing import (
     worst_case_states,
 )
 from qmix.operator_core import (
+    CACHE_SIZE,
+    STACK_ENTRIES,
     haar_unitary,
     max_abs,
     random_density_matrix,
@@ -266,6 +270,68 @@ def test_stacked_evolution_keeps_per_state_checks(monkeypatch, rng):
         bound_curves(g, 1.0, None, [0.0, 0.5], n_haar=3)
     with pytest.raises(ArithmeticError, match="lost positivity"):
         mixing_time(g, 0.05, n_haar=3)
+
+
+def test_one_off_times_leave_the_propagator_caches_as_found(rng):
+    g = random_lindblad(8, rng)
+    hat = hat_generator(g)  # the hat entropy_decay_check evolves
+    grid = [0.0, 0.5, 2.0]
+    f0 = RelativeDensity.from_state(random_density_matrix(8, rng), g.stationary)
+    runs = [lambda: bound_curves(g, 0.1, None, grid, n_haar=3),
+            lambda: mixing_time(g, 0.05, n_haar=3),
+            lambda: chi2_gap_time_check(g, 0.1, 0.2, n_haar=3),
+            lambda: entropy_decay_check(g, 0.1, f0, grid)]
+    for run in runs:
+        run()
+        assert g._prop_cache == {} and hat._prop_cache == {}
+    kept = g.schrodinger_propagator(0.5)
+    hat_kept = hat.heisenberg_propagator(0.5)
+    for run in runs:
+        run()
+        assert list(g._prop_cache) == [("S", 0.5)] and g._prop_cache[("S", 0.5)] is kept
+        assert list(hat._prop_cache) == [("H", 0.5)]
+        assert hat._prop_cache[("H", 0.5)] is hat_kept
+    # a full cache keeps every entry, the one a one-off miss evicted included
+    fillers = {("X", k): np.zeros(1) for k in range(CACHE_SIZE - 1)}
+    g._prop_cache.update(fillers)
+    before = list(g._prop_cache)
+    mixing_time(g, 0.05, n_haar=3)
+    assert list(g._prop_cache) == before
+    # a caller whose times repeat keeps its entry
+    g.evolve_schrodinger(g.stationary.sigma, 1.5)
+    assert ("S", 1.5) in g._prop_cache
+
+
+def test_state_chunks_join_into_the_per_state_values():
+    g = build_depolarizing(64, 1.0)
+    assert STACK_ENTRIES // 64 ** 2 == 16  # 70 states: 4 chunks of 16 and one of 6
+    grid = [0.0, 0.7, 3.0]
+    curve = bound_curves(g, 1.0, None, grid, n_haar=6, seed=2)
+    ref = reference_worst(g, grid, n_haar=6, seed=2)
+    assert curve.n_states == 70
+    assert np.array_equal(curve.trace_dist, ref[0])
+    assert np.array_equal(curve.chi2, ref[1])
+    assert np.array_equal(curve.rel_ent, ref[2])
+    assert mixing_time(g, 0.05, n_haar=6, seed=2, rtol=1e-2) == reference_mixing_time(
+        g, 0.05, n_haar=6, seed=2, rtol=1e-2)
+    sp = g.stationary
+    states = worst_case_states(sp, n_haar=6, seed=2)
+    for rec in chi2_gap_time_check(g, 0.7, 1.0, c_values=(1.0,), n_haar=6, seed=2).values():
+        assert rec["chi2_worst"] == max(chi2_divergence(evolve(g, rho0, rec["t"]), sp)
+                                        for rho0 in states)
+
+
+def test_mixing_time_memory_stays_flat(rng):
+    g = random_reversible_unital(16, rng)
+    tracemalloc.start()
+    try:
+        mixing_time(g, 0.01, n_haar=6, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 256 x 256 propagator is 1 MiB; keeping every bisection time's
+    # propagator peaked near 30 MiB
+    assert peak < 16 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
