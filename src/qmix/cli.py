@@ -210,7 +210,7 @@ def cmd_mixing(args) -> int:
                          n_haar=args.n_haar, seed=seed)
     if args.out_csv:
         curve.to_csv(args.out_csv)
-    tau = mixing_time(g, args.epsilon, n_haar=args.n_haar, seed=seed)
+    tau = mixing_time(g, args.epsilon, n_haar=args.n_haar, seed=seed, curve=curve)
     log_inv = np.log(1.0 / sp.sigma_min)
     t_chi = np.log(np.sqrt(1.0 / sp.sigma_min) / args.epsilon) / gap.lam
     t_ls = np.log(np.sqrt(2.0 * log_inv) / args.epsilon) / rep1.alpha_estimate

@@ -21,6 +21,7 @@ built only by `hat_generator`, and shared by all its holders.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import weakref
 from dataclasses import dataclass, field
@@ -229,39 +230,35 @@ class Generator:
         """T_t*(rho) = exp(tL*)(rho)."""
         return self._evolve(as_matrix(rho)[None], t, heis=False)[0]
 
-    def _evolve(self, x, t: float, heis: bool, keep: bool = True) -> np.ndarray:
+    def _evolve(self, x, t: float, heis: bool) -> np.ndarray:
         """exp(tL) (heis) or exp(tL*) on each matrix of an (n, d, d) stack the
         library built.
 
         Each matrix gets the same arithmetic as on its own: the closed forms
         are elementwise, and the dense path is one matrix-vector product per
-        matrix against that picture's propagator (a single gemm over the
-        stack rounds differently).
-
-        The propagator always comes from `heisenberg_propagator` or
-        `schrodinger_propagator`.  Callers whose times repeat keep it in the
-        LRU cache: `evolve_heisenberg`/`evolve_schrodinger` (so `pq_norm` and
-        `hypercontractivity_check`), `two_two_norm_decay` and
-        `regularity._h_profile`.  keep=False is for a time that is asked
-        for once, the grid times and bisection midpoints of `mixing` and
-        the hat evolutions of `entropy_decay_check`: the cache is left with
-        the entries this call found, so a d^2 x d^2 propagator (16 MiB at
-        d = 32) is freed once this call returns."""
+        matrix against that picture's cached propagator (a single gemm over
+        the stack rounds differently)."""
         if t == 0.0:
             return x.copy()
         if self._closed is not None:
             return self._closed_evolve(self._closed[1 if heis else 2], x, t)
-        get = self.heisenberg_propagator if heis else self.schrodinger_propagator
-        if keep:
-            prop = get(t)
-        else:  # restore what the cache held, an entry a full cache evicted too
-            found = self._prop_cache.copy()
-            prop = get(t)
-            self._prop_cache.clear()
-            self._prop_cache.update(found)
+        prop = self.heisenberg_propagator(t) if heis else self.schrodinger_propagator(t)
         n, d = x.shape[0], self.dim
         cols = x.transpose(0, 2, 1).reshape(n, d * d, 1)  # vec of each matrix
         return np.matmul(prop, cols).reshape(n, d, d).transpose(0, 2, 1)
+
+    @contextlib.contextmanager
+    def _one_off(self):
+        """A block that asks for a time once: the propagators it computes are
+        reused within it, and on exit the cache holds again what it held on
+        entry (an entry the block evicted included), so a d^2 x d^2
+        propagator (16 MiB at d = 32) is freed once the block ends."""
+        found = self._prop_cache.copy()
+        try:
+            yield
+        finally:
+            self._prop_cache.clear()
+            self._prop_cache.update(found)
 
     def _closed_evolve(self, e, x, t: float) -> np.ndarray:
         """exp(tL) = (1 - eps) E + eps id, eps = e^{-gamma t}, for e = heis or schro."""

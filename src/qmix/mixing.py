@@ -16,8 +16,9 @@ sample certifies the supremum over all inputs.
 `bound_curves`, `mixing_time` and `chi2_gap_time_check` validate the sampled
 states once and then evolve and measure them as (n, d, d) stacks of at most
 STACK_ENTRIES // d^2 states per time (16 at d = 64, 256 at d = 16), so their
-temporaries stay near 1 MiB at any d; the propagator of a time they ask for
-once is not kept in the generator's cache (`Generator._evolve`).
+temporaries stay near 1 MiB at any d, and they do not cache the propagators
+of their one-off times (`Generator._one_off`).  Given the curve, `mixing_time`
+reuses its worst trace distances at the grid times instead of evolving again.
 The public single-state `evolve`, `distances`, `trace_norm`, `chi2_divergence`
 and `relative_entropy_states` run the same kernels on a stack of one, so every
 state gets the same arithmetic and the same checks either way.
@@ -202,7 +203,7 @@ def _evolve_states(g: Generator, states, t: float):
     checks on each output; returns the stack and its eigenvalues."""
     if t < 0:
         raise ValueError("evolve needs t >= 0")
-    rho_t = hermitian_part(g._evolve(states, float(t), heis=False, keep=False))
+    rho_t = hermitian_part(g._evolve(states, float(t), heis=False))
     if not np.isfinite(rho_t).all():
         raise ArithmeticError("evolution produced non-finite entries")
     tr = _re_trace(rho_t)
@@ -215,14 +216,16 @@ def _evolve_states(g: Generator, states, t: float):
     return rho_t, w
 
 
-def _per_state(measure, states, *args) -> np.ndarray:
-    """measure(chunk, *args) over chunks of at most STACK_ENTRIES // d^2
-    states of a validated stack, its per-state values (last axis) joined in
-    stack order.  Each matrix gets the arithmetic it gets in a whole-stack
-    call; a failing check raises in the first chunk that fails it."""
+def _per_state(g: Generator, measure, states, t: float) -> np.ndarray:
+    """measure(chunk, t) over chunks of at most STACK_ENTRIES // d^2 states
+    of a validated stack, its per-state values (last axis) joined in stack
+    order.  Each matrix gets the arithmetic it gets in a whole-stack call; a
+    failing check raises in the first chunk that fails it.  The chunks share
+    one propagator of t, which g does not keep."""
     step = max(1, STACK_ENTRIES // states[0].size)
-    return np.concatenate([measure(states[i:i + step], *args)
-                           for i in range(0, len(states), step)], axis=-1)
+    with g._one_off():
+        return np.concatenate([measure(states[i:i + step], t)
+                               for i in range(0, len(states), step)], axis=-1)
 
 
 def worst_case_states(space: WeightedSpace, n_haar: int = 50, seed=0):
@@ -248,6 +251,7 @@ class MixingCurve:
     ls_bound_a2: np.ndarray | None
     n_states: int
     domination_margin: float  # min over grid of min(bounds) - trace_dist
+    seed: int  # of the sampled initial states
 
     def columns(self):
         cols = [("t", self.times), ("trace_dist", self.trace_dist),
@@ -294,7 +298,7 @@ def bound_curves(g: Generator, lam: float | None, alpha1: float | None, t_grid,
 
     worst = np.zeros((3, len(t_grid)))  # trace distance, chi^2, relative entropy
     for i, t in enumerate(t_grid):
-        for row, dist in zip(worst, _per_state(measure, states, t)):
+        for row, dist in zip(worst, _per_state(g, measure, states, t)):
             row[i] = max(0.0, *dist.tolist())
     trace_w, chi2_w, rel_w = worst
     log_inv = np.log(1.0 / sp.sigma_min)
@@ -311,15 +315,20 @@ def bound_curves(g: Generator, lam: float | None, alpha1: float | None, t_grid,
             margin = min(margin, float(np.min(b - trace_w)))
     return MixingCurve(times=t_grid, trace_dist=trace_w, chi2=chi2_w, rel_ent=rel_w,
                        chi2_bound=chi2_b, ls_bound_a1=ls_b1, ls_bound_a2=ls_b2,
-                       n_states=len(states), domination_margin=margin)
+                       n_states=len(states), domination_margin=margin, seed=seed)
 
 
 def mixing_time(g: Generator, epsilon: float, n_haar: int = 50, seed: int = 0,
-                rtol: float = 1e-4, t_max: float = 1e6) -> float:
+                rtol: float = 1e-4, t_max: float = 1e6,
+                curve: MixingCurve | None = None) -> float:
     """tau_mix(eps): first time the worst-case sampled trace distance drops
     to eps.  Bisection over the worst case of the sampled initial-state
     family; the result is a sampled lower-ish estimate of the true worst
     case, with the sample size set by n_haar plus the d eigenprojectors.
+
+    `curve`, a `bound_curves` result for g with the same n_haar and seed,
+    gives the worst trace distance at its grid times, which are then not
+    evolved again; the result is the same as without it.
     """
     if not (0.0 < epsilon < 2.0):
         if epsilon >= 2.0:
@@ -328,11 +337,19 @@ def mixing_time(g: Generator, epsilon: float, n_haar: int = 50, seed: int = 0,
     sp = stationary_state(g)
     states = _check_states(worst_case_states(sp, n_haar=n_haar, seed=seed))
 
+    known = {}
+    if curve is not None:
+        if (curve.n_states, curve.seed) != (len(states), seed):
+            raise ValueError("curve was sampled with another n_haar or seed")
+        known = dict(zip(curve.times.tolist(), curve.trace_dist.tolist()))
+
     def trace_dists(chunk, t):
         return _trace_norms(_evolve_states(g, chunk, t)[0] - sp.sigma)
 
     def worst(t):
-        return max(_per_state(trace_dists, states, t).tolist())
+        if t in known:
+            return known[t]
+        return max(_per_state(g, trace_dists, states, t).tolist())
 
     if worst(0.0) <= epsilon:
         return 0.0
@@ -367,8 +384,9 @@ def entropy_decay_check(g: Generator, alpha1: float, f0, t_grid,
     f0 = require_hermitian(f0)
     hat = hat_generator(g)
 
-    def f_at(t):  # each time is asked for once: its propagator is not kept
-        return hermitian_part(hat._evolve(f0[None], t, heis=True, keep=False)[0])
+    def f_at(t):  # each time is asked for once
+        with hat._one_off():
+            return hermitian_part(hat.evolve_heisenberg(f0, t))
 
     var0 = sp.variance(f0)
     ent0 = sp.ent1(f0) if np.linalg.eigvalsh(f0)[0] > 0 else None
@@ -515,7 +533,7 @@ def chi2_gap_time_check(g: Generator, alpha2: float, lam: float, c_values=(1.0, 
     for c in c_values:
         t = loglog / (2.0 * alpha2) + c / lam
         bound = np.exp(2.0 * (1.0 - c))
-        worst = max(_per_state(chi2s, states, t).tolist())
+        worst = max(_per_state(g, chi2s, states, t).tolist())
         out[float(c)] = {"t": float(t), "bound": float(bound),
                          "chi2_worst": float(worst), "margin": float(bound - worst)}
     return out

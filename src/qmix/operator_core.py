@@ -49,10 +49,9 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-12
 DEFAULT_EIG_FLOOR_REL = 1e-14
-# entries kept by each `_lru_get` cache: sigma powers, and the propagators of
-# callers whose times repeat (see `Generator._evolve`; one-off times are not
-# kept).  A smaller cache would thrash when a caller passes more times than
-# it holds; a byte budget would evict regularity's working set at d = 32.
+# entries kept by each `_lru_get` cache.  A smaller cache would thrash when a
+# caller passes more times than it holds; a byte budget would evict
+# regularity's 3-time working set at d = 32 (16 MiB per propagator).
 CACHE_SIZE = 64
 STACK_ENTRIES = 2 ** 16  # complex entries (1 MiB) in a stacked temporary of a chunked kernel
 H_CLIP = 40.0  # `_expm_hermitian` clips the spectrum of h to [-H_CLIP, H_CLIP]

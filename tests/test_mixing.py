@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qmix import generators, mixing
 from qmix.dirichlet_gap import spectral_gap
 from qmix.generators import (
     build_depolarizing,
@@ -297,9 +298,26 @@ def test_one_off_times_leave_the_propagator_caches_as_found(rng):
     before = list(g._prop_cache)
     mixing_time(g, 0.05, n_haar=3)
     assert list(g._prop_cache) == before
-    # a caller whose times repeat keeps its entry
+    # callers whose times repeat keep their entries
     g.evolve_schrodinger(g.stationary.sigma, 1.5)
-    assert ("S", 1.5) in g._prop_cache
+    evolve(g, g.stationary.sigma, 2.5)
+    assert ("S", 1.5) in g._prop_cache and ("S", 2.5) in g._prop_cache
+
+
+def test_mixing_time_reuses_the_curve_at_its_grid_times(monkeypatch, rng):
+    g = random_lindblad(8, rng)
+    grid = np.linspace(0.0, 10.0, 41)  # `qmix mixing`'s default grid
+    curve = bound_curves(g, 0.1, None, grid, n_haar=3, seed=4)
+    asked = []
+    propagator = g.schrodinger_propagator
+    monkeypatch.setattr(g, "schrodinger_propagator",
+                        lambda t: asked.append(t) or propagator(t))
+    tau = mixing_time(g, 0.05, n_haar=3, seed=4, curve=curve)
+    assert asked and not set(asked) & set(grid.tolist())
+    assert tau == mixing_time(g, 0.05, n_haar=3, seed=4)
+    for n_haar, seed in ((4, 4), (3, 5)):
+        with pytest.raises(ValueError, match="another n_haar or seed"):
+            mixing_time(g, 0.05, n_haar=n_haar, seed=seed, curve=curve)
 
 
 def test_state_chunks_join_into_the_per_state_values():
@@ -319,6 +337,25 @@ def test_state_chunks_join_into_the_per_state_values():
     for rec in chi2_gap_time_check(g, 0.7, 1.0, c_values=(1.0,), n_haar=6, seed=2).values():
         assert rec["chi2_worst"] == max(chi2_divergence(evolve(g, rho0, rec["t"]), sp)
                                         for rho0 in states)
+
+
+def test_chunks_of_one_time_share_one_propagator(monkeypatch, rng):
+    g = random_lindblad(8, rng)
+    grid = [0.0, 0.5, 2.0]
+    whole = bound_curves(g, 0.1, None, grid, n_haar=3)
+    g._prop_cache.clear()
+    made = []
+    expm = generators.expm_superop
+    monkeypatch.setattr(generators, "expm_superop", lambda m, t: made.append(t) or expm(m, t))
+    monkeypatch.setattr(mixing, "STACK_ENTRIES", 4 * 8 ** 2)  # 11 states: 3 chunks
+    chunked = bound_curves(g, 0.1, None, grid, n_haar=3)
+    assert made == [0.5, 2.0]
+    assert np.array_equal(chunked.trace_dist, whole.trace_dist)
+    for run in (lambda: mixing_time(g, 0.05, n_haar=3),
+                lambda: chi2_gap_time_check(g, 0.1, 0.2, n_haar=3)):
+        made.clear()
+        run()
+        assert len(made) == len(set(made)) > 1
 
 
 def test_mixing_time_memory_stays_flat(rng):
