@@ -1,9 +1,10 @@
 """Command-line surface: qmix analyze | mixing | reproduce | scan.
 
 Exit codes: 0 success, 1 malformed or unreadable input spec, or a usage
-error (an unknown or malformed flag, checked by the parser before any
-computation), 2 non-primitive generator, 3 theory-verdict violation (so CI
-jobs can gate on consistency).  Errors go to stderr, one JSON line each.
+error (an unknown or malformed flag, a `--skip` name other than ls or
+regularity, an unknown `reproduce` target: the parser checks them before
+any computation), 2 non-primitive generator, 3 theory-verdict violation
+(so CI jobs can gate on consistency).  Errors go to stderr, one JSON line each.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .generators import (
     lift_channel,
     stationary_state,
 )
-from .lp_space import PositivityError
+from .lp_space import NUMERICAL_FAILURES
 from .ls_estimator import (
     depolarizing_alpha2,
     estimate_alpha,
@@ -49,7 +50,8 @@ EXIT_NOT_PRIMITIVE = 2
 EXIT_VERDICT = 3
 
 # what the numerics of an analyze section raise; any other error is a bug
-SECTION_ERRORS = (PositivityError, NotPrimitiveError, ArithmeticError, np.linalg.LinAlgError)
+SECTION_ERRORS = NUMERICAL_FAILURES + (NotPrimitiveError,)
+REPRODUCE_TARGETS = ("depolarizing_table", "tensor_qubit", "expander", "davies_qubit")
 
 
 def _err(message: str, **extra) -> None:
@@ -143,14 +145,13 @@ def cmd_analyze(args) -> int:
         return code
     t0 = time.time()
     seed = _resolve_seed(args)
-    skip = set(args.skip.split(",")) if args.skip else set()
     report = {
         "generator": g.describe(),
         "sigma_min": g.stationary.sigma_min,
     }
     gap = spectral_gap(g, seed=seed)
     report["gap"] = gap.to_dict()
-    if "ls" not in skip:
+    if "ls" not in args.skip:
         # failed sub-computations yield an explicit null + reason, never a
         # fabricated number
         try:
@@ -172,7 +173,7 @@ def cmd_analyze(args) -> int:
             report["ls"] = None
             report["verdicts"] = None
             report["ls_error"] = str(exc)
-    if "regularity" not in skip:
+    if "regularity" not in args.skip:
         try:
             prof = regularity_profile(g, probes=args.probes, seed=seed)
             report["regularity"] = prof.to_dict()
@@ -297,17 +298,8 @@ def _repr_davies_qubit(args):
 
 
 def cmd_reproduce(args) -> int:
-    targets = {
-        "depolarizing_table": _repr_depolarizing_table,
-        "tensor_qubit": _repr_tensor_qubit,
-        "expander": _repr_expander,
-        "davies_qubit": _repr_davies_qubit,
-    }
-    if args.target not in targets:
-        _err(f"unknown target {args.target!r}", known=sorted(targets))
-        return EXIT_BAD_SPEC
     args.seed = _resolve_seed(args)
-    checks = targets[args.target](args)
+    checks = globals()[f"_repr_{args.target}"](args)  # looked up now, so a patch applies
     all_ok = True
     for label, ok in checks:
         print(f"[{'PASS' if ok else 'FAIL'}] {label}")
@@ -372,6 +364,8 @@ _POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
 _NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, ">= 0")
 _POSITIVE_FLOAT = _checked(float, lambda v: 0.0 < v < np.inf, "positive and finite")
 _NONNEGATIVE_FLOAT = _checked(float, lambda v: 0.0 <= v < np.inf, "finite and >= 0")
+_SECTIONS = _checked(lambda text: set(text.split(",") if text else ()),
+                     {"ls", "regularity"}.issuperset, "comma-separated names from ls,regularity")
 
 
 def _dims(text: str) -> tuple:
@@ -399,7 +393,7 @@ def _parser() -> argparse.ArgumentParser:
                     help="omit for a logged random seed")
     pa.add_argument("--budget", type=_POSITIVE_INT, default=1000)
     pa.add_argument("--probes", type=_POSITIVE_INT, default=12)
-    pa.add_argument("--skip", default="", help="comma-separated: ls,regularity")
+    pa.add_argument("--skip", type=_SECTIONS, default="", help="comma-separated: ls,regularity")
     pa.set_defaults(func=cmd_analyze)
 
     pm = sub.add_parser("mixing", help="mixing curve, tau_mix and bound crossings")
@@ -414,7 +408,7 @@ def _parser() -> argparse.ArgumentParser:
     pm.set_defaults(func=cmd_mixing)
 
     pr = sub.add_parser("reproduce", help="re-run a quantitative experiment")
-    pr.add_argument("target", help="depolarizing_table|tensor_qubit|expander|davies_qubit")
+    pr.add_argument("target", choices=REPRODUCE_TARGETS)
     pr.add_argument("--seed", type=_NONNEGATIVE_INT, default=None)
     pr.add_argument("--budget", type=_POSITIVE_INT, default=1000)
     pr.add_argument("--full", action="store_true", help="include the larger variants")

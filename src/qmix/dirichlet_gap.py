@@ -23,9 +23,10 @@ import numpy as np
 
 from ._blas import blas_threads_for
 from .generators import Generator, NotPrimitiveError, hat_generator, stationary_state
-from .lp_space import WeightedSpace, _check_p, _check_positive
+from .lp_space import P1_BRANCH, P2_WINDOW, WeightedSpace, _check_p, _check_positive
 from .operator_core import (
     STACK_ENTRIES,
+    _ginibre,
     _re_trace,
     hermitian_part,
     max_abs,
@@ -37,7 +38,6 @@ __all__ = ["GapReport", "dirichlet", "spectral_gap"]
 
 DENSE_GAP_DIM_LIMIT = 32
 VAR_FLOOR = 1e-12
-P1_BRANCH = 1.0 + 1e-6  # p below this takes the p = 1 (log) form
 
 
 @dataclass
@@ -71,7 +71,7 @@ def _dirichlet(sp: WeightedSpace, p: float, f, act_f, root_eig=None):
     """E_p(f) before `_judge_negative`, given L(f): a float for a matrix f, an
     array for an (n, d, d) stack.  The general-p branch uses root_eig, the
     eigendecomposition `sp._root_eig(p, f)`, and forms it when not given."""
-    if abs(p - 2.0) < 1e-12:
+    if abs(p - 2.0) < P2_WINDOW:
         return _e2(sp, f, act_f)
     if p < P1_BRANCH:
         return _e1(sp, act_f, sp._log_ratio(f)[1])
@@ -143,7 +143,7 @@ def _gap_sparse(g: Generator, seed: int):
 
     op = LinearOperator((d * d, d * d), matvec=matvec, dtype=complex)
     rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+    v0 = _ginibre(d * d, rng)
     w, v = eigsh(op, k=4, which="LA", tol=1e-12, maxiter=5000, v0=v0)
     order = np.argsort(w)
     return sp, w[order], v[:, order]

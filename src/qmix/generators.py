@@ -32,7 +32,9 @@ from ._blas import blas_threads_for
 from .lp_space import WeightedSpace
 from .operator_core import (
     STACK_ENTRIES,
+    _ginibre,
     _lru_get,
+    _re_trace,
     as_matrix,
     eig_hermitian,
     expm_superop,
@@ -206,10 +208,9 @@ class Generator:
         s = np.empty((n, n), dtype=complex)
         chunk = max(1, STACK_ENTRIES // n)
         for start in range(0, n, chunk):
-            j = np.arange(start, min(start + chunk, n))
-            basis = np.zeros((len(j), d, d), dtype=complex)
-            basis[j - start, j % d, j // d] = 1.0  # column stacking: e_j is E[j % d, j // d]
-            s[:, start:start + len(j)] = action(basis).transpose(0, 2, 1).reshape(len(j), n).T
+            stop = min(start + chunk, n)
+            basis = unvec(np.eye(stop - start, n, k=start), d)  # E_j for j in [start, stop)
+            s[:, start:stop] = vec(action(basis)).T
         return s
 
     @functools.cached_property
@@ -243,9 +244,7 @@ class Generator:
         if self._closed is not None:
             return self._closed_evolve(self._closed[1 if heis else 2], x, t)
         prop = self.heisenberg_propagator(t) if heis else self.schrodinger_propagator(t)
-        n, d = x.shape[0], self.dim
-        cols = x.transpose(0, 2, 1).reshape(n, d * d, 1)  # vec of each matrix
-        return np.matmul(prop, cols).reshape(n, d, d).transpose(0, 2, 1)
+        return unvec(np.matmul(prop, vec(x)[..., None])[..., 0], self.dim)
 
     @contextlib.contextmanager
     def _one_off(self):
@@ -324,7 +323,7 @@ def _null_space_state(g: Generator):
     if w[0] <= 1e-10:
         raise NotPrimitiveError(
             f"stationary candidate is not full-rank positive (min eig {w[0]:.3e})")
-    return m / np.trace(m).real
+    return m / _re_trace(m)
 
 
 def _detailed_balance_residual(g: Generator, space: WeightedSpace) -> float:
@@ -684,8 +683,7 @@ def random_lindblad(dim: int, rng, n_ops: int = 2,
     """Random primitive generic Lindblad generator."""
     for _ in range(RANDOM_TRIES):
         h = random_hermitian(dim, rng) if with_hamiltonian else None
-        ops = [(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-               / np.sqrt(2 * dim) for _ in range(n_ops)]
+        ops = [_ginibre((dim, dim), rng) / np.sqrt(2 * dim) for _ in range(n_ops)]
         g = build_lindblad(h, ops)
         if g.primitive:
             return g
@@ -695,8 +693,7 @@ def random_lindblad(dim: int, rng, n_ops: int = 2,
 def random_reversible_unital(dim: int, rng) -> Generator:
     """Random reversible unital generator with the jump pair {A, A^dag}."""
     for _ in range(RANDOM_TRIES):
-        a = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) \
-            / np.sqrt(2 * dim)
+        a = _ginibre((dim, dim), rng) / np.sqrt(2 * dim)
         g = build_lindblad(None, [a, a.conj().T])
         if g.primitive and g.reversible and g.unital:
             return g

@@ -41,17 +41,23 @@ from .operator_core import (
     require_hermitian,
 )
 
-__all__ = ["WeightedSpace", "PositivityError"]
+__all__ = ["WeightedSpace", "PositivityError", "NUMERICAL_FAILURES"]
 
 RANK_TOL = 1e-10
 TRACE_TOL = 1e-12
 POSITIVITY_REL_TOL = 1e-12
 ENT_CLAMP = 1e-8
+P1_BRANCH = 1.0 + 1e-6  # Ent_p and E_p take their p = 1 (log) forms below this
+P2_WINDOW = 1e-12  # and their p = 2 closed forms at |p - 2| below this
 
 
 class PositivityError(ValueError):
     """Raised when an entropy-type functional receives a non positive
     definite input: these functionals require f in A_d^+."""
+
+
+# what the numerics raise on an input they cannot handle; any other error is a bug
+NUMERICAL_FAILURES = (PositivityError, ArithmeticError, np.linalg.LinAlgError)
 
 
 def _check_p(p, name: str):
@@ -83,7 +89,7 @@ class WeightedSpace:
 
     def __init__(self, sigma):
         sigma = require_hermitian(sigma, name="sigma")
-        tr = float(np.trace(sigma).real)
+        tr = _re_trace(sigma)
         if abs(tr - 1.0) > TRACE_TOL * max(1.0, abs(tr)):
             raise ValueError(f"sigma must have unit trace, got {tr!r}")
         w, v = eig_hermitian(sigma)
@@ -225,8 +231,8 @@ class WeightedSpace:
         return gf, _matrix_function(gf, np.log) - self._log_sigma
 
     def _ent1(self, gf, log_ratio) -> float:
-        tr_gf = float(gf.trace().real)
-        val = float((gf @ log_ratio).trace().real)
+        tr_gf = _re_trace(gf)
+        val = _re_trace(gf @ log_ratio)
         val -= tr_gf * np.log(tr_gf)
         return self._clamp_ent(val, scale=abs(val) + tr_gf + 1.0)
 
@@ -240,9 +246,9 @@ class WeightedSpace:
         x = self._gamma(0.5, f)
         x2 = x @ x
         log_x = _matrix_function(x, np.log)
-        n2sq = float(x2.trace().real)  # ||f||_{2,sigma}^2
-        val = float((x2 @ log_x).trace().real)
-        val -= 0.5 * float((x2 @ self._log_sigma).trace().real)
+        n2sq = _re_trace(x2)  # ||f||_{2,sigma}^2
+        val = _re_trace(x2 @ log_x)
+        val -= 0.5 * _re_trace(x2 @ self._log_sigma)
         val -= 0.5 * n2sq * np.log(n2sq)
         return self._clamp_ent(val, scale=abs(val) + n2sq + 1.0)
 
@@ -253,9 +259,9 @@ class WeightedSpace:
         q = p/(p-1) blows up there) and p = 2.
         """
         _check_p(p, "ent")
-        if abs(p - 1.0) < 1e-6:
+        if p < P1_BRANCH:
             return self.ent1(f)
-        if abs(p - 2.0) < 1e-9:
+        if abs(p - 2.0) < P2_WINDOW:
             return self.ent2(f)
         f = self._check_dim(f)
         _check_positive(f, "ent")

@@ -32,10 +32,11 @@ from scipy.optimize import minimize, minimize_scalar
 
 from .dirichlet_gap import GapReport, _e1, _e2, _judge_negative, dirichlet, spectral_gap
 from .generators import Generator, hat_generator, stationary_state
-from .lp_space import PositivityError, _require_positive
+from .lp_space import NUMERICAL_FAILURES, _require_positive
 from .mixing import worst_case_states
 from .operator_core import (
     _expm_hermitian,
+    _ginibre,
     _matrix_function,
     _pack,
     _unpack,
@@ -228,7 +229,7 @@ class _RatioProblem:
             act_f = self.g._apply(f)
             val = _e1(sp, act_f, log_ratio) if self.p == 1.0 else _e2(sp, f, act_f)
             return _judge_negative(val, self.g, f) / ent
-        except (PositivityError, ArithmeticError, np.linalg.LinAlgError):
+        except NUMERICAL_FAILURES:
             return np.inf
 
     def ratio_packed(self, x) -> float:
@@ -359,8 +360,7 @@ def estimate_alpha(g: Generator, p: int, budget: int = 1500, restarts: int = 8,
     # Nelder-Mead restarts: best candidates first, then random Gaussians
     starts = [_pack(_matrix_function(f, np.log, eig_floor=1e-300)) for _, f in candidates[:3]]
     while len(starts) < restarts:
-        h = 0.7 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        starts.append(_pack(hermitian_part(h)))
+        starts.append(_pack(hermitian_part(0.7 * _ginibre((d, d), rng))))
 
     best_val = candidates[0][0] if candidates else np.inf
     best_x = starts[0] if starts else _pack(np.zeros((d, d), dtype=complex))

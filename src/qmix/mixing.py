@@ -34,7 +34,7 @@ from scipy.optimize import minimize
 from ._blas import blas_threads_for
 from .dirichlet_gap import dirichlet
 from .generators import Generator, hat_generator, lift_channel, stationary_state
-from .lp_space import WeightedSpace
+from .lp_space import NUMERICAL_FAILURES, WeightedSpace
 from .operator_core import (
     STACK_ENTRIES,
     _expm_hermitian,
@@ -95,10 +95,6 @@ def _check_states(states) -> np.ndarray:
     return rho
 
 
-def _check_state(rho) -> np.ndarray:
-    return _check_states([rho])[0]
-
-
 def _require_states(rho, w):
     """Unit trace and positivity to STATE_TOL of each matrix in a Hermitian
     stack, given its eigenvalues w."""
@@ -156,9 +152,9 @@ class RelativeDensity:
 
     @classmethod
     def from_state(cls, rho, space: WeightedSpace) -> "RelativeDensity":
-        rho = _check_state(rho)
+        rho = _check_states([rho])[0]
         val = space.gamma_inv(rho)
-        enc = float(np.trace(space.gamma(val)).real)
+        enc = _re_trace(space.gamma(val))
         if abs(enc - 1.0) > 1e-10:
             raise ArithmeticError(f"relative density encodes trace {enc!r}")
         return cls(value=val, space=space)
@@ -171,7 +167,7 @@ def distances(rho, space: WeightedSpace) -> dict:
     <= chi^2(rho, sigma) are verified on every call; a violation beyond
     slack indicates numerical breakdown and raises.
     """
-    tr, chi2, rel = _distances(_check_state(rho)[None], space,
+    tr, chi2, rel = _distances(_check_states([rho]), space,
                                 _log_sigma(space.eigvals, space.eigvecs))
     return {"trace": float(tr[0]), "chi2": float(chi2[0]), "rel_ent": float(rel[0])}
 
@@ -416,14 +412,14 @@ def entropy_production(g: Generator, rho) -> dict:
     dS/dt = -tr[L*(rho) log rho], Phi = tr[L*(rho) log sigma] (k_B = 1) and
     the identity Pi = 2 Ehat_1(Gamma^{-1}(rho)) checked to 1e-8."""
     sp = stationary_state(g)
-    rho = _check_state(rho)
+    rho = _check_states([rho])[0]
     w = np.linalg.eigvalsh(rho)
     if w[0] <= 1e-12:
         raise ValueError("entropy_production needs a full-rank state (log rho)")
     log_rho = matrix_function(rho, np.log)
     lrho = g.apply_adjoint(rho)
-    ds_dt = -float(np.trace(lrho @ log_rho).real)
-    phi = float(np.trace(lrho @ sp.log_sigma).real)
+    ds_dt = -_re_trace(lrho @ log_rho)
+    phi = _re_trace(lrho @ sp.log_sigma)
     pi = ds_dt + phi
     pi_dirichlet = 2.0 * dirichlet(hat_generator(g), 1.0, sp.gamma_inv(rho))
     scale = 1.0 + abs(pi) + abs(pi_dirichlet)
@@ -449,7 +445,7 @@ def pq_norm(g: Generator, p: float, q: float, t: float,
     def neg_packed(x):
         try:
             return -ratio(_expm_hermitian(_unpack(x, d)))
-        except (ArithmeticError, np.linalg.LinAlgError):  # any other error is a bug
+        except NUMERICAL_FAILURES:  # any other error is a bug
             return np.inf
 
     rng = np.random.default_rng(seed)
@@ -504,7 +500,7 @@ def discrete_vs_continuous(kraus, n: int, rho0) -> dict:
         raise ValueError("discrete/continuous comparison needs a reversible channel")
     sp = g.stationary
     s_schro = lazy_channel_super(g)
-    rho0 = _check_state(rho0)
+    rho0 = _check_states([rho0])[0]
     rho_disc = rho0.copy()
     for _ in range(int(n)):
         rho_disc = hermitian_part(unvec(s_schro @ vec(rho_disc), g.dim))

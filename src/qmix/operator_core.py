@@ -3,12 +3,12 @@
 Everything here works on plain numpy arrays: square complex matrices of
 shape (d, d) for operators, and (d*d, d*d) matrices for superoperators
 acting on column-vectorized operators.  The vectorization convention is
-column stacking, so vec(A X B) = kron(B.T, A) @ vec(X).  `left_right_super`
-is the only function that knows this layout: its broadcast outer product
-gives the bits of kron(B.T, A), every superoperator downstream is a sum of
-its products or a stacked action read off basis matrices, and a dedicated
-test asserts the convention.  The Hermitian parametrization of the
-log-Sobolev and (p, q)-norm searches lives here too.
+column stacking, so vec(A X B) = kron(B.T, A) @ vec(X).  Only `vec` and
+`unvec` (of a matrix or a stack), `left_right_super` (its broadcast outer
+product gives the bits of kron(B.T, A)) and the Choi reshuffle of
+`choi_from_super` know this layout; a dedicated test asserts it.  The
+Hermitian parametrization of the log-Sobolev and (p, q)-norm searches,
+the real trace and the complex Gaussian draw live here too.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def _eig_function(w, v, f, eig_floor: float | None = None):
 
 def _re_trace(x):
     """Re tr x as a float, or the array of them over an (n, d, d) stack."""
-    tr = np.trace(x, axis1=-2, axis2=-1).real
+    tr = x.trace(axis1=-2, axis2=-1).real
     return float(tr) if tr.ndim == 0 else tr
 
 
@@ -189,7 +189,7 @@ def _unpack(x: np.ndarray, d: int) -> np.ndarray:
     h[diag] = x[:d]
     h[rows, cols] = re + 1j * im
     h[cols, rows] = re - 1j * im
-    h -= h.trace().real / d * eye  # ratio is scale invariant; pin tr h = 0
+    h -= _re_trace(h) / d * eye  # ratio is scale invariant; pin tr h = 0
     return h
 
 
@@ -203,17 +203,20 @@ def _expm_hermitian(h: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def vec(x) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(x, dtype=complex).reshape(-1, order="F")
+    """Column-stacking vectorization, (..., d, d) -> (..., d^2): of a matrix
+    or of each matrix in a stack (an empty one included)."""
+    x = np.asarray(x, dtype=complex)
+    return x.swapaxes(-1, -2).reshape(x.shape[:-2] + (x.shape[-1] * x.shape[-2],))
 
 
 def unvec(v, d: int | None = None) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).reshape(-1)
+    """The inverse of `vec`, (..., d^2) -> (..., d, d), as a view when it can."""
+    v = np.asarray(v, dtype=complex)
     if d is None:
-        d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ValueError(f"cannot unvec length-{v.size} vector into {d}x{d}")
-    return v.reshape(d, d, order="F")
+        d = int(round(np.sqrt(v.shape[-1])))
+    if d * d != v.shape[-1]:
+        raise ValueError(f"cannot unvec length-{v.shape[-1]} vector into {d}x{d}")
+    return v.reshape(v.shape[:-1] + (d, d)).swapaxes(-1, -2)
 
 
 def left_right_super(a, b) -> np.ndarray:
@@ -263,25 +266,29 @@ def choi_from_super(s, d: int) -> np.ndarray:
 # Random ensembles (always seeded through an explicit Generator)
 # ---------------------------------------------------------------------------
 
+def _ginibre(shape, rng) -> np.ndarray:
+    """Complex Gaussian entries; the real parts are drawn first."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def random_hermitian(d: int, rng, scale: float = 1.0) -> np.ndarray:
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return hermitian_part(a) * scale
+    return hermitian_part(_ginibre((d, d), rng)) * scale
 
 
 def random_psd(d: int, rng) -> np.ndarray:
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    a = _ginibre((d, d), rng)
     return hermitian_part(a @ a.conj().T)
 
 
 def random_density_matrix(d: int, rng) -> np.ndarray:
     """A full-rank random state: random_psd + 0.05 d 1, normalized."""
     rho = random_psd(d, rng) + 0.05 * d * np.eye(d)
-    return rho / np.trace(rho).real
+    return rho / _re_trace(rho)
 
 
 def haar_unitary(d: int, rng) -> np.ndarray:
     """Haar-random unitary via QR of a Ginibre matrix with phase fix."""
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+    z = _ginibre((d, d), rng) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     ph = np.diag(r).copy()
     ph /= np.abs(ph)
@@ -289,7 +296,7 @@ def haar_unitary(d: int, rng) -> np.ndarray:
 
 
 def random_pure_state(d: int, rng) -> np.ndarray:
-    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    psi = _ginibre(d, rng)
     psi /= np.linalg.norm(psi)
     return np.outer(psi, psi.conj())
 

@@ -40,7 +40,7 @@ from .generators import (
     random_reversible_unital,
     stationary_state,
 )
-from .lp_space import PositivityError, _check_p, _check_positive
+from .lp_space import NUMERICAL_FAILURES, _check_p, _check_positive
 from .operator_core import (
     _matrix_function,
     _re_trace,
@@ -67,7 +67,6 @@ CONVEXITY_TOL = 1e-8
 SYMMETRY_TOL = 1e-8
 CM_TOL = 1e-8
 CM_MAX_ORDER = 6
-_NUMERICAL_FAILURES = (PositivityError, ArithmeticError, np.linalg.LinAlgError)
 
 
 def h_functional(g: Generator, probe, t: float, s: float) -> float:
@@ -188,13 +187,13 @@ def regularity_profile(g: Generator, probes: int = 20, times=(0.1, 0.5, 1.0),
         probe = random_probe(g.dim, rng, near_singular=(i < n_sing))
         try:
             powers = _probe_powers(probe, s_grid, quarters)
-        except _NUMERICAL_FAILURES as exc:  # recorded once per time, as each would fail
+        except NUMERICAL_FAILURES as exc:  # recorded once per time, as each would fail
             failures += [{"probe_index": i, "t": float(t), "error": str(exc)} for t in times]
             continue
         for t in times:
             try:
                 h = _h_profile(g, powers, float(t))
-            except _NUMERICAL_FAILURES as exc:
+            except NUMERICAL_FAILURES as exc:
                 failures.append({"probe_index": i, "t": float(t), "error": str(exc)})
                 continue
             scale = max(np.max(np.abs(h)), 1e-300)
@@ -205,7 +204,7 @@ def regularity_profile(g: Generator, probes: int = 20, times=(0.1, 0.5, 1.0),
             symmetric = sym_dev <= SYMMETRY_TOL * scale
             order = _left_half_monotonicity_order(h, scale)
             endpoint = max(abs(h[0] - h[-1]),
-                           abs(h[0] - float(np.trace(probe @ probe).real)))
+                           abs(h[0] - _re_trace(probe @ probe)))
             convex_all &= convex
             symmetric_all &= symmetric
             cm_order = min(cm_order, order)

@@ -152,6 +152,9 @@ def test_reproduce_target_passes(capsys, target):
 
 def test_reproduce_unknown_target(capsys):
     assert main(["reproduce", "no_such_thing"]) == 1
+    out, err = capsys.readouterr()
+    err = [json.loads(line) for line in err.splitlines()]
+    assert out == "" and len(err) == 1 and err[0]["kind"] == "bad_args"
 
 
 def test_scan_command(tmp_path, capsys):
@@ -274,6 +277,7 @@ def test_main_calls_carry_no_state_between_them(tmp_path, capsys):
     ["scan", "--jobs", "0"],
     ["scan", "--n", "x"],
     ["analyze", "SPEC", "--seed", "-1"],
+    ["analyze", "SPEC", "--skip", "lss"],
 ])
 def test_malformed_flag_is_one_json_error_before_any_computation(tmp_path, capsys,
                                                                  monkeypatch, argv):

@@ -90,6 +90,28 @@ def test_hat_dirichlet_p2_always_equal(rng):
         assert abs(e2 - dirichlet(hat_generator(g), 2.0, f)) < 1e-9 * (1 + abs(e2))
 
 
+@pytest.mark.parametrize("p, branch", [(2.0 - 5e-10, []), (2.0 + 5e-10, []),
+                                       (1.0 + 5e-7, [1])])
+def test_ent_and_dirichlet_take_the_same_closed_form_branch(monkeypatch, p, branch):
+    """Ent_p and E_p switch to their p = 1 and p = 2 closed forms at the same p."""
+    from qmix.lp_space import WeightedSpace
+
+    taken = []
+    for owner, name, form in ((WeightedSpace, "_ent1", 1), (WeightedSpace, "_ent2", 2),
+                              (dirichlet_gap, "_e1", 1), (dirichlet_gap, "_e2", 2)):
+        def spy(*args, _real=getattr(owner, name), _form=form):
+            taken.append(_form)
+            return _real(*args)
+        monkeypatch.setattr(owner, name, spy)
+    g = random_davies(3, np.random.default_rng(3))
+    f = random_positive(3, np.random.default_rng(4))
+    stationary_state(g).ent(p, f)
+    ent_branch = taken.copy()
+    taken.clear()
+    dirichlet(g, p, f)
+    assert ent_branch == taken == branch
+
+
 def test_dirichlet_nonnegative_unital_nonreversible(rng):
     u1, u2 = haar_unitary(3, rng), haar_unitary(3, rng)
     g = lift_channel([u1 / np.sqrt(2), u2 / np.sqrt(2)])

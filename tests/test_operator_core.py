@@ -126,6 +126,22 @@ def test_vectorization_convention_is_column_stacking(rng):
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_stacked_vec_and_unvec_equal_each_matrix_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    x = _with_signed_zeros(rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3)),
+                           rng)
+    v = vec(x)
+    assert v.shape == (n, 9)
+    each = [m.reshape(-1, order="F") for m in x], [vec(m) for m in x]
+    assert all(same_bits(v, np.array(e, dtype=complex).reshape(n, 9)) for e in each)
+    back = unvec(v, 3)
+    assert back.shape == (n, 3, 3)
+    each = [r.reshape(3, 3, order="F") for r in v], [unvec(r) for r in v]
+    assert all(same_bits(back, np.array(e, dtype=complex).reshape(n, 3, 3)) for e in each)
+    assert same_bits(back, x)
+
+
 def _with_signed_zeros(a, rng):
     a = a.copy()
     a[rng.random(a.shape) < 0.3] = -0.0
