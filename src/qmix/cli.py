@@ -42,7 +42,7 @@ from .ls_estimator import (
 )
 from .mixing import bound_curves, lazy_channel_super, mixing_time
 from .operator_core import matrix_from_json
-from .regularity import conjecture_scan, regularity_profile
+from .regularity import _scan_key, conjecture_scan, regularity_profile
 
 EXIT_OK = 0
 EXIT_BAD_SPEC = 1
@@ -311,16 +311,38 @@ def cmd_reproduce(args) -> int:
 # scan
 # ---------------------------------------------------------------------------
 
+def _foreign_record(data: bytes, seed: int, dims) -> str | None:
+    """Why the last newline-terminated record of a scan file was not written
+    by this seed and these dims at its line, or None when it was."""
+    n = data.count(b"\n")
+    line = data[:data.rfind(b"\n")].rsplit(b"\n", 1)[-1]
+    try:
+        rec = json.loads(line)
+        got = (rec["index"], rec["seed"], rec["dim"])
+    except (ValueError, TypeError, KeyError):
+        return f"record {n - 1} is not a scan record"
+    want = _scan_key(n - 1, dims, seed)
+    if got != want:
+        return (f"record {n - 1} has (index, seed, dim) = {got}, but this scan "
+                f"writes {want} there; resume with the scan's own --seed and --dims")
+    return None
+
+
 def cmd_scan(args) -> int:
     import os
     seed = _resolve_seed(args)
     start = 0
     if args.resume and args.out and os.path.exists(args.out):
         # only newline-terminated records are finished; a partial last line
-        # (an interrupted write) is cut off and its instance recomputed
+        # (an interrupted write) is cut off and its instance recomputed, once
+        # the last finished record shows that this scan wrote the file
         with open(args.out, "rb+") as fh:
             data = fh.read()
             start = data.count(b"\n")
+            problem = _foreign_record(data, seed, args.dims) if start else None
+            if problem:
+                _err(f"cannot resume {args.out}: {problem}", kind="bad_resume")
+                return EXIT_BAD_SPEC
             fh.truncate(data.rfind(b"\n") + 1)
     records = conjecture_scan(args.n, dims=args.dims, seed=seed,
                               out_path=args.out, probes=args.probes,

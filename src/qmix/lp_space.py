@@ -15,12 +15,13 @@ A public WeightedSpace method checks its argument on entry -- shape and
 finiteness, and for the entropy-type ones also Hermiticity and positivity --
 and hands every intermediate it builds only to kernels (`_gamma`, `_inner`,
 `_variance`, `_root_eig`, `_power_operator`, `_op_relative_entropy`, `_lp_norm`,
-`_log_ratio`, `_ent1`, `_ent2`, `_require_positive`, and
+`_log_ratio`, `_ent1`, `_ent2`, `_require_positive`, `_not_positive`, and
 `operator_core._matrix_function` and `_eig_function`), which trust arrays
 the library built and check nothing.  Each formula lives in one kernel, which the public method,
 the fused log-Sobolev ratio and the Dirichlet forms all call.  `_gamma`,
-`_inner`, `_variance`, `_root_eig`, `_power_operator` and `_log_ratio` also
-take an (n, d, d) stack and give each matrix the arithmetic it gets on its own.
+`_inner`, `_variance`, `_root_eig`, `_power_operator`, `_log_ratio`, `_ent1` and `_ent2`
+also take an (n, d, d) stack and give each matrix the arithmetic it gets on
+its own.
 """
 
 from __future__ import annotations
@@ -72,11 +73,17 @@ def _check_positive(f, name: str = "f"):
 def _require_positive(f, name: str = "f"):
     """The positivity gate of _check_positive on a matrix the library built."""
     w, v = _eigh(f)
-    if w[0] <= POSITIVITY_REL_TOL * max(w[-1], 0.0) or w[-1] <= 0:
+    if _not_positive(w):
         raise PositivityError(
             f"{name} requires f in A_d^+ (positive definite): "
             f"min eigenvalue {w[0]:.3e}, max {w[-1]:.3e}")
     return w, v
+
+
+def _not_positive(w):
+    """Where the ascending eigenvalues w (along the last axis, of a matrix or
+    of each matrix of a stack) fail the positivity gate."""
+    return (w[..., 0] <= POSITIVITY_REL_TOL * np.maximum(w[..., -1], 0.0)) | (w[..., -1] <= 0)
 
 
 class WeightedSpace:
@@ -230,7 +237,7 @@ class WeightedSpace:
         gf = self._gamma(1.0, f)
         return gf, _matrix_function(gf, np.log) - self._log_sigma
 
-    def _ent1(self, gf, log_ratio) -> float:
+    def _ent1(self, gf, log_ratio):
         tr_gf = _re_trace(gf)
         val = _re_trace(gf @ log_ratio)
         val -= tr_gf * np.log(tr_gf)
@@ -242,7 +249,7 @@ class WeightedSpace:
         _check_positive(f, "ent2")
         return self._ent2(f)
 
-    def _ent2(self, f) -> float:
+    def _ent2(self, f):
         x = self._gamma(0.5, f)
         x2 = x @ x
         log_x = _matrix_function(x, np.log)
@@ -273,7 +280,12 @@ class WeightedSpace:
         return self._clamp_ent(val, scale=abs(val) + norm ** p + 1.0)
 
     @staticmethod
-    def _clamp_ent(val: float, scale: float) -> float:
+    def _clamp_ent(val, scale):
+        """val, or 0 where rounding pushed it below zero; ArithmeticError below
+        -ENT_CLAMP * scale.  For arrays (an (n, d, d) stack's entropies) each
+        value is judged in order and the judged values come back as a list."""
+        if isinstance(val, np.ndarray):
+            return [WeightedSpace._clamp_ent(v, s) for v, s in zip(val.tolist(), scale.tolist())]
         if val < 0.0:
             if val < -ENT_CLAMP * scale:
                 raise ArithmeticError(

@@ -6,17 +6,33 @@ is an upper bound on the true constant obtained from the best witness
 found; it must never be treated as certified except where a closed form
 exists (depolarizing alpha_2).
 
-Witness search combines:
-  * near-identity witnesses f = 1 + eps*g, where the optimal direction g
-    solves the generalized eigenproblem of the exact second-order
-    (Daleckii-Krein) expansions of the Dirichlet and entropy functionals
-    around the identity -- this is the regime that saturates alpha_1 <= lambda
-    for reversible generators;
-  * two-valued spectral spikes f = exp(c P) for rank-one projectors P
-    (classical minimizers of the depolarizing family are two-valued);
-  * caller-provided cross-seeds (e.g. I_{2,1} of an alpha_1 witness);
-  * multi-start Nelder-Mead over f = exp(h) with h Hermitian traceless,
-    followed by coordinate-wise Brent refinement.
+The witness search runs in four stages, in this order (the keys of
+`LSReport.stage_evals`):
+  1. lines_and_spikes: a grid and then a bounded Brent search along the
+     near-identity line f = 1 + eps*g, where the optimal direction g solves
+     the generalized eigenproblem of the exact second-order (Daleckii-Krein)
+     expansions of the Dirichlet and entropy functionals around the identity
+     -- the regime that saturates alpha_1 <= lambda for reversible
+     generators -- along the gap witness's line, and along the two-valued
+     spectral spikes f = exp(c P) for the d + 3 rank-one projectors P of
+     `worst_case_states` (classical minimizers of the depolarizing family
+     are two-valued);
+  2. extra_starts: caller-provided cross-seeds (e.g. I_{2,1} of an alpha_1
+     witness), one evaluation each;
+  3. nelder_mead: multi-start Nelder-Mead over f = exp(h) with h Hermitian
+     traceless, from the three best points so far and random starts;
+  4. refine: coordinate-wise bounded Brent refinement of the best point.
+
+Each search is a generator that yields the points it wants next (a grid, a
+first simplex and a shrink are one request each).  Within stages 1 and 3,
+`_lockstep` runs the searches side by side: each round evaluates the pending
+points of every live search as one stack through `_RatioProblem.ratios`, in
+chunks of at most STACK_ENTRIES entries, and searches share rounds only in
+groups whose first requests fit in STACK_ENTRIES, so at large d they run
+one at a time.  The refine evaluates one point at a time.  A stacked
+evaluation gives every matrix the bits it gets on its own, and the Brent
+and Nelder-Mead generators are scipy 1.17.1's algorithms step for step, so
+every output and n_evals equal a one-at-a-time run of scipy.optimize.
 
 f = exp(h) guarantees positivity without constraints; Ent_p below 1e-10 is
 treated as excluded from the infimum (the ratio returns +inf there).
@@ -28,13 +44,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import minimize, minimize_scalar
 
 from .dirichlet_gap import GapReport, _e1, _e2, _judge_negative, dirichlet, spectral_gap
 from .generators import Generator, hat_generator, stationary_state
-from .lp_space import NUMERICAL_FAILURES, _require_positive
+from .lp_space import NUMERICAL_FAILURES, _not_positive, _require_positive
 from .mixing import worst_case_states
 from .operator_core import (
+    STACK_ENTRIES,
+    _eigh,
     _expm_hermitian,
     _ginibre,
     _matrix_function,
@@ -55,6 +72,7 @@ __all__ = [
 ]
 
 ENT_FLOOR = 1e-10
+STAGES = ("lines_and_spikes", "extra_starts", "nelder_mead", "refine")  # estimate_alpha's, in order
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +212,7 @@ def _near_identity_direction(g: Generator, p: int) -> np.ndarray | None:
 
 
 # ---------------------------------------------------------------------------
-# Ratio problem and searches
+# Ratio problem
 # ---------------------------------------------------------------------------
 
 class _RatioProblem:
@@ -205,7 +223,8 @@ class _RatioProblem:
     log Gamma(f) - log sigma serve both functionals.  The value equals
     dirichlet(g, p, f) / space.ent(p, f) exactly.  f outside A_d^+,
     Ent_p(f) <= ENT_FLOOR and numerical breakdown give +inf; any other error
-    (a wrong-dimension f, say) propagates.
+    (a wrong-dimension f, say) propagates.  `ratios` gives the same values
+    for a stack of matrices; n_evals counts the matrices either way.
     """
 
     def __init__(self, g: Generator, p: int):
@@ -235,44 +254,289 @@ class _RatioProblem:
     def ratio_packed(self, x) -> float:
         return self.ratio(_expm_hermitian(_unpack(x, self.g.dim)))
 
+    def ratios(self, fs) -> list:
+        """[ratio(f) for f in fs] for an (n, d, d) stack, bit for bit, through
+        the stack kernels in chunks of at most STACK_ENTRIES entries.  Each
+        matrix gets `ratio`'s rules in stack order: inf where f fails the
+        positivity gate, then where Ent_p(f) <= ENT_FLOOR, then the clamps of
+        `_clamp_ent` and `_judge_negative`.  A stack of one goes through
+        `ratio`; a chunk in which any matrix makes a kernel raise one of
+        NUMERICAL_FAILURES is evaluated again one matrix at a time."""
+        if len(fs) == 1:
+            return [self.ratio(fs[0])]
+        chunk = max(1, STACK_ENTRIES // fs[0].size)
+        if len(fs) > chunk:
+            return [v for s in range(0, len(fs), chunk) for v in self.ratios(fs[s:s + chunk])]
+        try:
+            values = self._stacked(fs)
+        except NUMERICAL_FAILURES:
+            return [self.ratio(f) for f in fs]
+        self.n_evals += len(fs)
+        return values
 
-def _bracketed_min(prob: _RatioProblem, make, grid):
-    """Minimize ratio(make(x)) over x: the grid's argmin, then a bounded
-    Brent search between its grid neighbours.  Returns the better of the two
-    as (value, make(x)), or (inf, None) when no grid point is finite."""
-    def func(x):
-        return prob.ratio(make(x))
+    def _stacked(self, fs) -> list:
+        """`ratios` of one chunk, n_evals untouched; raises what a kernel raises."""
+        sp = self.space
+        values = [np.inf] * len(fs)
+        index = np.flatnonzero(~_not_positive(_eigh(fs)[0]))
+        f = fs[index]
+        if self.p == 1.0:
+            gf, log_ratio = sp._log_ratio(f)
+            ent = np.array(sp._ent1(gf, log_ratio))
+        else:
+            ent = np.array(sp._ent2(f))
+        keep = ent > ENT_FLOOR
+        f = f[keep]
+        act_f = self.g._apply(f)
+        val = _e1(sp, act_f, log_ratio[keep]) if self.p == 1.0 else _e2(sp, f, act_f)
+        for i, form, e in zip(index[keep], _judge_negative(val, self.g, f), ent[keep].tolist()):
+            values[i] = form / e
+        return values
 
-    vals = [func(x) for x in grid]
+    def ratios_packed(self, xs) -> list:
+        """[ratio_packed(x) for x in xs], exponentiated and evaluated by `ratios`
+        in chunks of at most STACK_ENTRIES entries."""
+        if len(xs) == 1:
+            return [self.ratio_packed(xs[0])]
+        d = self.g.dim
+        chunk = max(1, STACK_ENTRIES // (d * d))
+        return [v for s in range(0, len(xs), chunk)
+                for v in self.ratios(_expm_hermitian(_unpack(np.asarray(xs[s:s + chunk]), d)))]
+
+
+# ---------------------------------------------------------------------------
+# Searches, run side by side
+# ---------------------------------------------------------------------------
+#
+# A search is a generator.  It yields a list of the points it wants evaluated
+# next, is sent the list of their values, and returns its result.  Points
+# that need no answer from each other go out in one list.
+
+def _nelder_mead(x0, maxfev: int, xatol: float, fatol: float):
+    """scipy 1.17.1's `_minimize_neldermead` as a search, with maxiter unset,
+    no bounds and adaptive=False; returns (x, fun, nfev), which equal
+    minimize(func, x0, method="Nelder-Mead", options={"maxfev": maxfev,
+    "xatol": xatol, "fatol": fatol}) bit for bit.  The first simplex and each
+    shrink are one request; as scipy's budget error does, a step that would
+    pass maxfev ends the search, and a shrink cut by it has moved one more
+    vertex than it evaluated."""
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    x0 = np.asarray(x0, dtype=float).flatten()
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[:] = x0
+    sim[np.arange(1, n + 1), np.arange(n)] = np.where(x0 != 0, (1 + nonzdelt) * x0, zdelt)
+    fsim = np.full((n + 1,), np.inf, dtype=float)
+    nfev = max(0, min(maxfev, n + 1))
+    if nfev:
+        fsim[:nfev] = yield list(sim[:nfev].copy())
+    for _ in range(2):  # scipy sorts twice; argsort may reorder ties
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    while nfev < maxfev:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
+                np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        [fxr] = yield [xr]
+        nfev += 1
+        if fxr < fsim[0]:
+            if nfev < maxfev:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                [fxe] = yield [xe]
+                nfev += 1
+                if fxe < fxr:
+                    sim[-1] = xe
+                    fsim[-1] = fxe
+                else:
+                    sim[-1] = xr
+                    fsim[-1] = fxr
+        elif fxr < fsim[-2]:
+            sim[-1] = xr
+            fsim[-1] = fxr
+        elif nfev < maxfev:
+            if fxr < fsim[-1]:
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                [fxc] = yield [xc]
+                nfev += 1
+                shrink = not fxc <= fxr
+                if not shrink:
+                    sim[-1] = xc
+                    fsim[-1] = fxc
+            else:  # inside contraction
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                [fxcc] = yield [xcc]
+                nfev += 1
+                shrink = not fxcc < fsim[-1]
+                if not shrink:
+                    sim[-1] = xcc
+                    fsim[-1] = fxcc
+            if shrink:
+                m = min(n, maxfev - nfev)  # the vertices the budget can evaluate
+                moved = min(n, m + 1)
+                sim[1:moved + 1] = sim[0] + sigma * (sim[1:moved + 1] - sim[0])
+                if m:
+                    fsim[1:m + 1] = yield list(sim[1:m + 1].copy())
+                    nfev += m
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0].copy(), np.min(fsim), nfev  # a copy: a view would keep the simplex alive
+
+
+def _bounded_brent(x1: float, x2: float, xatol: float, maxiter: int = 500):
+    """scipy 1.17.1's `_minimize_scalar_bounded` on finite bounds x1 <= x2 as
+    a search of one point per request; returns (x, fun, nfev), which equal
+    minimize_scalar(func, bounds=(x1, x2), method="bounded",
+    options={"xatol": xatol, "maxiter": maxiter}) bit for bit."""
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    [fx] = yield [xf]
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = 1
+        if np.abs(e) > tol1:  # parabolic fit
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and
+                    (p < q * (b - xf))):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = 1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        [fu] = yield [x]
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return xf, fx, num
+
+
+def _through(search, make):
+    """`search` with each point it asks for passed through make."""
+    try:
+        request = next(search)
+        while True:
+            request = search.send((yield [make(x) for x in request]))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _lockstep(evaluate, searches) -> list:
+    """Run searches side by side and return their results in order.  Each
+    round makes one evaluate(points) call on the pending points of every live
+    search, which returns their values in order, and sends each search its own."""
+    results = [None] * len(searches)
+    live = [(i, search, None) for i, search in enumerate(searches)]
+    while live:
+        asked = []
+        for i, search, values in live:
+            try:
+                asked.append((i, search, search.send(values)))
+            except StopIteration as stop:
+                results[i] = stop.value
+        points = [x for _, _, request in asked for x in request]
+        values = iter(evaluate(points) if points else ())
+        live = [(i, search, [next(values) for _ in request]) for i, search, request in asked]
+    return results
+
+
+def _side_by_side(evaluate, searches, first_sizes, d: int) -> list:
+    """`_lockstep` over runs of consecutive searches whose first requests
+    (first_sizes points of d^2 entries each) fit in STACK_ENTRIES together; a
+    search that does not fit alone runs alone, so its memory is what it was
+    when each search ran on its own.  The searches are not yet started:
+    a search holds its first request only once its run starts."""
+    results, run, size = [], [], 0
+    for search, n in zip(searches, first_sizes):
+        if run and (size + n) * d * d > STACK_ENTRIES:
+            results += _lockstep(evaluate, run)
+            run, size = [], 0
+        run.append(search)
+        size += n
+    return results + _lockstep(evaluate, run)
+
+
+def _bracketed_min(make, grid):
+    """A search for the minimum of the ratio at make(x) over x: the grid as one
+    request, then a bounded Brent search between the grid neighbours of its
+    argmin.  Returns the better of the two as (value, make(x)), or
+    (inf, None) when no grid point is finite."""
+    vals = yield [make(x) for x in grid]
     i = int(np.argmin(vals))
     if not np.isfinite(vals[i]):
         return np.inf, None
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    res = minimize_scalar(func, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    x, val = (res.x, res.fun) if res.fun < vals[i] else (grid[i], vals[i])
+    x, fun, _ = yield from _through(_bounded_brent(lo, hi, xatol=1e-12), make)
+    x, val = (x, fun) if fun < vals[i] else (grid[i], vals[i])
     return val, make(x)
 
 
-def _line_search_eps(prob: _RatioProblem, direction: np.ndarray):
-    """Minimize ratio(1 + eps*direction) over admissible eps > 0."""
-    eye = np.eye(prob.g.dim)
+def _eps_line(d: int, direction: np.ndarray):
+    """(make, grid) of the line f = 1 + eps*direction, admissible eps > 0."""
+    eye = np.eye(d)
     wmin = float(np.linalg.eigvalsh(direction)[0])
     eps_max = 0.95 / max(-wmin, 1e-12) if wmin < 0 else 1e3
-    return _bracketed_min(prob, lambda eps: eye + eps * direction,
-                          np.geomspace(1e-4, eps_max, 25))
+    return (lambda eps: eye + eps * direction), np.geomspace(1e-4, eps_max, 25)
 
 
-def _spike_search(prob: _RatioProblem, proj: np.ndarray):
-    """Minimize ratio(exp(c * P)) over c for a rank-one projector P."""
-    eye = np.eye(prob.g.dim)
-    return _bracketed_min(prob, lambda c: eye + (np.exp(c) - 1.0) * proj,
-                          np.linspace(-8.0, 8.0, 33))
+def _spike(d: int, proj: np.ndarray):
+    """(make, grid) of the spikes f = exp(c * P) for a rank-one projector P."""
+    eye = np.eye(d)
+    return (lambda c: eye + (np.exp(c) - 1.0) * proj), np.linspace(-8.0, 8.0, 33)
 
 
 def _coordinate_refine(prob: _RatioProblem, x0: np.ndarray, sweeps: int = 2):
     """Up to `sweeps` passes of bounded 1-D minimizations, each coordinate
-    within 0.25 of its value."""
+    within 0.25 of its value, one evaluation at a time."""
     x = x0.copy()
     best = prob.ratio_packed(x)
     for _ in range(sweeps):
@@ -280,15 +544,15 @@ def _coordinate_refine(prob: _RatioProblem, x0: np.ndarray, sweeps: int = 2):
         for k in range(len(x)):
             xk = x[k]
 
-            def func(t):
+            def at(t):
                 x[k] = t
-                return prob.ratio_packed(x)
+                return x.copy()
 
-            res = minimize_scalar(func, bounds=(xk - 0.25, xk + 0.25),
-                                  method="bounded", options={"xatol": 1e-10})
-            if res.fun < best - 1e-14:
-                best = res.fun
-                x[k] = res.x
+            search = _through(_bounded_brent(xk - 0.25, xk + 0.25, xatol=1e-10), at)
+            t, fun, _ = _lockstep(prob.ratios_packed, [search])[0]
+            if fun < best - 1e-14:
+                best = fun
+                x[k] = t
                 improved = True
             else:
                 x[k] = xk
@@ -308,6 +572,8 @@ class LSReport:
     witness_min_eig: float
     n_evals: int
     analytic_bounds: dict = field(default_factory=dict)
+    stage_evals: dict = field(default_factory=dict)  # evaluations per stage; they sum to n_evals
+    winner: str | None = None  # the stage whose point became the witness
 
     to_dict = report_dict
 
@@ -332,56 +598,60 @@ def estimate_alpha(g: Generator, p: int, budget: int = 1500, restarts: int = 8,
     rng = np.random.default_rng(seed)
     d = g.dim
 
-    candidates: list[tuple[float, np.ndarray]] = []
-
-    # the traceless-basis eigenproblem is O(d^4) in memory; past the dense
-    # design envelope the spike and gap-witness searches carry the estimate
+    # 1. the eps lines and the spikes: every grid in one round, then their
+    # Brent searches side by side.  The traceless-basis eigenproblem is O(d^4)
+    # in memory; past the dense design envelope the spike and gap-witness
+    # searches carry the estimate
     direction = _near_identity_direction(gen, p) if d <= 24 else None
-    if direction is not None:
-        candidates.append(_line_search_eps(prob, direction))
-
+    lines = [] if direction is None else [_eps_line(d, direction)]
     if gap is None:
         gap = spectral_gap(g, n_witnesses=50, seed=seed)
-    gw = gap.witness / max(max_abs(gap.witness), 1e-30)
-    candidates.append(_line_search_eps(prob, gw))
+    lines.append(_eps_line(d, gap.witness / max(max_abs(gap.witness), 1e-30)))
+    lines += [_spike(d, proj) for proj in worst_case_states(sp, n_haar=3, seed=rng)]
+    found = _side_by_side(lambda fs: prob.ratios(np.array(fs)),
+                          [_bracketed_min(make, grid) for make, grid in lines],
+                          [len(grid) for _, grid in lines], d)
+    candidates = [(val, f, "lines_and_spikes") for val, f in found]
+    counts = [0, prob.n_evals]  # n_evals after each stage
 
-    for proj in worst_case_states(sp, n_haar=3, seed=rng):
-        candidates.append(_spike_search(prob, proj))
-
+    # 2. the caller's starts, one evaluation each
     for f0 in extra_starts:
         f0 = hermitian_part(sp._check_dim(f0))
-        val = prob.ratio(f0)
-        if np.isfinite(val):
-            candidates.append((val, f0))
+        candidates.append((prob.ratio(f0), f0, "extra_starts"))
+    counts.append(prob.n_evals)
 
     candidates = [c for c in candidates if np.isfinite(c[0])]
     candidates.sort(key=lambda c: c[0])
 
-    # Nelder-Mead restarts: best candidates first, then random Gaussians
-    starts = [_pack(_matrix_function(f, np.log, eig_floor=1e-300)) for _, f in candidates[:3]]
+    # 3. Nelder-Mead restarts side by side: best candidates first, then random
+    # Gaussians
+    starts = [_pack(_matrix_function(f, np.log, eig_floor=1e-300)) for _, f, _ in candidates[:3]]
     while len(starts) < restarts:
         starts.append(_pack(hermitian_part(0.7 * _ginibre((d, d), rng))))
-
-    best_val = candidates[0][0] if candidates else np.inf
     best_x = starts[0] if starts else _pack(np.zeros((d, d), dtype=complex))
-    for x0 in starts[:restarts]:
-        res = minimize(prob.ratio_packed, x0, method="Nelder-Mead",
-                       options={"maxfev": budget, "fatol": 1e-12, "xatol": 1e-10})
-        if res.fun < best_val:
-            best_val, best_x = res.fun, res.x
+    starts = starts[:restarts]
 
+    best_val, winner = (candidates[0][0], candidates[0][2]) if candidates else (np.inf, "nelder_mead")
+    for x, fun, _ in _side_by_side(
+            prob.ratios_packed, [_nelder_mead(x0, budget, xatol=1e-10, fatol=1e-12) for x0 in starts],
+            [min(budget, d * d + 1)] * len(starts), d):
+        if fun < best_val:
+            best_val, best_x, winner = fun, x, "nelder_mead"
+    counts.append(prob.n_evals)
+
+    # 4. the coordinate refine, one evaluation at a time
     pre_refine = best_val
     if refine_sweeps > 0 and np.isfinite(best_val):
-        val, x = _coordinate_refine(prob, np.asarray(best_x, dtype=float),
-                                    sweeps=refine_sweeps)
+        val, x = _coordinate_refine(prob, np.asarray(best_x, dtype=float), sweeps=refine_sweeps)
         if val < best_val:
-            best_val, best_x = val, x
+            best_val, best_x, winner = val, x, "refine"
+    counts.append(prob.n_evals)
 
     # the candidate list may still hold the overall best (e.g. eps-path points
     # that the packed representation reproduces less accurately)
     witness = _expm_hermitian(_unpack(np.asarray(best_x, dtype=float), d))
     if candidates and candidates[0][0] < best_val:
-        best_val, witness = candidates[0]
+        best_val, witness, winner = candidates[0]
 
     ent = sp.ent(float(p), witness)
     alpha = dirichlet(gen, float(p), witness) / ent
@@ -401,7 +671,9 @@ def estimate_alpha(g: Generator, p: int, budget: int = 1500, restarts: int = 8,
         p=float(p), alpha_estimate=float(alpha), witness=witness,
         restarts=restarts, converged=converged, use_hat=p == 1,
         witness_min_eig=float(np.linalg.eigvalsh(witness)[0]),
-        n_evals=prob.n_evals, analytic_bounds=bounds)
+        n_evals=prob.n_evals, analytic_bounds=bounds,
+        stage_evals={name: b - a for name, a, b in zip(STAGES, counts, counts[1:])},
+        winner=winner)
 
 
 def partial_order_verdict(g: Generator, budget: int = 1500, restarts: int = 6,

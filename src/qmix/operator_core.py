@@ -183,13 +183,16 @@ def _pack(h: np.ndarray) -> np.ndarray:
 
 
 def _unpack(x: np.ndarray, d: int) -> np.ndarray:
-    (rows, cols), diag, eye = _layout(d)
-    re, im = x[d::2], x[d + 1::2]
-    h = np.zeros((d, d), dtype=complex)
-    h[diag] = x[:d]
-    h[rows, cols] = re + 1j * im
-    h[cols, rows] = re - 1j * im
-    h -= _re_trace(h) / d * eye  # ratio is scale invariant; pin tr h = 0
+    """The traceless Hermitian h of `_pack` coordinates x, or the (n, d, d)
+    stack of them from an (n, d^2) array."""
+    (rows, cols), (dr, dc), eye = _layout(d)
+    x = np.asarray(x)
+    re, im = x[..., d::2], x[..., d + 1::2]
+    h = np.zeros(x.shape[:-1] + (d, d), dtype=complex)
+    h[..., dr, dc] = x[..., :d]
+    h[..., rows, cols] = re + 1j * im
+    h[..., cols, rows] = re - 1j * im
+    h -= np.multiply.outer(_re_trace(h) / d, eye)  # ratio is scale invariant; pin tr h = 0
     return h
 
 

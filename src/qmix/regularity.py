@@ -289,13 +289,18 @@ def _scan_instance(dim: int, kind: str, seed: int):
     raise ValueError(f"unknown scan kind {kind!r}")
 
 
+def _scan_key(index: int, dims, seed: int) -> tuple:
+    """(index, instance seed, dim) of a scan record: what the scan of seed
+    and dims writes on line index."""
+    return index, seed * 100003 + index, dims[index % len(dims)]
+
+
 def scan_instance_record(index: int, dims, seed: int, probes, p_grid) -> dict:
     """One deterministic scan record; the instance seed is derived from
     (seed, index) so a scan can resume from any line count."""
     kinds = ("generic", "davies", "reversible_unital")
-    dim = dims[index % len(dims)]
+    _, inst_seed, dim = _scan_key(index, dims, seed)
     kind = kinds[index % len(kinds)]
-    inst_seed = seed * 100003 + index
     try:
         g = _scan_instance(dim, kind, inst_seed)
     except (GeneratorError, np.linalg.LinAlgError) as exc:  # a failed draw; bugs raise

@@ -205,6 +205,24 @@ def test_scan_resume_after_truncated_line(tmp_path, capsys):
     assert cut.read_bytes() == data
 
 
+@pytest.mark.parametrize("other", [["--seed", "7", "--dims", "2,3"],
+                                   ["--seed", "1", "--dims", "4"]])
+def test_scan_resume_refuses_a_file_of_another_scan(tmp_path, capsys, other):
+    out = tmp_path / "scan.jsonl"
+    assert main(["scan", "--n", "2", "--probes", "3", "--seed", "1", "--dims", "2,3",
+                 "--out", str(out)]) == 0
+    written = out.read_bytes() + b'{"index": 2, "di'  # and an interrupted record
+    out.write_bytes(written)
+    capsys.readouterr()
+    assert main(["scan", "--n", "4", "--probes", "3", "--out", str(out), "--resume"]
+                + other) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert json.loads(line)["kind"] == "bad_resume" and "record 1" in line
+    assert out.read_bytes() == written  # not truncated, nothing appended
+
+
 def test_parallel_scan_streams_the_serial_file(tmp_path, capsys):
     argv = ["scan", "--dims", "2,3", "--n", "6", "--probes", "3", "--seed", "5"]
     serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"

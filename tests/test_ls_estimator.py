@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize, minimize_scalar
+
+from conftest import same_bits
 
 from qmix.dirichlet_gap import dirichlet, spectral_gap
 from qmix.generators import (
@@ -13,9 +16,15 @@ from qmix.generators import (
 )
 from qmix import ls_estimator
 from qmix.ls_estimator import (
+    ENT_FLOOR,
+    STAGES,
+    _bounded_brent,
     _bracketed_min,
+    _lockstep,
     _near_identity_direction,
+    _nelder_mead,
     _RatioProblem,
+    _side_by_side,
     depolarizing_alpha2,
     estimate_alpha,
     expander_alpha2_upper,
@@ -193,7 +202,8 @@ def test_ratio_infinite_only_on_numerical_failure(rng):
 def test_bracketed_min_stops_at_an_infinite_grid(rng):
     prob = _RatioProblem(random_davies(3, rng), 1)
     grid = np.linspace(-1.0, 1.0, 5)
-    assert _bracketed_min(prob, lambda x: -np.eye(3), grid) == (np.inf, None)
+    search = _bracketed_min(lambda x: -np.eye(3, dtype=complex), grid)
+    assert _lockstep(lambda fs: prob.ratios(np.array(fs)), [search]) == [(np.inf, None)]
     assert prob.n_evals == len(grid)  # no Brent search after the grid
 
 
@@ -262,3 +272,197 @@ def test_pack_unpack_match_loop_reference(rng):
         assert np.array_equal(_unpack(x, d), _unpack_loop(x, d))
         assert np.array_equal(np.signbit(_unpack(x, d).view(float)),
                               np.signbit(_unpack_loop(x, d).view(float)))
+
+
+# ---------------------------------------------------------------------------
+# The stacked ratio and the search generators
+# ---------------------------------------------------------------------------
+
+class _Shifted:
+    """g with L(f) + shift * f as its action: an indefinite Dirichlet form,
+    negative enough on some f that `_judge_negative` raises."""
+
+    def __init__(self, g, shift):
+        self.g, self.dim, self.stationary, self.shift = g, g.dim, g.stationary, shift
+
+    def _apply(self, f):
+        return self.g._apply(f) + self.shift * f
+
+
+def _mixed_stack(rng, d):
+    """Positive f of several spreads, a non-positive f, a multiple of the
+    identity (Ent_p = 0 <= ENT_FLOOR) and f = 1 + 1e-9 h (Ent_p ~ 1e-18)."""
+    fs = [matrix_function(random_hermitian(d, rng, s), np.exp, eig_floor=-np.inf)
+          for s in (0.1, 0.5, 1.0, 2.0, 3.0)]
+    fs.insert(2, np.diag(np.linspace(-0.3, 1.0, d)).astype(complex))
+    fs.insert(4, 2.5 * np.eye(d, dtype=complex))
+    fs.append(np.eye(d) + 1e-9 * random_hermitian(d, rng))
+    rng.shuffle(fs)
+    return np.array(fs)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_stacked_ratios_equal_each_ratio_bit_for_bit(p, rng, monkeypatch):
+    raised = []
+    judge = ls_estimator._judge_negative
+
+    def spy(val, g, f):
+        try:
+            return judge(val, g, f)
+        except ArithmeticError:
+            raised.append(1)
+            raise
+
+    monkeypatch.setattr(ls_estimator, "_judge_negative", spy)
+    monkeypatch.setattr(ls_estimator, "STACK_ENTRIES", 4 * 9)  # chunks of 4 at d = 3
+    kinds = set()
+    for gen in (random_davies(3, rng), random_lindblad(3, rng),
+                hat_generator(random_lindblad(3, rng)), _Shifted(random_davies(3, rng), 1.0)):
+        for _ in range(3):
+            fs = _mixed_stack(rng, 3)
+            one, stacked = _RatioProblem(gen, p), _RatioProblem(gen, p)
+            raised.clear()
+            expected = np.array([one.ratio(f) for f in fs])
+            kinds.add(bool(raised))
+            for n in (1, 2, len(fs)):
+                before = stacked.n_evals
+                got = np.array(stacked.ratios(fs[:n]))
+                assert same_bits(got, expected[:n])
+                assert stacked.n_evals - before == n
+            xs = [_pack(random_hermitian(3, rng, 0.7)) for _ in range(6)]
+            before = stacked.n_evals
+            assert same_bits(np.array(stacked.ratios_packed(xs)),
+                             np.array([one.ratio_packed(x) for x in xs]))
+            assert stacked.n_evals - before == len(xs)
+            assert np.isinf(expected).sum() >= 3  # the non-positive f and the two flat ones
+    assert kinds == {True, False}  # stacks with and without a raising Dirichlet value
+    assert ENT_FLOOR == 1e-10
+
+
+def _drive(search, func, sizes=None):
+    """Run one search on func, recording each request's length in sizes."""
+    def evaluate(points):
+        if sizes is not None:
+            sizes.append(len(points))
+        return [func(x) for x in points]
+    return _lockstep(evaluate, [search])[0]
+
+
+def _objective(rng, n):
+    """A seeded smooth, kinked or flat objective on R^n, infinite on a
+    half-space for a third of the draws."""
+    center, scale = rng.normal(size=n), rng.uniform(0.2, 3.0, size=n)
+    kind = int(rng.integers(4))
+    cut = rng.normal(size=n) if rng.random() < 1 / 3 else None
+
+    def func(x):
+        if cut is not None and float(cut @ x) > 0.5:
+            return np.inf
+        y = (x - center) * scale
+        if kind == 0:
+            return float(y @ y)
+        if kind == 1:
+            return float(np.sum(np.abs(y)))
+        if kind == 2:
+            return float(np.sum(100.0 * (y[1:] - y[:-1] ** 2) ** 2 + (1 - y[:-1]) ** 2) + y[0] ** 2)
+        return float(np.round(y @ y, 1))  # plateaus
+    return func
+
+
+# inf - inf in the infinite objectives: scipy and the port warn alike
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_nelder_mead_generator_equals_scipy():
+    cases = {"below_n_plus_1": 0, "cut_in_shrink": 0, "converged": 0, "inf": 0}
+    for seed in range(480):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7)) if seed % 4 else int(rng.integers(7, 21))
+        x0 = rng.normal(size=n)
+        x0[rng.random(n) < 0.3] = 0.0
+        func = _objective(rng, n)
+        tol = float(rng.choice([1e-10, 1e-4, 1e-2]))
+        sizes = []
+        full = _drive(_nelder_mead(x0, 400, xatol=tol, fatol=tol), func, sizes)
+        which = seed % 3
+        if which == 0:
+            budget = int(rng.integers(1, n + 1))  # inside the first simplex
+        elif which == 1:
+            budget = 400
+        else:
+            shrinks = [(sum(sizes[:i]), k) for i, k in enumerate(sizes) if i and k > 1]
+            if shrinks:
+                used, k = shrinks[int(rng.integers(len(shrinks)))]
+                budget = used + int(rng.integers(0, k))  # runs out inside that shrink
+            else:
+                budget = int(rng.integers(n + 1, 60))
+        ref = minimize(func, x0, method="Nelder-Mead",
+                       options={"maxfev": budget, "xatol": tol, "fatol": tol})
+        x, fun, nfev = (full if budget == 400 else
+                        _drive(_nelder_mead(x0, budget, xatol=tol, fatol=tol), func))
+        assert np.array_equal(x, ref.x) and fun == ref.fun and nfev == ref.nfev, seed
+        cases["below_n_plus_1"] += budget < n + 1
+        cases["cut_in_shrink"] += which == 2 and bool(shrinks)
+        cases["converged"] += nfev < budget
+        cases["inf"] += not np.isfinite(func(x0))
+    assert min(cases.values()) >= 10, cases
+
+
+# inf - inf in the infinite objectives: scipy and the port warn alike
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_bounded_brent_generator_equals_scipy():
+    capped = flat = inf = 0
+    for seed in range(480):
+        rng = np.random.default_rng(seed)
+        lo = float(rng.normal(scale=3.0))
+        hi = lo + float(rng.choice([0.0, 1e-9, 0.5, 4.0, 20.0]))
+        c, kind = rng.uniform(lo - 1.0, hi + 1.0), seed % 5
+        wall = rng.uniform(lo, hi) if seed % 4 == 0 else None
+
+        def func(x, c=c, kind=kind, wall=wall):
+            if wall is not None and x > wall:
+                return np.inf
+            return [(x - c) ** 2, abs(x - c), np.sin(3.0 * x), np.round((x - c) ** 2, 2),
+                    -np.exp(-(x - c) ** 2)][kind]
+
+        xatol = float(rng.choice([1e-12, 1e-10, 1e-5]))
+        maxiter = int(rng.choice([1, 3, 8, 500]))
+        ref = minimize_scalar(func, bounds=(lo, hi), method="bounded",
+                              options={"xatol": xatol, "maxiter": maxiter})
+        x, fun, nfev = _drive(_bounded_brent(lo, hi, xatol=xatol, maxiter=maxiter), func)
+        assert x == ref.x and fun == ref.fun and nfev == ref.nfev, seed
+        capped += nfev == maxiter
+        flat += kind == 3
+        inf += wall is not None and not np.isfinite(func(hi))
+    assert min(capped, flat, inf) >= 10
+
+
+def test_side_by_side_shares_rounds_only_within_stack_entries():
+    def search(n, tag):
+        values = yield [tag] * n
+        more = yield [tag]
+        return tag, values + more
+
+    rounds = []
+
+    def evaluate(points):
+        rounds.append(points)
+        return [10 * p for p in points]
+
+    d = 64  # a point holds d^2 = 4096 entries: 16 points fill STACK_ENTRIES
+    sizes = [10, 5, 3, 20, 1]
+    results = _side_by_side(evaluate, [search(n, t) for t, n in enumerate(sizes)], sizes, d)
+    assert results == [(t, [10 * t] * (n + 1)) for t, n in enumerate(sizes)]
+    assert rounds == [[0] * 10 + [1] * 5, [0, 1], [2] * 3, [2], [3] * 20, [3], [4], [4]]
+
+
+def test_stage_evals_sum_to_n_evals_and_name_the_winner(rng):
+    g = random_davies(3, rng)
+    for p in (1, 2):
+        extra = [np.eye(3) + 0.2 * random_hermitian(3, rng)]
+        rep = estimate_alpha(g, p, budget=120, restarts=3, seed=p, extra_starts=extra)
+        assert tuple(rep.stage_evals) == STAGES
+        assert sum(rep.stage_evals.values()) == rep.n_evals
+        assert rep.stage_evals["extra_starts"] == 1 and rep.stage_evals["refine"] > 0
+        assert rep.winner in STAGES
+        assert rep.to_dict()["winner"] == rep.winner
+    rep = estimate_alpha(g, 2, budget=60, restarts=2, seed=0, refine_sweeps=0)
+    assert rep.stage_evals["refine"] == 0 and rep.winner != "refine"

@@ -38,7 +38,12 @@ does, and writes into ``--out``:
   projection d = 3, hat(generic d = 3), tensor-qubit N = 2 and
   random-unitary d = 4 generators; and ``lazy_channel_super`` and
   ``discrete_vs_continuous(lazy, 3, rho0)`` on a lazy channel drawn as in
-  acceptance criterion 9 (the first primitive draw);
+  acceptance criterion 9 (the first primitive draw); and last, so that the
+  draws above stay as they were, ``estimate_alpha(h, 1, budget=80,
+  restarts=3, seed=--seed)`` on the hat h of a random Davies d = 3
+  generator, once with two positive ``extra_starts`` and once with
+  ``budget=5``, below d^2 + 1, so that every Nelder-Mead restart stops
+  inside its first simplex;
 * ``cli_errors.txt`` -- the exit code and stderr of ``qmix analyze`` and
   ``qmix mixing`` (``--seed 0``) on four failing specs: a pure-Hamiltonian
   generator, ``{not json``, an unknown family and a depolarizing spec
@@ -198,6 +203,12 @@ def library_lines(seed: int) -> list:
             break
     record("lazy_d3.lazy_channel_super", lazy_channel_super(g))
     record("lazy_d3.discrete_vs_continuous(n=3)", discrete_vs_continuous(lazy, 3, rho0))
+    hat = hat_generator(random_davies(3, rng))
+    for name, kwargs in (("extra_starts", {"extra_starts": [positive(3), positive(3)]}),
+                         ("budget=5", {"budget": 5})):  # 5 < d^2 + 1: a cut first simplex
+        rep = estimate_alpha(hat, 1, **{"budget": 80, "restarts": 3, "seed": seed, **kwargs})
+        record(f"hat(davies_d3).estimate_alpha(p=1, {name})", rep.to_dict())
+        record(f"hat(davies_d3).estimate_alpha(p=1, {name}).witness", rep.witness)
     return lines
 
 
