@@ -235,7 +235,7 @@ class WeightedSpace:
     def _log_ratio(self, f):
         """Gamma(f) and log Gamma(f) - log sigma, shared by Ent_1 and E_1."""
         gf = self._gamma(1.0, f)
-        return gf, _matrix_function(gf, np.log) - self._log_sigma
+        return gf, _eig_function(*np.linalg.eigh(gf), np.log) - self._log_sigma
 
     def _ent1(self, gf, log_ratio):
         tr_gf = _re_trace(gf)
@@ -252,7 +252,7 @@ class WeightedSpace:
     def _ent2(self, f):
         x = self._gamma(0.5, f)
         x2 = x @ x
-        log_x = _matrix_function(x, np.log)
+        log_x = _eig_function(*np.linalg.eigh(x), np.log)
         n2sq = _re_trace(x2)  # ||f||_{2,sigma}^2
         val = _re_trace(x2 @ log_x)
         val -= 0.5 * _re_trace(x2 @ self._log_sigma)

@@ -23,16 +23,17 @@ The witness search runs in four stages, in this order (the keys of
      traceless, from the three best points so far and random starts;
   4. refine: coordinate-wise bounded Brent refinement of the best point.
 
-Each search is a generator that yields the points it wants next (a grid, a
-first simplex and a shrink are one request each).  Within stages 1 and 3,
-`_lockstep` runs the searches side by side: each round evaluates the pending
-points of every live search as one stack through `_RatioProblem.ratios`, in
-chunks of at most STACK_ENTRIES entries, and searches share rounds only in
-groups whose first requests fit in STACK_ENTRIES, so at large d they run
-one at a time.  The refine evaluates one point at a time.  A stacked
-evaluation gives every matrix the bits it gets on its own, and the Brent
-and Nelder-Mead generators are scipy 1.17.1's algorithms step for step, so
-every output and n_evals equal a one-at-a-time run of scipy.optimize.
+Each search is a generator of `qmix._search` that yields the points it
+wants next (a grid, a first simplex and a shrink are one request each).
+Within stages 1 and 3, `_search._side_by_side` runs the searches side by
+side: each round evaluates the pending points of every live search as one
+stack through `_RatioProblem.ratios`, in chunks of at most STACK_ENTRIES
+entries, and searches share rounds only in groups whose first requests fit
+in STACK_ENTRIES, so at large d they run one at a time.  The refine
+evaluates one point at a time.  A stacked evaluation gives every matrix the
+bits it gets on its own, and the Brent and Nelder-Mead searches are scipy
+1.17.1's algorithms step for step, so every output and n_evals equal a
+one-at-a-time run of scipy's `minimize` and `minimize_scalar`.
 
 f = exp(h) guarantees positivity without constraints; Ent_p below 1e-10 is
 treated as excluded from the infimum (the ratio returns +inf there).
@@ -45,9 +46,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from ._search import _bounded_brent, _lockstep, _nelder_mead, _side_by_side, _through
 from .dirichlet_gap import GapReport, _e1, _e2, _judge_negative, dirichlet, spectral_gap
 from .generators import Generator, hat_generator, stationary_state
-from .lp_space import NUMERICAL_FAILURES, _not_positive, _require_positive
+from .lp_space import NUMERICAL_FAILURES, _not_positive
 from .mixing import worst_case_states
 from .operator_core import (
     STACK_ENTRIES,
@@ -175,7 +177,7 @@ def _near_identity_direction(g: Generator, p: int) -> np.ndarray | None:
 
     if p == 1:
         # Dirichlet curvature: -tr[Gamma(L g) K(Gamma(g))] with K the DK-log map
-        lg_hats = [v.conj().T @ sp.gamma(hermitian_part(g._apply(b))) @ v for b in basis]
+        lg_hats = [v.conj().T @ sp._gamma(1.0, hermitian_part(g._apply(b))) @ v for b in basis]
         gam_hats = [np.outer(np.sqrt(w), np.sqrt(w)) * bh for bh in hats]
         a_mat = np.empty((n, n))
         for i in range(n):
@@ -189,11 +191,11 @@ def _near_identity_direction(g: Generator, p: int) -> np.ndarray | None:
         msqrt = np.outer(np.sqrt(w), np.sqrt(w)) / (
             np.add.outer(np.sqrt(w), np.sqrt(w)) * np.outer(w, w) ** 0.25)
         m_basis = [v @ (msqrt * bh) @ v.conj().T for bh in hats]
-        lm = [hermitian_part(g.apply(mb)) for mb in m_basis]
+        lm = [hermitian_part(g._apply(mb)) for mb in m_basis]
         a_mat = np.empty((n, n))
         for i in range(n):
             for j in range(i, n):
-                val = -2.0 * (sp.inner(m_basis[i], lm[j]) + sp.inner(m_basis[j], lm[i]))
+                val = -2.0 * (sp._inner(m_basis[i], lm[j]) + sp._inner(m_basis[j], lm[i]))
                 a_mat[i, j] = a_mat[j, i] = val
 
     if not (np.all(np.isfinite(a_mat)) and np.all(np.isfinite(b_mat))):
@@ -224,7 +226,9 @@ class _RatioProblem:
     dirichlet(g, p, f) / space.ent(p, f) exactly.  f outside A_d^+,
     Ent_p(f) <= ENT_FLOOR and numerical breakdown give +inf; any other error
     (a wrong-dimension f, say) propagates.  `ratios` gives the same values
-    for a stack of matrices; n_evals counts the matrices either way.
+    for a stack of matrices; n_evals counts the matrices either way.  `eigh`
+    is the positivity gate's: np.linalg.eigh on the packed path's exactly
+    Hermitian f, whose symmetrization `_eigh` would only repeat.
     """
 
     def __init__(self, g: Generator, p: int):
@@ -233,11 +237,12 @@ class _RatioProblem:
         self.space = stationary_state(g)
         self.n_evals = 0
 
-    def ratio(self, f) -> float:
+    def ratio(self, f, eigh=_eigh) -> float:
         self.n_evals += 1
         sp = self.space
         try:
-            _require_positive(f, "LS ratio")
+            if _not_positive(eigh(f)[0]):
+                return np.inf
             if self.p == 1.0:
                 gf, log_ratio = sp._log_ratio(f)
                 ent = sp._ent1(gf, log_ratio)
@@ -252,9 +257,9 @@ class _RatioProblem:
             return np.inf
 
     def ratio_packed(self, x) -> float:
-        return self.ratio(_expm_hermitian(_unpack(x, self.g.dim)))
+        return self.ratio(_expm_hermitian(_unpack(x, self.g.dim)), np.linalg.eigh)
 
-    def ratios(self, fs) -> list:
+    def ratios(self, fs, eigh=_eigh) -> list:
         """[ratio(f) for f in fs] for an (n, d, d) stack, bit for bit, through
         the stack kernels in chunks of at most STACK_ENTRIES entries.  Each
         matrix gets `ratio`'s rules in stack order: inf where f fails the
@@ -263,22 +268,22 @@ class _RatioProblem:
         `ratio`; a chunk in which any matrix makes a kernel raise one of
         NUMERICAL_FAILURES is evaluated again one matrix at a time."""
         if len(fs) == 1:
-            return [self.ratio(fs[0])]
+            return [self.ratio(fs[0], eigh)]
         chunk = max(1, STACK_ENTRIES // fs[0].size)
         if len(fs) > chunk:
-            return [v for s in range(0, len(fs), chunk) for v in self.ratios(fs[s:s + chunk])]
+            return [v for s in range(0, len(fs), chunk) for v in self.ratios(fs[s:s + chunk], eigh)]
         try:
-            values = self._stacked(fs)
+            values = self._stacked(fs, eigh)
         except NUMERICAL_FAILURES:
-            return [self.ratio(f) for f in fs]
+            return [self.ratio(f, eigh) for f in fs]
         self.n_evals += len(fs)
         return values
 
-    def _stacked(self, fs) -> list:
+    def _stacked(self, fs, eigh) -> list:
         """`ratios` of one chunk, n_evals untouched; raises what a kernel raises."""
         sp = self.space
         values = [np.inf] * len(fs)
-        index = np.flatnonzero(~_not_positive(_eigh(fs)[0]))
+        index = np.flatnonzero(~_not_positive(eigh(fs)[0]))
         f = fs[index]
         if self.p == 1.0:
             gf, log_ratio = sp._log_ratio(f)
@@ -301,209 +306,13 @@ class _RatioProblem:
         d = self.g.dim
         chunk = max(1, STACK_ENTRIES // (d * d))
         return [v for s in range(0, len(xs), chunk)
-                for v in self.ratios(_expm_hermitian(_unpack(np.asarray(xs[s:s + chunk]), d)))]
+                for v in self.ratios(_expm_hermitian(_unpack(np.asarray(xs[s:s + chunk]), d)),
+                                     np.linalg.eigh)]
 
 
 # ---------------------------------------------------------------------------
-# Searches, run side by side
+# The searches of estimate_alpha
 # ---------------------------------------------------------------------------
-#
-# A search is a generator.  It yields a list of the points it wants evaluated
-# next, is sent the list of their values, and returns its result.  Points
-# that need no answer from each other go out in one list.
-
-def _nelder_mead(x0, maxfev: int, xatol: float, fatol: float):
-    """scipy 1.17.1's `_minimize_neldermead` as a search, with maxiter unset,
-    no bounds and adaptive=False; returns (x, fun, nfev), which equal
-    minimize(func, x0, method="Nelder-Mead", options={"maxfev": maxfev,
-    "xatol": xatol, "fatol": fatol}) bit for bit.  The first simplex and each
-    shrink are one request; as scipy's budget error does, a step that would
-    pass maxfev ends the search, and a shrink cut by it has moved one more
-    vertex than it evaluated."""
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    nonzdelt, zdelt = 0.05, 0.00025
-    x0 = np.asarray(x0, dtype=float).flatten()
-    n = len(x0)
-    sim = np.empty((n + 1, n))
-    sim[:] = x0
-    sim[np.arange(1, n + 1), np.arange(n)] = np.where(x0 != 0, (1 + nonzdelt) * x0, zdelt)
-    fsim = np.full((n + 1,), np.inf, dtype=float)
-    nfev = max(0, min(maxfev, n + 1))
-    if nfev:
-        fsim[:nfev] = yield list(sim[:nfev].copy())
-    for _ in range(2):  # scipy sorts twice; argsort may reorder ties
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-
-    while nfev < maxfev:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
-                np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        [fxr] = yield [xr]
-        nfev += 1
-        if fxr < fsim[0]:
-            if nfev < maxfev:
-                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-                [fxe] = yield [xe]
-                nfev += 1
-                if fxe < fxr:
-                    sim[-1] = xe
-                    fsim[-1] = fxe
-                else:
-                    sim[-1] = xr
-                    fsim[-1] = fxr
-        elif fxr < fsim[-2]:
-            sim[-1] = xr
-            fsim[-1] = fxr
-        elif nfev < maxfev:
-            if fxr < fsim[-1]:
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                [fxc] = yield [xc]
-                nfev += 1
-                shrink = not fxc <= fxr
-                if not shrink:
-                    sim[-1] = xc
-                    fsim[-1] = fxc
-            else:  # inside contraction
-                xcc = (1 - psi) * xbar + psi * sim[-1]
-                [fxcc] = yield [xcc]
-                nfev += 1
-                shrink = not fxcc < fsim[-1]
-                if not shrink:
-                    sim[-1] = xcc
-                    fsim[-1] = fxcc
-            if shrink:
-                m = min(n, maxfev - nfev)  # the vertices the budget can evaluate
-                moved = min(n, m + 1)
-                sim[1:moved + 1] = sim[0] + sigma * (sim[1:moved + 1] - sim[0])
-                if m:
-                    fsim[1:m + 1] = yield list(sim[1:m + 1].copy())
-                    nfev += m
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    return sim[0].copy(), np.min(fsim), nfev  # a copy: a view would keep the simplex alive
-
-
-def _bounded_brent(x1: float, x2: float, xatol: float, maxiter: int = 500):
-    """scipy 1.17.1's `_minimize_scalar_bounded` on finite bounds x1 <= x2 as
-    a search of one point per request; returns (x, fun, nfev), which equal
-    minimize_scalar(func, bounds=(x1, x2), method="bounded",
-    options={"xatol": xatol, "maxiter": maxiter}) bit for bit."""
-    sqrt_eps = np.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
-    a, b = x1, x2
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    [fx] = yield [xf]
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = 1
-        if np.abs(e) > tol1:  # parabolic fit
-            golden = 0
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r = e
-            e = rat
-            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and
-                    (p < q * (b - xf))):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    si = np.sign(xm - xf) + ((xm - xf) == 0)
-                    rat = tol1 * si
-            else:
-                golden = 1
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(np.abs(rat), tol1)
-        [fu] = yield [x]
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxiter:
-            break
-    return xf, fx, num
-
-
-def _through(search, make):
-    """`search` with each point it asks for passed through make."""
-    try:
-        request = next(search)
-        while True:
-            request = search.send((yield [make(x) for x in request]))
-    except StopIteration as stop:
-        return stop.value
-
-
-def _lockstep(evaluate, searches) -> list:
-    """Run searches side by side and return their results in order.  Each
-    round makes one evaluate(points) call on the pending points of every live
-    search, which returns their values in order, and sends each search its own."""
-    results = [None] * len(searches)
-    live = [(i, search, None) for i, search in enumerate(searches)]
-    while live:
-        asked = []
-        for i, search, values in live:
-            try:
-                asked.append((i, search, search.send(values)))
-            except StopIteration as stop:
-                results[i] = stop.value
-        points = [x for _, _, request in asked for x in request]
-        values = iter(evaluate(points) if points else ())
-        live = [(i, search, [next(values) for _ in request]) for i, search, request in asked]
-    return results
-
-
-def _side_by_side(evaluate, searches, first_sizes, d: int) -> list:
-    """`_lockstep` over runs of consecutive searches whose first requests
-    (first_sizes points of d^2 entries each) fit in STACK_ENTRIES together; a
-    search that does not fit alone runs alone, so its memory is what it was
-    when each search ran on its own.  The searches are not yet started:
-    a search holds its first request only once its run starts."""
-    results, run, size = [], [], 0
-    for search, n in zip(searches, first_sizes):
-        if run and (size + n) * d * d > STACK_ENTRIES:
-            results += _lockstep(evaluate, run)
-            run, size = [], 0
-        run.append(search)
-        size += n
-    return results + _lockstep(evaluate, run)
-
 
 def _bracketed_min(make, grid):
     """A search for the minimum of the ratio at make(x) over x: the grid as one

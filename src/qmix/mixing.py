@@ -29,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ._blas import blas_threads_for
+from ._search import _nelder_mead, _side_by_side
 from .dirichlet_gap import dirichlet
 from .generators import Generator, hat_generator, lift_channel, stationary_state
 from .lp_space import NUMERICAL_FAILURES, WeightedSpace
@@ -452,10 +452,12 @@ def pq_norm(g: Generator, p: float, q: float, t: float,
     best = ratio(np.eye(d))
     starts = [_pack(np.zeros((d, d), dtype=complex))]
     starts += [_pack(random_hermitian(d, rng)) for _ in range(restarts - 1)]
-    for x0 in starts:
-        res = minimize(neg_packed, x0, method="Nelder-Mead",
-                       options={"maxfev": budget, "fatol": 1e-12})
-        best = max(best, -res.fun)
+    # scipy's defaults for Nelder-Mead with maxfev = budget: maxiter unset, xatol 1e-4
+    for _, fun, _ in _side_by_side(
+            lambda xs: [neg_packed(x) for x in xs],
+            [_nelder_mead(x0, budget, xatol=1e-4, fatol=1e-12) for x0 in starts],
+            [min(budget, d * d + 1)] * len(starts), d):
+        best = max(best, -fun)
     return float(best)
 
 

@@ -197,8 +197,13 @@ def _unpack(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def _expm_hermitian(h: np.ndarray) -> np.ndarray:
-    """exp(h) with h's spectrum clipped to [-H_CLIP, H_CLIP]."""
-    return _matrix_function(h, lambda w: np.exp(np.clip(w, -H_CLIP, H_CLIP)), eig_floor=-np.inf)
+    """exp(h) with h's spectrum clipped to [-H_CLIP, H_CLIP], of an exactly
+    Hermitian h (`_unpack` output) or of each matrix of a stack of them."""
+    w, v = np.linalg.eigh(h)
+    fw = np.exp(np.clip(w, -H_CLIP, H_CLIP))
+    if not np.isfinite(fw).all():  # a NaN eigenvalue; the clip keeps the rest finite
+        raise ValueError("_expm_hermitian: h has a non-finite eigenvalue")
+    return hermitian_part((v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------------------

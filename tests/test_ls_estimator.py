@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize, minimize_scalar
@@ -15,16 +17,13 @@ from qmix.generators import (
     random_reversible_unital,
 )
 from qmix import ls_estimator
+from qmix._search import _bounded_brent, _lockstep, _nelder_mead, _side_by_side
 from qmix.ls_estimator import (
     ENT_FLOOR,
     STAGES,
-    _bounded_brent,
     _bracketed_min,
-    _lockstep,
     _near_identity_direction,
-    _nelder_mead,
     _RatioProblem,
-    _side_by_side,
     depolarizing_alpha2,
     estimate_alpha,
     expander_alpha2_upper,
@@ -404,6 +403,40 @@ def test_nelder_mead_generator_equals_scipy():
         cases["converged"] += nfev < budget
         cases["inf"] += not np.isfinite(func(x0))
     assert min(cases.values()) >= 10, cases
+
+
+def test_nelder_mead_inside_its_first_simplex_equals_scipy():
+    # budgets below n + 1 at large n.  An all-NaN objective sorts its NaNs
+    # after the unevaluated vertices' inf, so the sorts pick a vertex that was
+    # never evaluated, and the port builds it then
+    cases = {"inf": 0, "unevaluated": 0}
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 401))
+        x0 = rng.normal(size=n)
+        x0[rng.random(n) < 0.3] = 0.0
+        func = [lambda x: np.inf, lambda x: np.nan, _objective(rng, n)][min(seed % 4, 2)]
+        budget = int(rng.integers(0, n + 1))
+        ref = minimize(func, x0, method="Nelder-Mead", options={"maxfev": budget})
+        x, fun, nfev = _drive(_nelder_mead(x0, budget, xatol=1e-4, fatol=1e-4), func)
+        assert np.array_equal(x, ref.x) and nfev == ref.nfev, seed
+        assert np.array_equal(fun, ref.fun, equal_nan=True), seed
+        moved = np.flatnonzero(x != x0)  # vertex i >= 1 moves coordinate i - 1
+        cases["inf"] += fun == np.inf
+        cases["unevaluated"] += moved.size > 0 and moved[0] + 1 >= budget
+    assert min(cases.values()) >= 10, cases
+
+
+def test_nelder_mead_builds_only_the_vertices_its_budget_evaluates():
+    x0 = np.random.default_rng(0).normal(size=4096)  # the d = 64 packed size
+    tracemalloc.start()
+    try:
+        x, fun, nfev = _drive(_nelder_mead(x0, 3, xatol=1e-4, fatol=1e-12), lambda x: float(x @ x))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nfev == 3 and fun <= float(x0 @ x0) and x.shape == x0.shape
+    assert peak < 2 * 2 ** 20  # the whole first simplex would hold 4097 x 4096 floats: 134 MB
 
 
 # inf - inf in the infinite objectives: scipy and the port warn alike

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from qmix import generators, mixing
 from qmix.dirichlet_gap import spectral_gap
@@ -14,6 +15,7 @@ from qmix.generators import (
     random_lindblad,
     random_reversible_unital,
 )
+from qmix.lp_space import NUMERICAL_FAILURES
 from qmix.ls_estimator import depolarizing_alpha2, estimate_alpha
 from qmix.mixing import (
     MixingCurve,
@@ -37,9 +39,14 @@ from qmix.mixing import (
 from qmix.operator_core import (
     CACHE_SIZE,
     STACK_ENTRIES,
+    _expm_hermitian,
+    _pack,
+    _unpack,
     haar_unitary,
+    hermitian_part,
     max_abs,
     random_density_matrix,
+    random_hermitian,
     random_pure_state,
 )
 
@@ -436,6 +443,42 @@ def test_pq_norm_duality(rng):
     n_dual = pq_norm(hat_generator(g), q / (q - 1), p / (p - 1), t,
                      restarts=4, budget=300, seed=2)
     assert abs(n_direct - n_dual) <= 0.02 * max(n_direct, n_dual)
+
+
+def _scipy_pq_norm(g, p, q, t, restarts, budget, seed):
+    """pq_norm's body on scipy's Nelder-Mead, one restart after another: the
+    reference for its search."""
+    sp = generators.stationary_state(g)
+    d = g.dim
+
+    def ratio(f):
+        return sp.lp_norm(q, hermitian_part(g.evolve_heisenberg(f, t))) / sp.lp_norm(p, f)
+
+    def neg_packed(x):
+        try:
+            return -ratio(_expm_hermitian(_unpack(x, d)))
+        except NUMERICAL_FAILURES:
+            return np.inf
+
+    rng = np.random.default_rng(seed)
+    best = ratio(np.eye(d))
+    starts = [_pack(np.zeros((d, d), dtype=complex))]
+    starts += [_pack(random_hermitian(d, rng)) for _ in range(restarts - 1)]
+    for x0 in starts:
+        res = minimize(neg_packed, x0, method="Nelder-Mead",
+                       options={"maxfev": budget, "fatol": 1e-12})
+        best = max(best, -res.fun)
+    return float(best)
+
+
+def test_pq_norm_equals_its_scipy_search(rng):
+    for d in (2, 3, 4):
+        for g in (random_davies(d, rng), hat_generator(random_lindblad(d, rng))):
+            # below and above d^2 + 1; at d = 2 the tolerances end the search before 500
+            for budget in (d * d // 2, 3 * d * d + 10) + ((500,) if d == 2 else ()):
+                for p, q, t in ((2.0, 4.0, 0.3), (1.5, 3.0, 0.1)):
+                    args = (g, p, q, t, 3, budget, int(rng.integers(100)))
+                    assert pq_norm(*args) == _scipy_pq_norm(*args), (d, budget, p)
 
 
 def test_pq_norm_lets_a_bug_in_the_objective_raise(monkeypatch, rng):
