@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import blas_threads_for
-from .generators import Generator, NotPrimitiveError, hat_generator, stationary_state
+from .generators import (SUPEROP_DIM_LIMIT, Generator, NotPrimitiveError, hat_generator,
+                         stationary_state)
 from .lp_space import P1_BRANCH, P2_WINDOW, WeightedSpace, _check_p, _check_positive
 from .operator_core import (
     STACK_ENTRIES,
@@ -36,7 +37,6 @@ from .operator_core import (
 
 __all__ = ["GapReport", "dirichlet", "spectral_gap"]
 
-DENSE_GAP_DIM_LIMIT = 32
 VAR_FLOOR = 1e-12
 
 
@@ -167,7 +167,7 @@ def spectral_gap(g: Generator, n_witnesses: int = 200, seed: int = 0) -> GapRepo
     on its own), probes with Var <= VAR_FLOOR dropped before E_2 is judged,
     and the ratios folded into lambda one at a time, in draw order.
     """
-    if g.dim <= DENSE_GAP_DIM_LIMIT:
+    if g.dim <= SUPEROP_DIM_LIMIT:
         sp, w, v = _symmetrized_eigensystem_dense(g)
     else:
         sp, w, v = _gap_sparse(g, seed)

@@ -13,10 +13,10 @@ The witness search runs in four stages, in this order (the keys of
      the generalized eigenproblem of the exact second-order (Daleckii-Krein)
      expansions of the Dirichlet and entropy functionals around the identity
      -- the regime that saturates alpha_1 <= lambda for reversible
-     generators -- along the gap witness's line, and along the two-valued
-     spectral spikes f = exp(c P) for the d + 3 rank-one projectors P of
-     `worst_case_states` (classical minimizers of the depolarizing family
-     are two-valued);
+     generators, built with its basis as one stack -- along the gap
+     witness's line, and along the two-valued spectral spikes f = exp(c P)
+     for the d + 3 rank-one projectors P of `worst_case_states` (classical
+     minimizers of the depolarizing family are two-valued);
   2. extra_starts: caller-provided cross-seeds (e.g. I_{2,1} of an alpha_1
      witness), one evaluation each;
   3. nelder_mead: multi-start Nelder-Mead over f = exp(h) with h Hermitian
@@ -118,85 +118,71 @@ def expander_alpha2_upper(D: int, d: int) -> float:
 # Near-identity (second-order) witnesses
 # ---------------------------------------------------------------------------
 
-def _traceless_hermitian_basis(d: int):
-    basis = []
-    for a in range(d - 1):
-        m = np.zeros((d, d), dtype=complex)
-        m[a, a] = 1.0
-        m[d - 1, d - 1] = -1.0
-        basis.append(m / np.sqrt(2.0))
-    for a in range(d):
-        for b in range(a + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[a, b] = m[b, a] = 1.0 / np.sqrt(2.0)
-            basis.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[a, b] = -1j / np.sqrt(2.0)
-            m[b, a] = 1j / np.sqrt(2.0)
-            basis.append(m)
+def _traceless_hermitian_basis(d: int) -> np.ndarray:
+    """The (d^2 - 1, d, d) stack of traceless Hermitian basis matrices: the
+    d - 1 diagonal ones (E_aa - E_{d-1,d-1})/sqrt(2), then for each a < b in
+    row-major order the symmetric one and the antisymmetric one."""
+    basis = np.zeros((d * d - 1, d, d), dtype=complex)
+    k = np.arange(d - 1)
+    basis[k, k, k] = 1.0
+    basis[k, d - 1, d - 1] = -1.0
+    basis[k] /= np.sqrt(2.0)
+    a, b = np.triu_indices(d, 1)
+    sym = d - 1 + 2 * np.arange(len(a))
+    basis[sym, a, b] = basis[sym, b, a] = 1.0 / np.sqrt(2.0)
+    basis[sym + 1, a, b] = -1j / np.sqrt(2.0)
+    basis[sym + 1, b, a] = 1j / np.sqrt(2.0)
     return basis
 
 
 def _dk_log_kernel(w: np.ndarray) -> np.ndarray:
     """Daleckii-Krein first-divided-difference kernel of log at eigenvalues w."""
-    d = len(w)
-    k = np.empty((d, d))
-    for a in range(d):
-        for b in range(d):
-            if abs(w[a] - w[b]) > 1e-12 * max(w[a], w[b]):
-                k[a, b] = (np.log(w[a]) - np.log(w[b])) / (w[a] - w[b])
-            else:
-                k[a, b] = 1.0 / (0.5 * (w[a] + w[b]))
-    return k
+    diff = np.subtract.outer(w, w)
+    log_w = np.log(w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(diff) > 1e-12 * np.maximum.outer(w, w),
+                        np.subtract.outer(log_w, log_w) / diff,
+                        1.0 / (0.5 * np.add.outer(w, w)))
+
+
+def _gram(x, y, weight) -> np.ndarray:
+    """G[i, j] = sum(Re(conj(x_i) y_j) weight) over two (n, d, d) stacks, one
+    row per stacked reduction; each entry sums its own d x d block, as
+    np.sum of that block alone does."""
+    return np.array([np.sum((xi.conj() * y).real * weight, axis=(1, 2)) for xi in x])
 
 
 def _near_identity_direction(g: Generator, p: int) -> np.ndarray | None:
     """Direction g* minimizing the second-order expansion of the LS ratio
     of g around f = 1, via a generalized symmetric eigenproblem on the
-    traceless Hermitian basis.  Returns None if the eigenproblem
-    degenerates: a non-finite curvature matrix, or a Gram matrix that
-    scipy finds not positive definite."""
+    traceless Hermitian basis, which every kernel takes as one stack.
+    Returns None if the eigenproblem degenerates: a non-finite curvature
+    matrix, or a Gram matrix that scipy finds not positive definite."""
     sp = stationary_state(g)
-    d = g.dim
     w = sp.eigvals
     v = sp.eigvecs
     klog = _dk_log_kernel(w)
-    weight = np.outer(w, w) * klog  # Ent_1 curvature kernel
-    basis = _traceless_hermitian_basis(d)
-    n = len(basis)
-    hats = [v.conj().T @ b @ v for b in basis]  # basis in the sigma eigenbasis
+    root = np.outer(np.sqrt(w), np.sqrt(w))
+    basis = _traceless_hermitian_basis(g.dim)
+    hats = v.conj().T @ basis @ v  # basis in the sigma eigenbasis
 
     # Ent_1 curvature Gram: Q(x, y) = sum_ab conj(xhat) yhat w_ab k_ab - tr(sigma x) tr(sigma y)
-    b_mat = np.empty((n, n))
-    svals = np.array([np.sum(w * np.diag(bh).real) for bh in hats])
-    for i in range(n):
-        for j in range(i, n):
-            val = float(np.sum((hats[i].conj() * hats[j]).real * weight))
-            val -= svals[i] * svals[j]
-            b_mat[i, j] = b_mat[j, i] = val
+    svals = np.sum(w * hats.diagonal(axis1=1, axis2=2).real, axis=1)
+    b_mat = _gram(hats, hats, np.outer(w, w) * klog) - np.outer(svals, svals)
 
     if p == 1:
         # Dirichlet curvature: -tr[Gamma(L g) K(Gamma(g))] with K the DK-log map
-        lg_hats = [v.conj().T @ sp._gamma(1.0, hermitian_part(g._apply(b))) @ v for b in basis]
-        gam_hats = [np.outer(np.sqrt(w), np.sqrt(w)) * bh for bh in hats]
-        a_mat = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                fij = -float(np.sum((lg_hats[i].conj() * gam_hats[j]).real * klog))
-                fji = -float(np.sum((lg_hats[j].conj() * gam_hats[i]).real * klog))
-                a_mat[i, j] = a_mat[j, i] = 0.5 * (fij + fji)
+        lhats = v.conj().T @ sp._gamma(1.0, hermitian_part(g._apply(basis))) @ v
+        f_mat = -_gram(lhats, root * hats, klog)
+        a_mat = 0.5 * (f_mat + f_mat.T)
     else:
         # p = 2: ratio_2(1 + eps*M(g)) -> 4 E_2(M(g)) / Q_ent1(g), where M is
         # the entrywise map from the sqrt divided difference
-        msqrt = np.outer(np.sqrt(w), np.sqrt(w)) / (
-            np.add.outer(np.sqrt(w), np.sqrt(w)) * np.outer(w, w) ** 0.25)
-        m_basis = [v @ (msqrt * bh) @ v.conj().T for bh in hats]
-        lm = [hermitian_part(g._apply(mb)) for mb in m_basis]
-        a_mat = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                val = -2.0 * (sp._inner(m_basis[i], lm[j]) + sp._inner(m_basis[j], lm[i]))
-                a_mat[i, j] = a_mat[j, i] = val
+        msqrt = root / (np.add.outer(np.sqrt(w), np.sqrt(w)) * np.outer(w, w) ** 0.25)
+        m_basis = v @ (msqrt * hats) @ v.conj().T
+        lm = hermitian_part(g._apply(m_basis))
+        i_mat = np.array([sp._inner(m, lm) for m in m_basis])
+        a_mat = -2.0 * (i_mat + i_mat.T)
 
     if not (np.all(np.isfinite(a_mat)) and np.all(np.isfinite(b_mat))):
         return None

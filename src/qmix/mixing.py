@@ -34,10 +34,11 @@ from ._blas import blas_threads_for
 from ._search import _nelder_mead, _side_by_side
 from .dirichlet_gap import dirichlet
 from .generators import Generator, hat_generator, lift_channel, stationary_state
-from .lp_space import NUMERICAL_FAILURES, WeightedSpace
+from .lp_space import NUMERICAL_FAILURES, WeightedSpace, _check_p
 from .operator_core import (
     STACK_ENTRIES,
     _expm_hermitian,
+    _matrix_function,
     _pack,
     _re_trace,
     _unpack,
@@ -437,10 +438,15 @@ def pq_norm(g: Generator, p: float, q: float, t: float,
     attained on positive matrices).  This is a lower bound on the true norm,
     not a certificate."""
     sp = stationary_state(g)
+    if not t >= 0:  # the inputs are checked once, here: the kernels below trust them
+        raise ValueError(f"time must be >= 0, got {t}")
+    _check_p(q, "lp_norm")
+    _check_p(p, "lp_norm")
     d = g.dim
 
     def ratio(f):
-        return sp.lp_norm(q, hermitian_part(g.evolve_heisenberg(f, t))) / sp.lp_norm(p, f)
+        tf = hermitian_part(g._evolve(f[None], t, heis=True)[0])
+        return sp._lp_norm(q, tf) / sp._lp_norm(p, f)
 
     def neg_packed(x):
         try:
@@ -449,7 +455,7 @@ def pq_norm(g: Generator, p: float, q: float, t: float,
             return np.inf
 
     rng = np.random.default_rng(seed)
-    best = ratio(np.eye(d))
+    best = ratio(np.eye(d, dtype=complex))
     starts = [_pack(np.zeros((d, d), dtype=complex))]
     starts += [_pack(random_hermitian(d, rng)) for _ in range(restarts - 1)]
     # scipy's defaults for Nelder-Mead with maxfev = budget: maxiter unset, xatol 1e-4
@@ -544,15 +550,16 @@ def hypercontractivity_check(g: Generator, alpha: float, times=(0.1, 0.5, 1.0),
     probes, with p(t) = 1 + e^{2 alpha t} (strong regularity) or
     1 + e^{alpha t} (weak).  Positive margins mean contraction holds."""
     sp = stationary_state(g)
+    if not all(t >= 0 for t in times):  # checked once: the kernels below trust them
+        raise ValueError(f"time must be >= 0, got {times}")
     rng = np.random.default_rng(seed)
     rate = 2.0 * alpha if strong else alpha
     margin = np.inf
     for _ in range(n_probes):
-        f = matrix_function(random_hermitian(g.dim, rng, scale=0.7), np.exp,
-                            eig_floor=-np.inf)
-        n2 = sp.lp_norm(2.0, f)
+        f = _matrix_function(random_hermitian(g.dim, rng, scale=0.7), np.exp, eig_floor=-np.inf)
+        n2 = sp._lp_norm(2.0, f)
         for t in times:
             pt = 1.0 + np.exp(rate * t)
-            nt = sp.lp_norm(pt, hermitian_part(g.evolve_heisenberg(f, float(t))))
+            nt = sp._lp_norm(pt, hermitian_part(g._evolve(f[None], float(t), heis=True)[0]))
             margin = min(margin, n2 * (1.0 + 1e-7) - nt)
     return float(margin)

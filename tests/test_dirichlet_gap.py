@@ -193,12 +193,12 @@ def test_gap_sparse_path_matches_dense(rng):
     from qmix import dirichlet_gap as dg
     g = build_depolarizing(6, 1.1)
     dense = spectral_gap(g).lam
-    old = dg.DENSE_GAP_DIM_LIMIT
-    dg.DENSE_GAP_DIM_LIMIT = 4
+    old = dg.SUPEROP_DIM_LIMIT
+    dg.SUPEROP_DIM_LIMIT = 4
     try:
         sparse = spectral_gap(g).lam
     finally:
-        dg.DENSE_GAP_DIM_LIMIT = old
+        dg.SUPEROP_DIM_LIMIT = old
     assert abs(dense - sparse) < 1e-8
 
 

@@ -517,9 +517,18 @@ def test_hat_requires_primitive():
 
 
 def test_large_stacked_action_equals_each_matrix_on_its_own(rng):
-    # stacks on both sides of the size where the jumps are taken one at a time
-    for g in (random_davies(3, rng), random_davies(4, rng), random_lindblad(3, rng)):
-        largest_batched = STACK_ENTRIES // (len(g.lindblad_ops) * g.dim ** 2)
+    # stacks on both sides of the size where the jumps are taken one at a time:
+    # a hat's are its base's, and a closed form, which has none, acts by
+    # broadcast at any size (its boundary stack holds STACK_ENTRIES entries)
+    base = random_lindblad(3, rng)
+    kraus = [haar_unitary(3, rng) / np.sqrt(2.0), haar_unitary(3, rng) / np.sqrt(2.0)]
+    cases = [(g, len(g._kk)) for g in (
+        random_davies(3, rng), random_davies(4, rng), random_lindblad(3, rng), lift_channel(kraus),
+        build_random_unitary(4, 2, 7), build_tensor_qubit_depolarizing(2))]
+    cases += [(hat_generator(base), len(base._kk)), (build_depolarizing(3, 0.9), 1),
+              (build_projection(random_density_matrix(3, rng), 0.8), 1)]
+    for g, jumps in cases:
+        largest_batched = STACK_ENTRIES // (jumps * g.dim ** 2)
         for n in (largest_batched, largest_batched + 1):
             stack = (rng.standard_normal((n, g.dim, g.dim))
                      + 1j * rng.standard_normal((n, g.dim, g.dim)))

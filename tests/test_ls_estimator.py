@@ -33,7 +33,9 @@ from qmix.ls_estimator import (
 from qmix.operator_core import (
     _pack,
     _unpack,
+    hermitian_part,
     matrix_function,
+    max_abs,
     random_density_matrix,
     random_hermitian,
 )
@@ -232,6 +234,116 @@ def test_near_identity_direction_lets_a_bug_in_the_eigensolve_raise(monkeypatch,
     for p in (1, 2):
         with pytest.raises(ValueError, match="planted bug"):
             _near_identity_direction(g, p)
+
+
+def _basis_loop(d):
+    basis = []
+    for a in range(d - 1):
+        m = np.zeros((d, d), dtype=complex)
+        m[a, a] = 1.0
+        m[d - 1, d - 1] = -1.0
+        basis.append(m / np.sqrt(2.0))
+    for a in range(d):
+        for b in range(a + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[a, b] = m[b, a] = 1.0 / np.sqrt(2.0)
+            basis.append(m)
+            m = np.zeros((d, d), dtype=complex)
+            m[a, b] = -1j / np.sqrt(2.0)
+            m[b, a] = 1j / np.sqrt(2.0)
+            basis.append(m)
+    return basis
+
+
+def _dk_log_kernel_loop(w):
+    d = len(w)
+    k = np.empty((d, d))
+    for a in range(d):
+        for b in range(d):
+            if abs(w[a] - w[b]) > 1e-12 * max(w[a], w[b]):
+                k[a, b] = (np.log(w[a]) - np.log(w[b])) / (w[a] - w[b])
+            else:
+                k[a, b] = 1.0 / (0.5 * (w[a] + w[b]))
+    return k
+
+
+def _near_identity_loop(g, p):
+    """The near-identity direction one matrix pair at a time."""
+    import scipy.linalg
+    sp = g.stationary
+    d, w, v = g.dim, sp.eigvals, sp.eigvecs
+    klog = _dk_log_kernel_loop(w)
+    weight = np.outer(w, w) * klog
+    basis = _basis_loop(d)
+    n = len(basis)
+    hats = [v.conj().T @ b @ v for b in basis]
+    b_mat = np.empty((n, n))
+    svals = np.array([np.sum(w * np.diag(bh).real) for bh in hats])
+    for i in range(n):
+        for j in range(i, n):
+            val = float(np.sum((hats[i].conj() * hats[j]).real * weight))
+            val -= svals[i] * svals[j]
+            b_mat[i, j] = b_mat[j, i] = val
+    if p == 1:
+        lg_hats = [v.conj().T @ sp._gamma(1.0, hermitian_part(g._apply(b))) @ v for b in basis]
+        gam_hats = [np.outer(np.sqrt(w), np.sqrt(w)) * bh for bh in hats]
+        a_mat = np.empty((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                fij = -float(np.sum((lg_hats[i].conj() * gam_hats[j]).real * klog))
+                fji = -float(np.sum((lg_hats[j].conj() * gam_hats[i]).real * klog))
+                a_mat[i, j] = a_mat[j, i] = 0.5 * (fij + fji)
+    else:
+        msqrt = np.outer(np.sqrt(w), np.sqrt(w)) / (
+            np.add.outer(np.sqrt(w), np.sqrt(w)) * np.outer(w, w) ** 0.25)
+        m_basis = [v @ (msqrt * bh) @ v.conj().T for bh in hats]
+        lm = [hermitian_part(g._apply(mb)) for mb in m_basis]
+        a_mat = np.empty((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                val = -2.0 * (sp._inner(m_basis[i], lm[j]) + sp._inner(m_basis[j], lm[i]))
+                a_mat[i, j] = a_mat[j, i] = val
+    coeffs = scipy.linalg.eigh(a_mat, b_mat)[1][:, 0]
+    direction = sum(c * b for c, b in zip(coeffs, basis))
+    if p == 2:
+        direction = v @ (msqrt * (v.conj().T @ direction @ v)) @ v.conj().T
+    direction = hermitian_part(direction)
+    return a_mat, b_mat, direction / max_abs(direction)
+
+
+def test_traceless_basis_and_dk_kernel_equal_their_loops(rng):
+    for d in range(1, 9):
+        assert same_bits(ls_estimator._traceless_hermitian_basis(d),
+                         np.array(_basis_loop(d), dtype=complex).reshape(-1, d, d))
+    spectra = [np.array([0.5]), np.full(4, 0.25), np.array([0.1, 0.1, 0.3, 0.5]),
+               np.array([0.2, 0.2 * (1 + 1e-13), 0.6]), np.array([1e-9, 1e-9, 1.0 - 2e-9])]
+    for d in range(2, 12):
+        w = np.sort(rng.dirichlet(np.ones(d)))
+        spectra += [w, np.sort(np.concatenate([w[: d // 2], w[: d - d // 2]]))]
+    for w in spectra:
+        assert same_bits(ls_estimator._dk_log_kernel(w), _dk_log_kernel_loop(w))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_near_identity_direction_equals_the_pairwise_loops(p, rng, monkeypatch):
+    import scipy.linalg
+    eigh = scipy.linalg.eigh
+    seen = []
+
+    def spy(a, b):
+        seen.append((a, b))
+        return eigh(a, b)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    for d in range(2, 7):
+        for g in (random_davies(d, rng), random_lindblad(d, rng),
+                  hat_generator(random_lindblad(d, rng)), build_random_unitary(d, 2, d),
+                  build_depolarizing(d, 0.7)):
+            seen.clear()
+            got = _near_identity_direction(g, p)
+            a_mat, b_mat, direction = _near_identity_loop(g, p)
+            assert same_bits(seen[0][0], a_mat) and same_bits(seen[0][1], b_mat)
+            assert same_bits(got, direction)
 
 
 def _pack_loop(h):

@@ -44,6 +44,7 @@ from qmix.operator_core import (
     _unpack,
     haar_unitary,
     hermitian_part,
+    matrix_function,
     max_abs,
     random_density_matrix,
     random_hermitian,
@@ -481,6 +482,20 @@ def test_pq_norm_equals_its_scipy_search(rng):
                     assert pq_norm(*args) == _scipy_pq_norm(*args), (d, budget, p)
 
 
+def test_pq_norm_checks_its_inputs_once_before_any_evaluation(monkeypatch, rng):
+    g = random_davies(3, rng)
+    monkeypatch.setattr(g, "_evolve", None)  # no evaluation may start
+    with pytest.raises(ValueError, match="lp_norm requires p >= 1, got 0.7"):
+        pq_norm(g, 0.5, 0.7, 0.3, restarts=1, budget=5)
+    with pytest.raises(ValueError, match="lp_norm requires p >= 1, got 0.5"):
+        pq_norm(g, 0.5, 2.0, 0.3, restarts=1, budget=5)
+    for t in (-0.1, np.nan):
+        with pytest.raises(ValueError, match="time must be >= 0"):
+            pq_norm(g, 2.0, 4.0, t, restarts=1, budget=5)
+        with pytest.raises(ValueError, match="time must be >= 0"):
+            hypercontractivity_check(g, 0.5, times=(0.1, t), n_probes=1)
+
+
 def test_pq_norm_lets_a_bug_in_the_objective_raise(monkeypatch, rng):
     import qmix.mixing as mixing
     g = random_davies(3, rng)
@@ -555,6 +570,31 @@ def test_hypercontractivity_depolarizing(rng):
     margin = hypercontractivity_check(g, depolarizing_alpha2(3, 1.0),
                                       n_probes=30, seed=2, strong=True)
     assert margin >= 0.0
+
+
+def _hypercontractivity_loop(g, alpha, times, n_probes, seed, strong):
+    """hypercontractivity_check through the validating public calls."""
+    sp = generators.stationary_state(g)
+    rng = np.random.default_rng(seed)
+    rate = 2.0 * alpha if strong else alpha
+    margin = np.inf
+    for _ in range(n_probes):
+        f = matrix_function(random_hermitian(g.dim, rng, scale=0.7), np.exp, eig_floor=-np.inf)
+        n2 = sp.lp_norm(2.0, f)
+        for t in times:
+            pt = 1.0 + np.exp(rate * t)
+            nt = sp.lp_norm(pt, hermitian_part(g.evolve_heisenberg(f, float(t))))
+            margin = min(margin, n2 * (1.0 + 1e-7) - nt)
+    return float(margin)
+
+
+def test_hypercontractivity_check_equals_the_validating_loop(rng):
+    for g in (build_depolarizing(3, 1.0), random_davies(3, rng),
+              hat_generator(random_lindblad(4, rng)),
+              build_projection(random_density_matrix(3, rng), 0.8)):
+        for strong in (True, False):
+            args = (g, 0.4, (0.1, 0.5, 1.0), 7, int(rng.integers(100)), strong)
+            assert hypercontractivity_check(*args) == _hypercontractivity_loop(*args)
 
 
 def test_davies_sigma_min_bound(rng):

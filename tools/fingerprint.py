@@ -56,10 +56,12 @@ JSON and ``repr`` print every float in full, so two trees compute the same
 numbers exactly when ``diff -r`` of their directories finds nothing.  To
 compare a change with its parent, copy this file into a checkout of the
 parent (it imports qmix from the checkout it sits in) and run both trees
-on the same machine.  Both must compute on the same number of BLAS
-threads: the ``reversible_unital_d16`` mixing op samples from the
-eigenprojectors of a degenerate sigma, and that basis follows the bits of
-sigma's null-space SVD, which change with the thread count.  qmix runs
+on the same machine; ``tools/fingerprint_diff.py`` compares the two
+directories as CI does, allowing report keys that only the change has.
+Both must compute on the same number of BLAS threads: the
+``reversible_unital_d16`` mixing op samples from the eigenprojectors of a
+degenerate sigma, and that basis follows the bits of sigma's null-space
+SVD, which change with the thread count.  qmix runs
 kernels on superoperators of d <= 16 on one thread whatever the
 environment says, and no op here is larger, so two runs of one build
 agree.  Exits 1 when an op fails its check.
