@@ -110,6 +110,8 @@ class Generator:
     def __init__(self, dim, hamiltonian=None, lindblad_ops=None, family="generic",
                  params=None, apply_heis=None, apply_schro=None, closed_form=None):
         self.dim = int(dim)
+        if self.dim < 2:
+            raise GeneratorError(f"a generator needs d >= 2, got d = {self.dim}")
         self.hamiltonian = None if hamiltonian is None else require_hermitian(hamiltonian)
         self.lindblad_ops = None if lindblad_ops is None else [as_matrix(k) for k in lindblad_ops]
         self._k = np.array(self.lindblad_ops or (), dtype=complex).reshape(-1, self.dim, self.dim)
@@ -425,8 +427,6 @@ def _closed_form_generator(space: WeightedSpace, family: str, gamma: float,
 def build_depolarizing(d: int, gamma: float) -> Generator:
     """L(f) = gamma*(tr(f)/d * 1 - f); unital, reversible, primitive with
     stationary state 1/d."""
-    if d < 2:
-        raise GeneratorError("depolarizing generator needs d >= 2")
     eye = np.eye(d)
 
     def e(x, c):  # E = E*: x -> tr(x)/d 1

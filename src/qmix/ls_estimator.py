@@ -29,11 +29,14 @@ Within stages 1 and 3, `_search._side_by_side` runs the searches side by
 side: each round evaluates the pending points of every live search as one
 stack through `_RatioProblem.ratios`, in chunks of at most STACK_ENTRIES
 entries, and searches share rounds only in groups whose first requests fit
-in STACK_ENTRIES, so at large d they run one at a time.  The refine
-evaluates one point at a time.  A stacked evaluation gives every matrix the
-bits it gets on its own, and the Brent and Nelder-Mead searches are scipy
-1.17.1's algorithms step for step, so every output and n_evals equal a
-one-at-a-time run of scipy's `minimize` and `minimize_scalar`.
+in STACK_ENTRIES, so at large d they run one at a time.  The refine runs
+the Brent searches of consecutive coordinates side by side from one point
+and keeps the first that improves (`_coordinate_refine`).  Every evaluation,
+a single matrix included, is a stack through `_RatioProblem.ratios`; a
+stacked evaluation gives every matrix the bits it gets in a stack of one,
+and the Brent and Nelder-Mead searches are scipy 1.17.1's algorithms step
+for step, so every output and n_evals equal a one-at-a-time run of scipy's
+`minimize` and `minimize_scalar`.
 
 f = exp(h) guarantees positivity without constraints; Ent_p below 1e-10 is
 treated as excluded from the infimum (the ratio returns +inf there).
@@ -205,16 +208,15 @@ def _near_identity_direction(g: Generator, p: int) -> np.ndarray | None:
 
 class _RatioProblem:
     """The LS ratio E_p(f)/Ent_p(f) of g (a hat or not), p in {1, 2}, on
-    matrices the search built.
+    stacks of matrices the search built.
 
-    One positivity eigh per evaluation; at p = 1 one Gamma(f) and one
-    log Gamma(f) - log sigma serve both functionals.  The value equals
+    One positivity eigh per matrix; at p = 1 one Gamma(f) and one
+    log Gamma(f) - log sigma serve both functionals.  Each value equals
     dirichlet(g, p, f) / space.ent(p, f) exactly.  f outside A_d^+,
     Ent_p(f) <= ENT_FLOOR and numerical breakdown give +inf; any other error
-    (a wrong-dimension f, say) propagates.  `ratios` gives the same values
-    for a stack of matrices; n_evals counts the matrices either way.  `eigh`
-    is the positivity gate's: np.linalg.eigh on the packed path's exactly
-    Hermitian f, whose symmetrization `_eigh` would only repeat.
+    (a wrong-dimension f, say) propagates.  n_evals counts the matrices.
+    `eigh` is the positivity gate's: np.linalg.eigh on the packed path's
+    exactly Hermitian f, whose symmetrization `_eigh` would only repeat.
     """
 
     def __init__(self, g: Generator, p: int):
@@ -223,45 +225,24 @@ class _RatioProblem:
         self.space = stationary_state(g)
         self.n_evals = 0
 
-    def ratio(self, f, eigh=_eigh) -> float:
-        self.n_evals += 1
-        sp = self.space
-        try:
-            if _not_positive(eigh(f)[0]):
-                return np.inf
-            if self.p == 1.0:
-                gf, log_ratio = sp._log_ratio(f)
-                ent = sp._ent1(gf, log_ratio)
-            else:
-                ent = sp._ent2(f)
-            if ent <= ENT_FLOOR:
-                return np.inf
-            act_f = self.g._apply(f)
-            val = _e1(sp, act_f, log_ratio) if self.p == 1.0 else _e2(sp, f, act_f)
-            return _judge_negative(val, self.g, f) / ent
-        except NUMERICAL_FAILURES:
-            return np.inf
-
-    def ratio_packed(self, x) -> float:
-        return self.ratio(_expm_hermitian(_unpack(x, self.g.dim)), np.linalg.eigh)
-
     def ratios(self, fs, eigh=_eigh) -> list:
-        """[ratio(f) for f in fs] for an (n, d, d) stack, bit for bit, through
-        the stack kernels in chunks of at most STACK_ENTRIES entries.  Each
-        matrix gets `ratio`'s rules in stack order: inf where f fails the
-        positivity gate, then where Ent_p(f) <= ENT_FLOOR, then the clamps of
-        `_clamp_ent` and `_judge_negative`.  A stack of one goes through
-        `ratio`; a chunk in which any matrix makes a kernel raise one of
-        NUMERICAL_FAILURES is evaluated again one matrix at a time."""
-        if len(fs) == 1:
-            return [self.ratio(fs[0], eigh)]
+        """The ratio of each matrix of an (n, d, d) stack, through the stack
+        kernels in chunks of at most STACK_ENTRIES entries; each matrix gets
+        the bits it gets in a stack of one.  The rules apply in stack order:
+        inf where f fails the positivity gate, then where Ent_p(f) <=
+        ENT_FLOOR, then the clamps of `_clamp_ent` and `_judge_negative`.  A
+        chunk in which any matrix makes a kernel raise one of
+        NUMERICAL_FAILURES is evaluated again one matrix at a time, and a
+        matrix that raises on its own gets inf."""
         chunk = max(1, STACK_ENTRIES // fs[0].size)
         if len(fs) > chunk:
             return [v for s in range(0, len(fs), chunk) for v in self.ratios(fs[s:s + chunk], eigh)]
         try:
             values = self._stacked(fs, eigh)
         except NUMERICAL_FAILURES:
-            return [self.ratio(f, eigh) for f in fs]
+            if len(fs) > 1:
+                return [v for i in range(len(fs)) for v in self.ratios(fs[i:i + 1], eigh)]
+            values = [np.inf]
         self.n_evals += len(fs)
         return values
 
@@ -285,10 +266,8 @@ class _RatioProblem:
         return values
 
     def ratios_packed(self, xs) -> list:
-        """[ratio_packed(x) for x in xs], exponentiated and evaluated by `ratios`
-        in chunks of at most STACK_ENTRIES entries."""
-        if len(xs) == 1:
-            return [self.ratio_packed(xs[0])]
+        """`ratios` of the packed Hermitian xs exponentiated, in chunks of at
+        most STACK_ENTRIES entries."""
         d = self.g.dim
         chunk = max(1, STACK_ENTRIES // (d * d))
         return [v for s in range(0, len(xs), chunk)
@@ -331,26 +310,30 @@ def _spike(d: int, proj: np.ndarray):
 
 def _coordinate_refine(prob: _RatioProblem, x0: np.ndarray, sweeps: int = 2):
     """Up to `sweeps` passes of bounded 1-D minimizations, each coordinate
-    within 0.25 of its value, one evaluation at a time."""
+    within 0.25 of its value.  Runs of coordinates are searched side by side
+    from the point where the run starts, at most STACK_ENTRIES // d^2 wide:
+    the width doubles after a run with no improvement and goes back to 1
+    after one.  The first improvement in a run is kept and the searches after
+    it are dropped, their evaluations taken off n_evals, so the result and
+    n_evals equal those of one coordinate at a time."""
     x = x0.copy()
-    best = prob.ratio_packed(x)
+    [best] = prob.ratios_packed([x])
+    cap, width = max(1, STACK_ENTRIES // prob.g.dim ** 2), 1
     for _ in range(sweeps):
-        improved = False
-        for k in range(len(x)):
-            xk = x[k]
-
-            def at(t):
-                x[k] = t
-                return x.copy()
-
-            search = _through(_bounded_brent(xk - 0.25, xk + 0.25, xatol=1e-10), at)
-            t, fun, _ = _lockstep(prob.ratios_packed, [search])[0]
-            if fun < best - 1e-14:
-                best = fun
-                x[k] = t
-                improved = True
-            else:
-                x[k] = xk
+        improved, k = False, 0
+        while k < len(x):
+            run = range(k, min(k + width, len(x)))
+            found = _lockstep(prob.ratios_packed, [
+                _through(_bounded_brent(x[j] - 0.25, x[j] + 0.25, xatol=1e-10),
+                         lambda t, j=j: np.concatenate([x[:j], [t], x[j + 1:]]))
+                for j in run])
+            k, width = run.stop, min(2 * width, cap)
+            for j, (t, fun, _) in zip(run, found):
+                if fun < best - 1e-14:
+                    best, x[j], improved = fun, t, True
+                    prob.n_evals -= sum(nfev for _, _, nfev in found[j - run.start + 1:])
+                    k, width = j + 1, 1
+                    break
         if not improved:
             break
     return best, x
@@ -412,7 +395,7 @@ def estimate_alpha(g: Generator, p: int, budget: int = 1500, restarts: int = 8,
     # 2. the caller's starts, one evaluation each
     for f0 in extra_starts:
         f0 = hermitian_part(sp._check_dim(f0))
-        candidates.append((prob.ratio(f0), f0, "extra_starts"))
+        candidates.append((prob.ratios(f0[None])[0], f0, "extra_starts"))
     counts.append(prob.n_evals)
 
     candidates = [c for c in candidates if np.isfinite(c[0])]
@@ -434,7 +417,7 @@ def estimate_alpha(g: Generator, p: int, budget: int = 1500, restarts: int = 8,
             best_val, best_x, winner = fun, x, "nelder_mead"
     counts.append(prob.n_evals)
 
-    # 4. the coordinate refine, one evaluation at a time
+    # 4. the coordinate refine, runs of coordinates side by side
     pre_refine = best_val
     if refine_sweeps > 0 and np.isfinite(best_val):
         val, x = _coordinate_refine(prob, np.asarray(best_x, dtype=float), sweeps=refine_sweeps)

@@ -83,6 +83,17 @@ def test_analyze_malformed_spec_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["analyze", "mixing"])
+def test_d1_spec_is_one_bad_spec_line(tmp_path, capsys, command):
+    one = np.ones((1, 1), dtype=complex)
+    path = write_spec(tmp_path / "g.json",
+                      {"family": "generic", "lindblad_ops": [matrix_to_json(one)]})
+    assert main([command, path, "--seed", "0"]) == 1
+    err = [json.loads(line) for line in capsys.readouterr().err.strip().splitlines()]
+    assert err == [{"error": "a generator needs d >= 2, got d = 1", "kind": "bad_spec",
+                    "path": path}]
+
+
+@pytest.mark.parametrize("command", ["analyze", "mixing"])
 def test_missing_spec_file_exit_1(tmp_path, capsys, command):
     path = str(tmp_path / "missing.json")
     assert main([command, path, "--seed", "0"]) == 1

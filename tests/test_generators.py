@@ -324,6 +324,20 @@ def test_depolarizing_rejects_small_d():
         build_depolarizing(1, 1.0)
 
 
+def test_every_builder_rejects_d1():
+    one = np.ones((1, 1), dtype=complex)
+    builders = {
+        "generic": lambda: build_lindblad(None, [one]),
+        "generic hamiltonian": lambda: build_lindblad(one, [one]),
+        "davies": lambda: build_davies(DaviesSpec(hamiltonian=one, coupling_ops=[one], beta=1.0)),
+        "channel": lambda: lift_channel([one]),
+        "depolarizing": lambda: build_depolarizing(1, 1.0),
+    }
+    for name, build in builders.items():
+        with pytest.raises(GeneratorError, match="d >= 2, got d = 1"):
+            build()
+
+
 def test_depolarizing_stationary():
     g = build_depolarizing(3, 1.0)
     assert max_abs(stationary_state(g).sigma - np.eye(3) / 3) < 1e-12

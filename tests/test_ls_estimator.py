@@ -17,11 +17,12 @@ from qmix.generators import (
     random_reversible_unital,
 )
 from qmix import ls_estimator
-from qmix._search import _bounded_brent, _lockstep, _nelder_mead, _side_by_side
+from qmix._search import _bounded_brent, _lockstep, _nelder_mead, _side_by_side, _through
 from qmix.ls_estimator import (
     ENT_FLOOR,
     STAGES,
     _bracketed_min,
+    _coordinate_refine,
     _near_identity_direction,
     _RatioProblem,
     depolarizing_alpha2,
@@ -30,7 +31,9 @@ from qmix.ls_estimator import (
     partial_order_verdict,
     unital_alpha2_lower,
 )
+from qmix.lp_space import NUMERICAL_FAILURES
 from qmix.operator_core import (
+    _expm_hermitian,
     _pack,
     _unpack,
     hermitian_part,
@@ -187,7 +190,7 @@ def test_fused_ratio_equals_public_path(rng):
                     f = matrix_function(random_hermitian(3, rng, 0.8), np.exp,
                                         eig_floor=-np.inf)
                     public = dirichlet(gen, float(p), f) / sp.ent(float(p), f)
-                    assert prob.ratio(f) == public, (name, p, hat)
+                    assert prob.ratios(f[None]) == [public], (name, p, hat)
 
 
 def test_ratio_infinite_only_on_numerical_failure(rng):
@@ -195,9 +198,9 @@ def test_ratio_infinite_only_on_numerical_failure(rng):
     for p in (1, 2):
         prob = _RatioProblem(g, p)
         not_pd = np.diag([1.0, 0.5, -0.2]).astype(complex)
-        assert prob.ratio(not_pd) == np.inf
+        assert prob.ratios(not_pd[None]) == [np.inf]
         with pytest.raises(ValueError):
-            prob.ratio(np.eye(4, dtype=complex))
+            prob.ratios(np.eye(4, dtype=complex)[None])
 
 
 def test_bracketed_min_stops_at_an_infinite_grid(rng):
@@ -412,6 +415,16 @@ def _mixed_stack(rng, d):
     return np.array(fs)
 
 
+def _public_ratio(gen, p, f):
+    """dirichlet(gen, p, f) / Ent_p(f) by the public functionals, inf where
+    `ratios` gives inf: f off A_d^+, Ent_p(f) <= ENT_FLOOR, a numerical failure."""
+    try:
+        ent = gen.stationary.ent(float(p), f)
+        return np.inf if ent <= ENT_FLOOR else dirichlet(gen, float(p), f) / ent
+    except NUMERICAL_FAILURES:
+        return np.inf
+
+
 @pytest.mark.parametrize("p", [1, 2])
 def test_stacked_ratios_equal_each_ratio_bit_for_bit(p, rng, monkeypatch):
     raised = []
@@ -431,19 +444,20 @@ def test_stacked_ratios_equal_each_ratio_bit_for_bit(p, rng, monkeypatch):
                 hat_generator(random_lindblad(3, rng)), _Shifted(random_davies(3, rng), 1.0)):
         for _ in range(3):
             fs = _mixed_stack(rng, 3)
-            one, stacked = _RatioProblem(gen, p), _RatioProblem(gen, p)
+            stacked = _RatioProblem(gen, p)
             raised.clear()
-            expected = np.array([one.ratio(f) for f in fs])
-            kinds.add(bool(raised))
+            expected = np.array([_public_ratio(gen, p, f) for f in fs])
             for n in (1, 2, len(fs)):
                 before = stacked.n_evals
                 got = np.array(stacked.ratios(fs[:n]))
                 assert same_bits(got, expected[:n])
                 assert stacked.n_evals - before == n
+            kinds.add(bool(raised))
             xs = [_pack(random_hermitian(3, rng, 0.7)) for _ in range(6)]
             before = stacked.n_evals
             assert same_bits(np.array(stacked.ratios_packed(xs)),
-                             np.array([one.ratio_packed(x) for x in xs]))
+                             np.array([_public_ratio(gen, p, _expm_hermitian(_unpack(x, 3)))
+                                       for x in xs]))
             assert stacked.n_evals - before == len(xs)
             assert np.isinf(expected).sum() >= 3  # the non-positive f and the two flat ones
     assert kinds == {True, False}  # stacks with and without a raising Dirichlet value
@@ -611,3 +625,104 @@ def test_stage_evals_sum_to_n_evals_and_name_the_winner(rng):
         assert rep.to_dict()["winner"] == rep.winner
     rep = estimate_alpha(g, 2, budget=60, restarts=2, seed=0, refine_sweeps=0)
     assert rep.stage_evals["refine"] == 0 and rep.winner != "refine"
+
+
+def _refine_loop(prob, x0, sweeps=2):
+    """The coordinate refine one coordinate at a time: the reference for
+    `_coordinate_refine`."""
+    x = x0.copy()
+    [best] = prob.ratios_packed([x])
+    for _ in range(sweeps):
+        improved = False
+        for k in range(len(x)):
+            xk = x[k]
+
+            def at(t):
+                x[k] = t
+                return x.copy()
+
+            search = _through(_bounded_brent(xk - 0.25, xk + 0.25, xatol=1e-10), at)
+            t, fun, _ = _lockstep(prob.ratios_packed, [search])[0]
+            if fun < best - 1e-14:
+                best = fun
+                x[k] = t
+                improved = True
+            else:
+                x[k] = xk
+        if not improved:
+            break
+    return best, x
+
+
+class _Pinned(_RatioProblem):
+    """The LS ratio at x with all but the free coordinates held at x0, plus a
+    quadratic well around x0 in the held ones: a search along a held
+    coordinate never improves."""
+
+    def __init__(self, g, p, x0, free):
+        super().__init__(g, p)
+        self.x0, self.held = x0, np.ones(len(x0), dtype=bool)
+        self.held[free] = False
+
+    def ratios_packed(self, xs):
+        xs = np.asarray(xs)
+        well = np.sum(np.where(self.held, xs - self.x0, 0.0) ** 2, axis=1)
+        return [r + w for r, w in zip(super().ratios_packed(np.where(self.held, self.x0, xs)),
+                                      well.tolist())]
+
+
+def test_coordinate_refine_equals_one_coordinate_at_a_time(rng, monkeypatch):
+    runs = []  # (searches in the run, the values they found) of each side-by-side run
+    lockstep = ls_estimator._lockstep
+
+    def spy(evaluate, searches):
+        found = lockstep(evaluate, searches)
+        runs.append((len(searches), [fun for _, fun, _ in found]))
+        return found
+
+    monkeypatch.setattr(ls_estimator, "_lockstep", spy)
+    seen = set()
+    for d in (2, 3, 4):
+        for p in (1, 2):
+            gen = random_davies(d, rng) if p == 2 else hat_generator(random_lindblad(d, rng))
+            x0, n = _pack(random_hermitian(d, rng, 0.5)), d * d
+            cases = [(lambda: _RatioProblem(gen, p), None),  # every coordinate improves
+                     (lambda: _Pinned(gen, p, x0, [n // 2]), None),
+                     (lambda: _Pinned(gen, p, x0, [n // 2, n - 1]), 3)]
+            for make, cap in cases:
+                with monkeypatch.context() as m:
+                    if cap is not None:
+                        m.setattr(ls_estimator, "STACK_ENTRIES", cap * d * d)
+                    ref, new = make(), make()
+                    best_ref, x_ref = _refine_loop(ref, x0)
+                    runs.clear()
+                    best, x = _coordinate_refine(new, x0)
+                assert same_bits(np.array(best), np.array(best_ref)), (d, p, cap)
+                assert same_bits(x, x_ref) and new.n_evals == ref.n_evals, (d, p, cap)
+                seen |= _run_kinds(runs, n, make().ratios_packed([x0])[0], cap)
+    assert seen == {"mid-run improvement", "run to the last coordinate",
+                    "sweep without improvement", "width at the cap"}
+
+
+def _run_kinds(runs, n, best, cap):
+    """The kinds of run a refine over n coordinates from a point of value
+    best made, replayed from each run's width and found values."""
+    kinds, k, improved = set(), 0, False
+    for width, funs in runs:
+        assert cap is None or width <= cap
+        first = next((i for i, fun in enumerate(funs) if fun < best - 1e-14), None)
+        if first is not None and 0 < first < width - 1:
+            kinds.add("mid-run improvement")
+        if width > 1 and k + width == n and first is None:
+            kinds.add("run to the last coordinate")
+        if width == cap:
+            kinds.add("width at the cap")
+        if first is None:
+            k += width
+        else:
+            best, k, improved = funs[first], k + first + 1, True
+        if k == n:
+            if not improved:
+                kinds.add("sweep without improvement")
+            k, improved = 0, False
+    return kinds
