@@ -125,10 +125,11 @@ def _bounded_brent(x1: float, x2: float, xatol: float, maxiter: int = 500):
         golden = 1
         if np.abs(e) > tol1:  # parabolic fit
             golden = 0
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
+            with np.errstate(invalid="ignore"):  # inf - inf where the bracket holds inf values
+                r = (xf - nfc) * (fx - ffulc)
+                q = (xf - fulc) * (fx - fnfc)
+                p = (xf - fulc) * q - (xf - nfc) * r
+                q = 2.0 * (q - r)
             if q > 0.0:
                 p = -p
             q = np.abs(q)

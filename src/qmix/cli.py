@@ -392,9 +392,9 @@ _SECTIONS = _checked(lambda text: set(text.split(",") if text else ()),
 
 def _dims(text: str) -> tuple:
     parts = text.split(",")
-    if not all(x.strip().isdecimal() and int(x) >= 1 for x in parts):
+    if not all(x.strip().isdecimal() and int(x) >= 2 for x in parts):  # a generator needs d >= 2
         raise argparse.ArgumentTypeError(
-            f"must be comma-separated positive integers, got {text!r}")
+            f"must be comma-separated integers >= 2, got {text!r}")
     return tuple(int(x) for x in parts)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import weakref
 from dataclasses import dataclass, field
 
@@ -240,7 +241,9 @@ class Generator:
         Each matrix gets the same arithmetic as on its own: the closed forms
         are elementwise, and the dense path is one matrix-vector product per
         matrix against that picture's cached propagator (a single gemm over
-        the stack rounds differently)."""
+        the stack rounds differently).  Both paths reject a NaN or infinite t."""
+        if not math.isfinite(t):
+            raise ValueError("time must be finite")
         if t == 0.0:
             return x.copy()
         if self._closed is not None:

@@ -14,11 +14,15 @@ random pure states; every report states the sample size, since no finite
 sample certifies the supremum over all inputs.
 
 `bound_curves`, `mixing_time` and `chi2_gap_time_check` validate the sampled
-states once and then evolve and measure them as (n, d, d) stacks of at most
-STACK_ENTRIES // d^2 states per time (16 at d = 64, 256 at d = 16), so their
-temporaries stay near 1 MiB at any d, and they do not cache the propagators
-of their one-off times (`Generator._one_off`).  Given the curve, `mixing_time`
-reuses its worst trace distances at the grid times instead of evolving again.
+states once and then evolve and measure them per time as one (n, d, d) stack
+of at most STACK_ENTRIES // d^2 states (16 at d = 64, 256 at d = 16).  A
+larger stack goes as its first state alone, then chunks of
+STACK_ENTRIES // (2 d^2) states on the calling thread and one pool worker
+(`_per_state`).  Their temporaries stay near 1 MiB at any d, and the values
+are those of a serial loop bit for bit.  They do not cache the propagators
+of their one-off times (`Generator._one_off`).  Given the curve,
+`mixing_time` reuses its worst trace distances at the grid times instead of
+evolving again.
 The public single-state `evolve`, `distances`, `trace_norm`, `chi2_divergence`
 and `relative_entropy_states` run the same kernels on a stack of one, so every
 state gets the same arithmetic and the same checks either way.
@@ -26,6 +30,8 @@ state gets the same arithmetic and the same checks either way.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,15 +220,72 @@ def _evolve_states(g: Generator, states, t: float):
 
 
 def _per_state(g: Generator, measure, states, t: float) -> np.ndarray:
-    """measure(chunk, t) over chunks of at most STACK_ENTRIES // d^2 states
-    of a validated stack, its per-state values (last axis) joined in stack
-    order.  Each matrix gets the arithmetic it gets in a whole-stack call; a
-    failing check raises in the first chunk that fails it.  The chunks share
-    one propagator of t, which g does not keep."""
-    step = max(1, STACK_ENTRIES // states[0].size)
+    """measure(chunk, t) over chunks of a validated stack, its per-state
+    values (last axis) joined in stack order.  A stack of at most
+    STACK_ENTRIES // d^2 states is one chunk.  A larger one runs its first
+    state alone on the calling thread, which so builds every cached object
+    the chunks read (the propagator of t, sigma's powers), and the rest in
+    chunks of STACK_ENTRIES // (2 d^2) states on two threads (`_in_order`),
+    so at most STACK_ENTRIES entries are in flight and no pool task builds a
+    cached object or enters `blas_threads_for`.  The cuts do not depend on
+    the CPU count.  Each matrix gets the arithmetic it gets in a whole-stack
+    call; a failing check raises in the first chunk that fails it.  The
+    chunks share one propagator of t, which g does not keep."""
+    size = states[0].size
     with g._one_off():
-        return np.concatenate([measure(states[i:i + step], t)
-                               for i in range(0, len(states), step)], axis=-1)
+        if len(states) <= STACK_ENTRIES // size:
+            return measure(states, t)
+        first = measure(states[:1], t)
+        step = max(1, STACK_ENTRIES // (2 * size))
+        chunks = [states[i:i + step] for i in range(1, len(states), step)]
+        return np.concatenate([first] + _in_order(lambda chunk: measure(chunk, t), chunks),
+                              axis=-1)
+
+
+def _in_order(fn, chunks) -> list:
+    """[fn(chunk) for chunk in chunks]; a failure raises the error of the first
+    chunk in stack order that fails.  The calling thread runs the even chunks
+    and the worker of `_chunk_pool` the odd ones, each up to its first
+    failure, so the lower failing index of the two is the first in stack
+    order.  numpy's linalg and matmul release the GIL and give each matrix
+    its own LAPACK or BLAS call on one thread, so the values are those of
+    the serial loop bit for bit."""
+    def run(part):
+        values = []
+        for chunk in part:
+            try:
+                values.append(fn(chunk))
+            except Exception as err:
+                return values, err
+        return values, None
+
+    helper = _chunk_pool().submit(run, chunks[1::2])
+    try:
+        even, even_err = run(chunks[0::2])
+    finally:
+        odd, odd_err = helper.result()
+    if even_err is not None and (odd_err is None or len(even) <= len(odd)):
+        raise even_err  # chunk 2 len(even) fails before chunk 2 len(odd) + 1
+    if odd_err is not None:
+        raise odd_err
+    results = [None] * len(chunks)
+    results[0::2], results[1::2] = even, odd
+    return results
+
+
+_POOL: tuple = (None, None)  # (process id, executor) of `_chunk_pool`
+
+
+def _chunk_pool() -> ThreadPoolExecutor:
+    """This process's one-worker thread pool, made on first use.  A process
+    forked after a mixing routine used it makes its own: the worker thread
+    of the inherited pool does not exist in the child, and a task submitted
+    to it would never run."""
+    global _POOL
+    if _POOL[0] != os.getpid():
+        _POOL = (os.getpid(), ThreadPoolExecutor(max_workers=1,
+                                                 thread_name_prefix="qmix-chunks"))
+    return _POOL[1]
 
 
 def worst_case_states(space: WeightedSpace, n_haar: int = 50, seed=0):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import functools
+import threading
 
 import numpy as np
 import scipy.linalg
@@ -69,16 +70,23 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+_LRU_LOCK = threading.RLock()  # re-entrant: a make() may fill another cache
+
+
 def _lru_get(cache: dict, key, make):
     """cache[key], made by make() on a miss; the dict's insertion order is the
-    recency order, and past CACHE_SIZE entries the least recently used goes."""
-    value = cache.pop(key, None)
-    if value is None:
-        value = make()
-        if len(cache) >= CACHE_SIZE:
-            del cache[next(iter(cache))]
-    cache[key] = value
-    return value
+    recency order, and past CACHE_SIZE entries the least recently used goes.
+    Lookup, build and insert hold one lock, so threads that ask for one key
+    together build it once (a hit is popped and put back, which would
+    otherwise let another thread miss in between)."""
+    with _LRU_LOCK:
+        value = cache.pop(key, None)
+        if value is None:
+            value = make()
+            if len(cache) >= CACHE_SIZE:
+                del cache[next(iter(cache))]
+        cache[key] = value
+        return value
 
 
 def max_abs(a) -> float:

@@ -297,6 +297,8 @@ def test_main_calls_carry_no_state_between_them(tmp_path, capsys):
     ["mixing", "SPEC", "--n-haar", "-1"],
     ["scan", "--dims", "x"],
     ["scan", "--dims", "2,0"],
+    ["scan", "--dims", "1"],
+    ["scan", "--dims", "3,1"],
     ["mixing", "SPEC", "--budget", "0"],
     ["analyze", "SPEC", "--budget", "0"],
     ["analyze", "SPEC", "--probes", "0"],

@@ -319,6 +319,17 @@ def test_depolarizing_semigroup_closed_form(rng):
                        - np.exp(-gamma * tt) * PAULI_X) < 1e-12
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_every_family_rejects_a_nonfinite_time(rng, t):
+    gens = [build_depolarizing(3, 1.0), build_projection(random_density_matrix(3, rng), 0.8),
+            random_davies(3, rng)]
+    x = random_hermitian(3, rng)
+    for g in gens:
+        for evolve in (g.evolve_heisenberg, g.evolve_schrodinger):
+            with pytest.raises(ValueError, match="time must be finite"):
+                evolve(x, t)
+
+
 def test_depolarizing_rejects_small_d():
     with pytest.raises(GeneratorError):
         build_depolarizing(1, 1.0)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -592,6 +593,19 @@ def test_bounded_brent_generator_equals_scipy():
         flat += kind == 3
         inf += wall is not None and not np.isfinite(func(hi))
     assert min(capped, flat, inf) >= 10
+
+
+def test_bounded_brent_is_silent_on_an_infinite_bracket():
+    def func(x):  # inf on [0, 0.6): the parabolic fit meets inf - inf
+        return np.float64(np.inf) if x < 0.6 else np.float64((x - 0.8) ** 2)
+
+    with np.errstate(invalid="ignore"):
+        ref = minimize_scalar(func, bounds=(0.0, 1.0), method="bounded",
+                              options={"xatol": 1e-10})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, fun, nfev = _drive(_bounded_brent(0.0, 1.0, xatol=1e-10), func)
+    assert x == ref.x and fun == ref.fun and nfev == ref.nfev
 
 
 def test_side_by_side_shares_rounds_only_within_stack_entries():

@@ -1,4 +1,11 @@
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,7 +337,7 @@ def test_mixing_time_reuses_the_curve_at_its_grid_times(monkeypatch, rng):
 
 def test_state_chunks_join_into_the_per_state_values():
     g = build_depolarizing(64, 1.0)
-    assert STACK_ENTRIES // 64 ** 2 == 16  # 70 states: 4 chunks of 16 and one of 6
+    assert STACK_ENTRIES // 64 ** 2 == 16  # 70 states: 1 alone, 8 chunks of 8 and one of 5
     grid = [0.0, 0.7, 3.0]
     curve = bound_curves(g, 1.0, None, grid, n_haar=6, seed=2)
     ref = reference_worst(g, grid, n_haar=6, seed=2)
@@ -364,6 +371,104 @@ def test_chunks_of_one_time_share_one_propagator(monkeypatch, rng):
         made.clear()
         run()
         assert len(made) == len(set(made)) > 1
+
+
+@pytest.mark.parametrize("family", ["dense_d8", "depolarizing_d64"])
+def test_pooled_chunks_equal_a_serial_loop_bit_for_bit(monkeypatch, rng, family):
+    g = random_lindblad(8, rng) if family == "dense_d8" else build_depolarizing(64, 1.0)
+    d = g.dim
+    monkeypatch.setattr(mixing, "STACK_ENTRIES", 6 * d * d)  # chunks of 3 states
+    sp = g.stationary
+    states = mixing._check_states(worst_case_states(sp, n_haar=5, seed=3))
+    log_sigma = mixing._log_sigma(sp.eigvals, sp.eigvecs)
+    threads, built = set(), []
+
+    def builds(make):
+        return lambda *args: built.append(threading.get_ident()) or make(*args)
+
+    monkeypatch.setattr(generators, "expm_superop", builds(generators.expm_superop))
+    monkeypatch.setattr(sp, "_sigma_power", builds(sp._sigma_power))
+    sp._pow_cache.clear()
+
+    caller = threading.get_ident()
+
+    def measure(chunk, t):
+        threads.add(threading.get_ident())
+        if threading.get_ident() == caller:
+            time.sleep(0.02)  # the worker asks first for what the caller has not built
+        rho_t, _ = mixing._evolve_states(g, chunk, t)
+        return np.array(mixing._distances(rho_t, sp, log_sigma))
+
+    for t in (0.0, 0.4, 2.5):
+        pooled = mixing._per_state(g, measure, states, t)
+        serial = np.concatenate([measure(states[i:i + 3], t)
+                                 for i in range(0, len(states), 3)], axis=-1)
+        assert pooled.shape == (3, len(states)) and np.array_equal(pooled, serial)
+    assert len(threads) == 2
+    assert built and set(built) == {caller}  # cached objects: the caller's only
+
+
+@pytest.mark.parametrize("failing, first", [({2, 3, 5}, 2), ({1, 2}, 1), ({4}, 4),
+                                             ({3, 4}, 3)])
+def test_the_first_failing_chunk_raises(failing, first):
+    def fn(chunk):
+        if chunk in failing:
+            if chunk == first:
+                time.sleep(0.05)  # fails after the later chunks on the other thread
+            raise ValueError(f"chunk {chunk}")
+        return -chunk
+
+    assert mixing._in_order(lambda c: -c, [0, 1, 2, 3, 4]) == [0, -1, -2, -3, -4]
+    with pytest.raises(ValueError, match=f"chunk {first}$"):
+        mixing._in_order(fn, [0, 1, 2, 3, 4, 5])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_completes_a_pooled_call(monkeypatch, rng):
+    g = random_lindblad(8, rng)
+    monkeypatch.setattr(mixing, "STACK_ENTRIES", 4 * 8 ** 2)  # 11 states: 6 chunks
+    curve = bound_curves(g, 0.1, None, [0.5], n_haar=3)  # the parent's pool now exists
+    pid = os.fork()
+    if pid == 0:  # the child never returns into pytest
+        code = 1
+        try:
+            again = bound_curves(g, 0.1, None, [0.5], n_haar=3)
+            code = 0 if np.array_equal(again.trace_dist, curve.trace_dist) else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung on its parent's pool")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+PINNED_CURVE = """
+import os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from qmix import mixing
+from qmix.generators import build_depolarizing
+assert len(os.sched_getaffinity(0)) == 1
+curve = mixing.bound_curves(build_depolarizing(64, 1.0), 1.0, None, [0.0, 0.7, 3.0], n_haar=6,
+                            seed=2)
+print(repr([curve.trace_dist.tolist(), curve.chi2.tolist(), curve.rel_ent.tolist()]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_one_cpu_gets_the_bits_of_the_pool():
+    curve = bound_curves(build_depolarizing(64, 1.0), 1.0, None, [0.0, 0.7, 3.0], n_haar=6,
+                         seed=2)
+    src = Path(mixing.__file__).resolve().parent.parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, "-c", PINNED_CURVE], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    assert res.stdout.strip() == repr([curve.trace_dist.tolist(), curve.chi2.tolist(),
+                                       curve.rel_ent.tolist()])
 
 
 def test_mixing_time_memory_stays_flat(rng):

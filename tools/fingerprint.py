@@ -43,7 +43,10 @@ does, and writes into ``--out``:
   restarts=3, seed=--seed)`` on the hat h of a random Davies d = 3
   generator, once with two positive ``extra_starts`` and once with
   ``budget=5``, below d^2 + 1, so that every Nelder-Mead restart stops
-  inside its first simplex;
+  inside its first simplex; and after them the full ``bound_curves``
+  columns and ``mixing_time`` of depolarizing d = 64 at gamma = 1, with the
+  mixing op's grid, ``n_haar``, epsilon and ``--seed``, whose state chunks
+  run on two threads (the mixing ops record only lambda, margin and tau);
 * ``cli_errors.txt`` -- the exit code and stderr of ``qmix analyze`` and
   ``qmix mixing`` (``--seed 0``) on four failing specs: a pure-Hamiltonian
   generator, ``{not json``, an unknown family and a depolarizing spec
@@ -107,11 +110,13 @@ def library_lines(seed: int) -> list:
                                  hat_generator, lift_channel, random_davies)
     from qmix.lp_space import WeightedSpace
     from qmix.ls_estimator import estimate_alpha
-    from qmix.mixing import (discrete_vs_continuous, entropy_decay_check, entropy_production,
-                             lazy_channel_super, pq_norm, two_two_norm_decay)
+    from qmix.mixing import (bound_curves, discrete_vs_continuous, entropy_decay_check,
+                             entropy_production, lazy_channel_super, mixing_time, pq_norm,
+                             two_two_norm_decay)
     from qmix.operator_core import haar_unitary, random_density_matrix
     from qmix.regularity import (direct_regularity_check, h_functional, h_profile,
                                  regularity_profile)
+    from workloads import MIXING_EPSILON, MIXING_N_HAAR, MIXING_T_GRID
 
     rng = np.random.default_rng(seed)
 
@@ -211,6 +216,11 @@ def library_lines(seed: int) -> list:
         rep = estimate_alpha(hat, 1, **{"budget": 80, "restarts": 3, "seed": seed, **kwargs})
         record(f"hat(davies_d3).estimate_alpha(p=1, {name})", rep.to_dict())
         record(f"hat(davies_d3).estimate_alpha(p=1, {name}).witness", rep.witness)
+    g = build_depolarizing(64, 1.0)  # the mixing op's case, whose state chunks run on two threads
+    record("depolarizing_d64.bound_curves",
+           bound_curves(g, 1.0, None, MIXING_T_GRID, n_haar=MIXING_N_HAAR, seed=seed).to_json())
+    record("depolarizing_d64.mixing_time",
+           mixing_time(g, MIXING_EPSILON, n_haar=MIXING_N_HAAR, seed=seed))
     return lines
 
 
