@@ -6,7 +6,7 @@ Schrodinger adjoint, and classification flags (unital, reversible,
 primitive) together with the stationary state when one exists.  Whether a
 generator is primitive, and its sigma, are decided once, when it is built:
 `stationary_state` only reads that verdict.  Both pictures of the semigroup
-evolve through one stacked kernel, `Generator._evolve`.
+evolve through one stacked map, `Generator._evolution`, held by its caller.
 
 Built-in families: depolarizing, projection onto a state, Davies thermal
 generators, discrete-channel lifts L = T - id, random-unitary channel
@@ -21,7 +21,6 @@ built only by `hat_generator`, and shared by all its holders.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import weakref
@@ -34,7 +33,6 @@ from .lp_space import WeightedSpace
 from .operator_core import (
     STACK_ENTRIES,
     _ginibre,
-    _lru_get,
     _re_trace,
     as_matrix,
     eig_hermitian,
@@ -128,7 +126,6 @@ class Generator:
         self.primitive = None
         self.stationary: WeightedSpace | None = None
         self._no_stationary = f"{family} generator has no stationary state"  # see classify
-        self._prop_cache: dict[tuple, np.ndarray] = {}
         self._hat: weakref.ref | None = None  # see hat_generator
 
     # -- actions ---------------------------------------------------------------
@@ -228,53 +225,38 @@ class Generator:
 
     def evolve_heisenberg(self, f, t: float) -> np.ndarray:
         """T_t(f) = exp(tL)(f)."""
-        return self._evolve(as_matrix(f)[None], t, heis=True)[0]
+        f = as_matrix(f)  # checked before any propagator is built
+        return self._evolution(t, heis=True)(f[None])[0]
 
     def evolve_schrodinger(self, rho, t: float) -> np.ndarray:
         """T_t*(rho) = exp(tL*)(rho)."""
-        return self._evolve(as_matrix(rho)[None], t, heis=False)[0]
+        rho = as_matrix(rho)
+        return self._evolution(t, heis=False)(rho[None])[0]
 
-    def _evolve(self, x, t: float, heis: bool) -> np.ndarray:
-        """exp(tL) (heis) or exp(tL*) on each matrix of an (n, d, d) stack the
-        library built.
-
-        Each matrix gets the same arithmetic as on its own: the closed forms
-        are elementwise, and the dense path is one matrix-vector product per
-        matrix against that picture's cached propagator (a single gemm over
-        the stack rounds differently).  Both paths reject a NaN or infinite t."""
+    def _evolution(self, t: float, heis: bool):
+        """The map x -> exp(tL)x (heis) or exp(tL*)x on each matrix of an
+        (n, d, d) stack the library built; a caller that reuses t holds it,
+        and g keeps nothing.  Each matrix gets the arithmetic it gets on its
+        own: the closed form (1 - eps) E + eps id, eps = e^{-gamma t}, is
+        elementwise, and the dense path is one matrix-vector product per
+        matrix against the propagator (a gemm over the stack rounds
+        differently).  A NaN or infinite t is rejected."""
         if not math.isfinite(t):
             raise ValueError("time must be finite")
         if t == 0.0:
-            return x.copy()
+            return lambda x: x.copy()
         if self._closed is not None:
-            return self._closed_evolve(self._closed[1 if heis else 2], x, t)
+            e = self._closed[1 if heis else 2]
+            eps = float(np.exp(-t * self._closed[0]))
+            return lambda x: e(x, 1.0 - eps) + eps * x
         prop = self.heisenberg_propagator(t) if heis else self.schrodinger_propagator(t)
-        return unvec(np.matmul(prop, vec(x)[..., None])[..., 0], self.dim)
-
-    @contextlib.contextmanager
-    def _one_off(self):
-        """A block that asks for a time once: the propagators it computes are
-        reused within it, and on exit the cache holds again what it held on
-        entry (an entry the block evicted included), so a d^2 x d^2
-        propagator (16 MiB at d = 32) is freed once the block ends."""
-        found = self._prop_cache.copy()
-        try:
-            yield
-        finally:
-            self._prop_cache.clear()
-            self._prop_cache.update(found)
-
-    def _closed_evolve(self, e, x, t: float) -> np.ndarray:
-        """exp(tL) = (1 - eps) E + eps id, eps = e^{-gamma t}, for e = heis or schro."""
-        eps = float(np.exp(-t * self._closed[0]))
-        return e(x, 1.0 - eps) + eps * x
+        return lambda x: unvec(np.matmul(prop, vec(x)[..., None])[..., 0], self.dim)
 
     def heisenberg_propagator(self, t: float) -> np.ndarray:
-        return _lru_get(self._prop_cache, ("H", float(t)), lambda: expm_superop(self.super_L, t))
+        return expm_superop(self.super_L, t)
 
     def schrodinger_propagator(self, t: float) -> np.ndarray:
-        return _lru_get(self._prop_cache, ("S", float(t)),
-                        lambda: expm_superop(self.super_Lstar, t))
+        return expm_superop(self.super_Lstar, t)
 
     def describe(self) -> dict:
         return {
@@ -412,8 +394,8 @@ def _closed_form_generator(space: WeightedSpace, family: str, gamma: float,
     The actions take c = 1.0 (exact), the semigroup c = 1 - e^{-gamma t}: c
     is an argument because (1 - eps) * tr(f) / d and (1 - eps) * (tr(f) / d)
     round differently.  Reversible and primitive by construction."""
-    if gamma <= 0:
-        raise GeneratorError("gamma must be positive")
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise GeneratorError("gamma must be positive and finite")
     gamma = float(gamma)
     g = Generator(space.dim, family=family, params={"gamma": gamma},
                   apply_heis=lambda f: gamma * (heis(f, 1.0) - f),
@@ -499,8 +481,12 @@ def davies_jump_operators(spec: DaviesSpec):
     KMS rates.  Returns a list of (k, omega, eta, S_k(omega))."""
     h = require_hermitian(spec.hamiltonian, name="hamiltonian")
     d = h.shape[0]
-    energies, v = eig_hermitian(h)
+    if not (spec.beta >= 0 and math.isfinite(spec.beta)):
+        raise GeneratorError(f"beta must be finite and >= 0, got {spec.beta}")
     tol = spec.bohr_tol
+    if tol is not None and not (tol >= 0 and math.isfinite(tol)):
+        raise GeneratorError(f"bohr_tol must be finite and >= 0, got {tol}")
+    energies, v = eig_hermitian(h)
     if tol is None:
         tol = 1e-9 * max(float(energies[-1] - energies[0]), 1.0)
     groups = _bohr_groups(energies, tol)
@@ -539,9 +525,7 @@ def build_davies(spec: DaviesSpec) -> Generator:
     non-primitive result (e.g. a coupling that commutes with H) raises.
     """
     h = require_hermitian(spec.hamiltonian, name="hamiltonian")
-    if spec.beta < 0:
-        raise GeneratorError("beta must be >= 0")
-    jumps = davies_jump_operators(spec)
+    jumps = davies_jump_operators(spec)  # checks beta and bohr_tol
     ops = [np.sqrt(eta) * s for (_, _, eta, s) in jumps]
     if not ops:
         raise NotPrimitiveError("no jump operators survive; generator is purely Hamiltonian")
@@ -585,6 +569,8 @@ def lift_channel(kraus) -> Generator:
     recorded in params["kraus_rank"].
     """
     kraus = [as_matrix(k) for k in kraus]
+    if not kraus:
+        raise GeneratorError("a channel needs at least one Kraus operator")
     d = kraus[0].shape[0]
     closure = sum(k.conj().T @ k for k in kraus)
     if max_abs(closure - np.eye(d)) > TRACE_PRESERVING_TOL:
@@ -620,6 +606,8 @@ def random_unitary_kraus(dim: int, n_unitaries: int, rng, reversible: bool = Tru
     adjoint, i.e. the Kraus set becomes {U_i, U_i^dag} with halved weights,
     which is unital and reversible with respect to 1/d.
     """
+    if n_unitaries < 1:
+        raise GeneratorError(f"a random-unitary channel needs D >= 1, got D = {n_unitaries}")
     us = [haar_unitary(dim, rng) for _ in range(n_unitaries)]
     if reversible:
         w = 1.0 / np.sqrt(2 * n_unitaries)
@@ -648,8 +636,8 @@ def hat_generator(g: Generator) -> Generator:
     forms, the gap, the LS search, relative-density evolution) goes through
     this one object: while any caller holds the hat, hat_generator(g)
     returns it.  g keeps only a weak reference, so the hat's dense
-    superoperators and cached propagators are freed with its last holder
-    rather than kept for g's lifetime.
+    superoperators are freed with its last holder rather than kept for g's
+    lifetime.
     """
     h = None if g._hat is None else g._hat()
     if h is not None:

@@ -19,8 +19,8 @@ of at most STACK_ENTRIES // d^2 states (16 at d = 64, 256 at d = 16).  A
 larger stack goes as its first state alone, then chunks of
 STACK_ENTRIES // (2 d^2) states on the calling thread and one pool worker
 (`_per_state`).  Their temporaries stay near 1 MiB at any d, and the values
-are those of a serial loop bit for bit.  They do not cache the propagators
-of their one-off times (`Generator._one_off`).  Given the curve,
+are those of a serial loop bit for bit.  Each time's evolution map is built
+once and freed with its stack, so no propagator outlives it.  Given the curve,
 `mixing_time` reuses its worst trace distances at the grid times instead of
 evolving again.
 The public single-state `evolve`, `distances`, `trace_norm`, `chi2_divergence`
@@ -197,16 +197,22 @@ def _distances(rho, space: WeightedSpace, log_sigma):
 
 def evolve(g: Generator, rho0, t: float) -> np.ndarray:
     """rho_t = exp(t L*)(rho_0); validates the input and output states."""
-    rho_t, _ = _evolve_states(g, _check_states([rho0]), t)
+    states = _check_states([rho0])
+    rho_t, _ = _evolve_states(_schrodinger(g, t), states)
     return rho_t[0]
 
 
-def _evolve_states(g: Generator, states, t: float):
-    """rho_t for every state of a validated (n, d, d) stack, with evolve's
-    checks on each output; returns the stack and its eigenvalues."""
+def _schrodinger(g: Generator, t: float):
+    """g's Schrodinger evolution map of a time t >= 0."""
     if t < 0:
         raise ValueError("evolve needs t >= 0")
-    rho_t = hermitian_part(g._evolve(states, float(t), heis=False))
+    return g._evolution(float(t), heis=False)
+
+
+def _evolve_states(evolution, states):
+    """rho_t = evolution(states) of a validated (n, d, d) stack, with evolve's
+    checks on each output; returns the stack and its eigenvalues."""
+    rho_t = hermitian_part(evolution(states))
     if not np.isfinite(rho_t).all():
         raise ArithmeticError("evolution produced non-finite entries")
     tr = _re_trace(rho_t)
@@ -220,26 +226,26 @@ def _evolve_states(g: Generator, states, t: float):
 
 
 def _per_state(g: Generator, measure, states, t: float) -> np.ndarray:
-    """measure(chunk, t) over chunks of a validated stack, its per-state
-    values (last axis) joined in stack order.  A stack of at most
-    STACK_ENTRIES // d^2 states is one chunk.  A larger one runs its first
-    state alone on the calling thread, which so builds every cached object
-    the chunks read (the propagator of t, sigma's powers), and the rest in
-    chunks of STACK_ENTRIES // (2 d^2) states on two threads (`_in_order`),
-    so at most STACK_ENTRIES entries are in flight and no pool task builds a
-    cached object or enters `blas_threads_for`.  The cuts do not depend on
-    the CPU count.  Each matrix gets the arithmetic it gets in a whole-stack
-    call; a failing check raises in the first chunk that fails it.  The
-    chunks share one propagator of t, which g does not keep."""
+    """measure(chunk, evolution) over chunks of a validated stack, evolution
+    the `_schrodinger` map of t that the calling thread builds for all
+    chunks; the per-state values (last axis) are joined in stack order.  A
+    stack of at most STACK_ENTRIES // d^2 states is one chunk.  A larger one
+    runs its first state alone on the calling thread, which so builds
+    sigma's cached powers, and the rest in chunks of STACK_ENTRIES // (2 d^2)
+    states on two threads (`_in_order`), so at most STACK_ENTRIES entries are
+    in flight and no pool task builds a cached object or enters
+    `blas_threads_for`.  The cuts do not depend on the CPU count.  Each
+    matrix gets the arithmetic it gets in a whole-stack call; a failing
+    check raises in the first chunk that fails it."""
+    evolution = _schrodinger(g, t)
     size = states[0].size
-    with g._one_off():
-        if len(states) <= STACK_ENTRIES // size:
-            return measure(states, t)
-        first = measure(states[:1], t)
-        step = max(1, STACK_ENTRIES // (2 * size))
-        chunks = [states[i:i + step] for i in range(1, len(states), step)]
-        return np.concatenate([first] + _in_order(lambda chunk: measure(chunk, t), chunks),
-                              axis=-1)
+    if len(states) <= STACK_ENTRIES // size:
+        return measure(states, evolution)
+    first = measure(states[:1], evolution)
+    step = max(1, STACK_ENTRIES // (2 * size))
+    chunks = [states[i:i + step] for i in range(1, len(states), step)]
+    return np.concatenate([first] + _in_order(lambda chunk: measure(chunk, evolution), chunks),
+                          axis=-1)
 
 
 def _in_order(fn, chunks) -> list:
@@ -351,8 +357,8 @@ def bound_curves(g: Generator, lam: float | None, alpha1: float | None, t_grid,
     states = _check_states(worst_case_states(sp, n_haar=n_haar, seed=seed))
     log_sigma = _log_sigma(sp.eigvals, sp.eigvecs)
 
-    def measure(chunk, t):
-        rho_t, w = _evolve_states(g, chunk, t)
+    def measure(chunk, evolution):
+        rho_t, w = _evolve_states(evolution, chunk)
         _require_states(rho_t, w)
         return np.array(_distances(rho_t, sp, log_sigma))
 
@@ -390,6 +396,8 @@ def mixing_time(g: Generator, epsilon: float, n_haar: int = 50, seed: int = 0,
     gives the worst trace distance at its grid times, which are then not
     evolved again; the result is the same as without it.
     """
+    if not rtol > 0:  # rtol = 0 would bisect forever between adjacent floats
+        raise ValueError(f"rtol must be > 0, got {rtol}")
     if not (0.0 < epsilon < 2.0):
         if epsilon >= 2.0:
             return 0.0
@@ -403,8 +411,8 @@ def mixing_time(g: Generator, epsilon: float, n_haar: int = 50, seed: int = 0,
             raise ValueError("curve was sampled with another n_haar or seed")
         known = dict(zip(curve.times.tolist(), curve.trace_dist.tolist()))
 
-    def trace_dists(chunk, t):
-        return _trace_norms(_evolve_states(g, chunk, t)[0] - sp.sigma)
+    def trace_dists(chunk, evolution):
+        return _trace_norms(_evolve_states(evolution, chunk)[0] - sp.sigma)
 
     def worst(t):
         if t in known:
@@ -444,9 +452,8 @@ def entropy_decay_check(g: Generator, alpha1: float, f0, t_grid,
     f0 = require_hermitian(f0)
     hat = hat_generator(g)
 
-    def f_at(t):  # each time is asked for once
-        with hat._one_off():
-            return hermitian_part(hat.evolve_heisenberg(f0, t))
+    def f_at(t):
+        return hermitian_part(hat.evolve_heisenberg(f0, t))
 
     var0 = sp.variance(f0)
     ent0 = sp.ent1(f0) if np.linalg.eigvalsh(f0)[0] > 0 else None
@@ -506,9 +513,10 @@ def pq_norm(g: Generator, p: float, q: float, t: float,
     _check_p(q, "lp_norm")
     _check_p(p, "lp_norm")
     d = g.dim
+    evolution = g._evolution(t, heis=True)
 
     def ratio(f):
-        tf = hermitian_part(g._evolve(f[None], t, heis=True)[0])
+        tf = hermitian_part(evolution(f[None])[0])
         return sp._lp_norm(q, tf) / sp._lp_norm(p, f)
 
     def neg_packed(x):
@@ -593,8 +601,8 @@ def chi2_gap_time_check(g: Generator, alpha2: float, lam: float, c_values=(1.0, 
     states = _check_states(worst_case_states(sp, n_haar=n_haar, seed=seed))
     loglog = np.log(max(np.log(1.0 / sp.sigma_min), 1.0 + 1e-12))
 
-    def chi2s(chunk, t):
-        return _chi2s(_evolve_states(g, chunk, t)[0] - sp.sigma, sp)
+    def chi2s(chunk, evolution):
+        return _chi2s(_evolve_states(evolution, chunk)[0] - sp.sigma, sp)
 
     out = {}
     for c in c_values:
@@ -617,12 +625,12 @@ def hypercontractivity_check(g: Generator, alpha: float, times=(0.1, 0.5, 1.0),
         raise ValueError(f"time must be >= 0, got {times}")
     rng = np.random.default_rng(seed)
     rate = 2.0 * alpha if strong else alpha
+    evolutions = [(1.0 + np.exp(rate * t), g._evolution(float(t), heis=True)) for t in times]
     margin = np.inf
     for _ in range(n_probes):
         f = _matrix_function(random_hermitian(g.dim, rng, scale=0.7), np.exp, eig_floor=-np.inf)
         n2 = sp._lp_norm(2.0, f)
-        for t in times:
-            pt = 1.0 + np.exp(rate * t)
-            nt = sp._lp_norm(pt, hermitian_part(g._evolve(f[None], float(t), heis=True)[0]))
+        for pt, evolution in evolutions:
+            nt = sp._lp_norm(pt, hermitian_part(evolution(f[None])[0]))
             margin = min(margin, n2 * (1.0 + 1e-7) - nt)
     return float(margin)

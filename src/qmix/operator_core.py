@@ -50,9 +50,8 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-12
 DEFAULT_EIG_FLOOR_REL = 1e-14
-# entries kept by each `_lru_get` cache.  A smaller cache would thrash when a
-# caller passes more times than it holds; a byte budget would evict
-# regularity's 3-time working set at d = 32 (16 MiB per propagator).
+# entries kept by each `_lru_get` cache, which holds the sigma powers of one
+# WeightedSpace by exponent (`WeightedSpace.sigma_power`)
 CACHE_SIZE = 64
 STACK_ENTRIES = 2 ** 16  # complex entries (1 MiB) in a stacked temporary of a chunked kernel
 H_CLIP = 40.0  # `_expm_hermitian` clips the spectrum of h to [-H_CLIP, H_CLIP]

@@ -77,12 +77,13 @@ def h_functional(g: Generator, probe, t: float, s: float) -> float:
 
 
 def h_profile(g: Generator, probe, t: float, s_grid) -> np.ndarray:
-    """h on a whole s-grid, reusing one propagator for the time t.
+    """h on a whole s-grid, with one evolution map of the time t.
 
     The probe is decomposed once, by its positivity gate, and every g^s and
     g^{2-s} on the grid is formed from that one eigendecomposition."""
     quarters = _quarter_powers(stationary_state(g), s_grid)
-    return _h_profile(g, _probe_powers(probe, s_grid, quarters), t)
+    powers = _probe_powers(probe, s_grid, quarters)  # checked before the evolution is built
+    return _h_profile(g._evolution(float(t), heis=True), powers)
 
 
 def _quarter_powers(sp, s_grid):
@@ -110,12 +111,12 @@ def _probe_powers(probe, s_grid, quarters):
     return sq_inv @ gs @ sq_inv, sq @ g2s @ sq
 
 
-def _h_profile(g: Generator, powers, t: float) -> np.ndarray:
-    """h over the grid at time t from a probe's `_probe_powers`: one
-    `Generator._evolve` of all n arguments of T_t, then n traces."""
+def _h_profile(evolution, powers) -> np.ndarray:
+    """h over the grid at time t from a probe's `_probe_powers`, given the
+    Heisenberg map of t (`Generator._evolution`): one evolution of all n
+    arguments of T_t, then n traces."""
     args, weights = powers
-    evolved = g._evolve(args, float(t), heis=True)
-    return _re_trace(weights @ evolved)
+    return _re_trace(weights @ evolution(args))
 
 
 def _left_half_monotonicity_order(h: np.ndarray, scale: float) -> int:
@@ -169,13 +170,14 @@ def regularity_profile(g: Generator, probes: int = 20, times=(0.1, 0.5, 1.0),
     completely_monotone_to_order: alternating-difference order on [0, 1].
     All three are aggregated with AND (min for the order) over the samples.
 
-    Each probe is decomposed once, by `_probe_powers`, which every time of
-    the profile then shares; a probe that fails there is recorded as a
-    failure at each time.
+    Each probe is decomposed once, by `_probe_powers`, and each time's
+    evolution map is built once, before the probes; a probe whose
+    decomposition fails is recorded as a failure at each time.
     """
     rng = np.random.default_rng(seed)
     s_grid = np.linspace(0.0, 2.0, grid_n)
     quarters = _quarter_powers(stationary_state(g), s_grid)
+    evolutions = [(float(t), g._evolution(float(t), heis=True)) for t in times]
     worst = None
     convex_all = True
     symmetric_all = True
@@ -188,13 +190,13 @@ def regularity_profile(g: Generator, probes: int = 20, times=(0.1, 0.5, 1.0),
         try:
             powers = _probe_powers(probe, s_grid, quarters)
         except NUMERICAL_FAILURES as exc:  # recorded once per time, as each would fail
-            failures += [{"probe_index": i, "t": float(t), "error": str(exc)} for t in times]
+            failures += [{"probe_index": i, "t": t, "error": str(exc)} for t, _ in evolutions]
             continue
-        for t in times:
+        for t, evolution in evolutions:
             try:
-                h = _h_profile(g, powers, float(t))
+                h = _h_profile(evolution, powers)
             except NUMERICAL_FAILURES as exc:
-                failures.append({"probe_index": i, "t": float(t), "error": str(exc)})
+                failures.append({"probe_index": i, "t": t, "error": str(exc)})
                 continue
             scale = max(np.max(np.abs(h)), 1e-300)
             d2 = np.diff(h, n=2)
@@ -210,7 +212,7 @@ def regularity_profile(g: Generator, probes: int = 20, times=(0.1, 0.5, 1.0),
             cm_order = min(cm_order, order)
             endpoint_worst = max(endpoint_worst, endpoint / scale)
             if worst is None or min_d2 / scale < worst[0]:
-                worst = (min_d2 / scale, h, float(t), probe, min_d2)
+                worst = (min_d2 / scale, h, t, probe, min_d2)
     if worst is None:
         raise ArithmeticError("all probes failed; no profile available")
     _, h, t, probe, min_d2 = worst

@@ -93,6 +93,43 @@ def test_d1_spec_is_one_bad_spec_line(tmp_path, capsys, command):
                     "path": path}]
 
 
+SIGMA3 = matrix_to_json(np.diag([0.5, 0.3, 0.2]).astype(complex))
+DIAG011 = matrix_to_json(np.diag([0.0, 1.0, 1.0]).astype(complex))
+ONES3 = matrix_to_json(np.ones((3, 3), dtype=complex))
+
+
+@pytest.mark.parametrize("spec, error", [
+    ({"family": "depolarizing", "dim": 3, "gamma": float("nan")},
+     "gamma must be positive and finite"),
+    ({"family": "depolarizing", "dim": 3, "gamma": float("inf")},
+     "gamma must be positive and finite"),
+    ({"family": "projection", "sigma": SIGMA3, "gamma": float("nan")},
+     "gamma must be positive and finite"),
+    ({"family": "projection", "sigma": SIGMA3, "gamma": float("inf")},
+     "gamma must be positive and finite"),
+    ({"family": "channel", "kraus": []}, "a channel needs at least one Kraus operator"),
+    ({"family": "random_unitary", "dim": 4, "D": 0, "seed": 1},
+     "a random-unitary channel needs D >= 1, got D = 0"),
+    ({"family": "davies", "hamiltonian": DIAG011, "couplings": [ONES3], "beta": 1.0,
+      "bohr_tol": -1}, "bohr_tol must be finite and >= 0, got -1.0"),
+    ({"family": "davies", "hamiltonian": DIAG011, "couplings": [ONES3],
+      "beta": float("nan")}, "beta must be finite and >= 0, got nan"),
+])
+def test_a_bad_builder_input_is_one_bad_spec_line(tmp_path, capsys, spec, error):
+    path = write_spec(tmp_path / "g.json", spec)
+    assert main(["analyze", path, "--seed", "0"]) == 1
+    err = [json.loads(line) for line in capsys.readouterr().err.strip().splitlines()]
+    assert err == [{"error": error, "kind": "bad_spec", "path": path}]
+
+
+def test_davies_degenerate_pair_is_not_primitive_at_the_default_bohr_tol(tmp_path, capsys):
+    path = write_spec(tmp_path / "g.json", {"family": "davies", "hamiltonian": DIAG011,
+                                            "couplings": [ONES3], "beta": 1.0})
+    assert main(["analyze", path, "--seed", "0"]) == 2
+    err = [json.loads(line) for line in capsys.readouterr().err.strip().splitlines()]
+    assert err[-1]["kind"] == "not_primitive"
+
+
 @pytest.mark.parametrize("command", ["analyze", "mixing"])
 def test_missing_spec_file_exit_1(tmp_path, capsys, command):
     path = str(tmp_path / "missing.json")

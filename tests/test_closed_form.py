@@ -91,7 +91,6 @@ def test_closures_reproduce_the_original_expressions_bit_for_bit(family, d, rng)
         assert np.array_equal(g._apply(stack), np.array([ref["heis"](x) for x in xs]))
         assert np.array_equal(g._apply_adjoint(stack),
                               np.array([ref["schro"](x) for x in xs]))
-        heis = g._closed[1]
         for t in TIMES:
             eps = float(np.exp(-t * gamma))
             for x in xs:
@@ -99,10 +98,10 @@ def test_closures_reproduce_the_original_expressions_bit_for_bit(family, d, rng)
                 assert np.array_equal(g.evolve_schrodinger(x, t),
                                       _reference_schro_stack(family, d, g.stationary.sigma,
                                                              x[None], eps)[0])
-            assert np.array_equal(g._evolve(stack, t, heis=False),
+            assert np.array_equal(g._evolution(t, heis=False)(stack),
                                   _reference_schro_stack(family, d, g.stationary.sigma,
                                                          stack, eps))
-            assert np.array_equal(g._closed_evolve(heis, stack, t),
+            assert np.array_equal(g._evolution(t, heis=True)(stack),
                                   np.array([ref["evolve_heis"](x, eps) for x in xs]))
 
 

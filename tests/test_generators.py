@@ -129,9 +129,9 @@ def test_stacked_evolution_equals_each_matrix_on_its_own(rng):
         d = g.dim
         stack = rng.standard_normal((7, d, d)) + 1j * rng.standard_normal((7, d, d))
         for t in (0.0, 0.3, 2.5):
-            assert np.array_equal(g._evolve(stack, t, heis=True),
+            assert np.array_equal(g._evolution(t, heis=True)(stack),
                                   np.array([g.evolve_heisenberg(x, t) for x in stack]))
-            assert np.array_equal(g._evolve(stack, t, heis=False),
+            assert np.array_equal(g._evolution(t, heis=False)(stack),
                                   np.array([g.evolve_schrodinger(x, t) for x in stack]))
             if g._closed is None and t > 0.0:  # one matrix-vector product each
                 x = stack[0]
@@ -139,17 +139,6 @@ def test_stacked_evolution_equals_each_matrix_on_its_own(rng):
                                       unvec(g.heisenberg_propagator(t) @ vec(x), d))
                 assert np.array_equal(g.evolve_schrodinger(x, t),
                                       unvec(g.schrodinger_propagator(t) @ vec(x), d))
-
-
-def test_propagator_cache_evicts_least_recently_used():
-    g = build_lindblad(None, [PAULI_X])
-    for i in range(70):
-        g.heisenberg_propagator(0.1 * (i + 1))
-        if i == 60:
-            g.heisenberg_propagator(0.1)
-    assert len(g._prop_cache) <= 64
-    assert ("H", 7.0) in g._prop_cache and ("H", 0.1) in g._prop_cache
-    assert ("H", 0.2) not in g._prop_cache
 
 
 def test_build_rejects_non_hermitian_hamiltonian():
@@ -349,6 +338,22 @@ def test_every_builder_rejects_d1():
             build()
 
 
+@pytest.mark.parametrize("gamma", [np.nan, np.inf])
+def test_closed_forms_reject_a_nonfinite_gamma(rng, gamma):
+    for build in (lambda: build_depolarizing(3, gamma),
+                  lambda: build_projection(random_density_matrix(3, rng), gamma)):
+        with pytest.raises(GeneratorError, match="gamma must be positive and finite"):
+            build()
+
+
+def test_empty_channels_are_rejected():
+    with pytest.raises(GeneratorError, match="at least one Kraus operator"):
+        lift_channel([])
+    for n in (0, -1):
+        with pytest.raises(GeneratorError, match=f"needs D >= 1, got D = {n}"):
+            build_random_unitary(4, n, seed=1)
+
+
 def test_depolarizing_stationary():
     g = build_depolarizing(3, 1.0)
     assert max_abs(stationary_state(g).sigma - np.eye(3) / 3) < 1e-12
@@ -439,6 +444,46 @@ def test_davies_gibbs_stationary_residual(rng):
     assert max_abs(g.apply_adjoint(g.stationary.sigma)) < 1e-9
 
 
+def test_davies_rejects_a_bad_bohr_tol_or_beta():
+    h = np.diag([0.0, 1.0, 1.0]).astype(complex)
+    ones = [np.ones((3, 3), dtype=complex)]
+    with pytest.raises(GeneratorError, match="not primitive"):  # the default tolerance
+        build_davies(DaviesSpec(hamiltonian=h, coupling_ops=ones, beta=1.0))
+    for tol in (-1.0, -1e-12, np.nan, np.inf):
+        spec = DaviesSpec(hamiltonian=h, coupling_ops=ones, beta=1.0, bohr_tol=tol)
+        for build in (davies_jump_operators, build_davies):
+            with pytest.raises(GeneratorError, match="bohr_tol must be finite and >= 0"):
+                build(spec)
+    for beta in (np.nan, np.inf, -1.0):
+        spec = DaviesSpec(hamiltonian=h, coupling_ops=ones, beta=beta)
+        for build in (davies_jump_operators, build_davies):
+            with pytest.raises(GeneratorError, match="beta must be finite and >= 0"):
+                build(spec)
+
+
+def test_davies_energies_split_near_bohr_tol(rng):
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    coupling = [a + a.conj().T]  # every matrix element nonzero
+    for tol in (None, 1e-6):  # None: 1e-9 times the spread of the energies, about 1e-9
+        for split, n_jumps in ((0.99, 3), (1.01, 7)):
+            delta = split * (1e-9 if tol is None else tol)
+            h = np.diag([0.0, 1.0, 1.0 + delta]).astype(complex)
+            spec = DaviesSpec(hamiltonian=h, coupling_ops=coupling, beta=1.0, bohr_tol=tol)
+            omegas = sorted(omega for _, omega, _, _ in davies_jump_operators(spec))
+            assert len(omegas) == n_jumps
+            if n_jumps == 3:  # 1 and 1 + delta lower to 0 by one jump, at their mean
+                assert omegas[-1] == pytest.approx(1.0 + delta / 2, abs=1e-13)
+    # at the default tolerance both sides build; a merged split of 1e-6 breaks
+    # the Gibbs state's stationarity by about beta * delta, and the build says so
+    for split, n_jumps in ((0.99, 3), (1.01, 7)):
+        h = np.diag([0.0, 1.0, 1.0 + split * 1e-9]).astype(complex)
+        g = build_davies(DaviesSpec(hamiltonian=h, coupling_ops=coupling, beta=1.0))
+        assert g.primitive and g.reversible and g.params["n_jumps"] == n_jumps
+    h = np.diag([0.0, 1.0, 1.0 + 0.99e-6]).astype(complex)
+    with pytest.raises(GeneratorError, match="Gibbs state is not stationary"):
+        build_davies(DaviesSpec(hamiltonian=h, coupling_ops=coupling, beta=1.0, bohr_tol=1e-6))
+
+
 def test_davies_commuting_coupling_not_primitive():
     h = np.diag([0.0, 0.4, 1.1]).astype(complex)
     with pytest.raises(NotPrimitiveError):
@@ -515,7 +560,7 @@ def test_hat_generator_is_built_once(rng):
 def test_hat_generator_is_freed_with_its_last_holder(rng):
     g = random_lindblad(3, rng)
     h = hat_generator(g)
-    h.evolve_heisenberg(np.eye(3), 0.5)  # fills the hat's caches
+    h.evolve_heisenberg(np.eye(3), 0.5)  # builds the hat's dense superoperator
     ref = weakref.ref(h)
     del h
     assert ref() is None

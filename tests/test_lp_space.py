@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmix.dirichlet_gap import dirichlet
-from qmix.generators import random_davies
-from qmix.lp_space import PositivityError, WeightedSpace
+from qmix.generators import build_projection, random_davies
+from qmix.lp_space import RANK_TOL, PositivityError, WeightedSpace
 from qmix.operator_core import (
     haar_unitary,
     hermitian_part,
@@ -36,6 +36,21 @@ def test_space_rejects_bad_sigma(rng):
         WeightedSpace(np.diag([0.7, 0.7]))  # trace != 1
     with pytest.raises(ValueError):
         WeightedSpace(np.diag([1.0, 0.0]))  # rank deficient
+
+
+def test_sigma_min_on_both_sides_of_rank_tol(rng):
+    u = haar_unitary(3, rng)
+    for factor in (1.0 + 1e-3, 1.0 - 1e-3):
+        m = RANK_TOL * factor
+        sigma = hermitian_part((u * np.array([m, 0.3, 0.7 - m])) @ u.conj().T)
+        if factor > 1.0:
+            sp = WeightedSpace(sigma)
+            assert sp.sigma_min == pytest.approx(m, rel=1e-5)
+            g = build_projection(sp, 1.0)  # its stationary-state check passes too
+            assert g.stationary is sp and g.primitive
+        else:
+            with pytest.raises(ValueError, match="sigma must be full rank"):
+                WeightedSpace(sigma)
 
 
 def test_sigma_power_cache_evicts_least_recently_used():

@@ -44,7 +44,6 @@ from qmix.mixing import (
     worst_case_states,
 )
 from qmix.operator_core import (
-    CACHE_SIZE,
     STACK_ENTRIES,
     _expm_hermitian,
     _pack,
@@ -57,6 +56,7 @@ from qmix.operator_core import (
     random_hermitian,
     random_pure_state,
 )
+from qmix.regularity import regularity_profile
 
 from conftest import qubit_davies, relative_entropy_oracle
 
@@ -288,35 +288,77 @@ def test_stacked_evolution_keeps_per_state_checks(monkeypatch, rng):
         mixing_time(g, 0.05, n_haar=3)
 
 
-def test_one_off_times_leave_the_propagator_caches_as_found(rng):
+def _superop_arrays(obj, n):
+    """Names of the arrays of trailing shape (n, n) that obj's attributes
+    hold, inside dicts, lists and tuples too."""
+    found = []
+
+    def walk(name, x):
+        if isinstance(x, np.ndarray) and x.shape[-2:] == (n, n):
+            found.append(name)
+        elif isinstance(x, dict):
+            for k, v in x.items():
+                walk(f"{name}[{k!r}]", v)
+        elif isinstance(x, (list, tuple)):
+            for i, v in enumerate(x):
+                walk(f"{name}[{i}]", v)
+
+    for name, x in vars(obj).items():
+        walk(name, x)
+    return found
+
+
+def test_no_propagator_outlives_its_call(rng):
     g = random_lindblad(8, rng)
     hat = hat_generator(g)  # the hat entropy_decay_check evolves
     grid = [0.0, 0.5, 2.0]
     f0 = RelativeDensity.from_state(random_density_matrix(8, rng), g.stationary)
-    runs = [lambda: bound_curves(g, 0.1, None, grid, n_haar=3),
-            lambda: mixing_time(g, 0.05, n_haar=3),
-            lambda: chi2_gap_time_check(g, 0.1, 0.2, n_haar=3),
-            lambda: entropy_decay_check(g, 0.1, f0, grid)]
-    for run in runs:
-        run()
-        assert g._prop_cache == {} and hat._prop_cache == {}
-    kept = g.schrodinger_propagator(0.5)
-    hat_kept = hat.heisenberg_propagator(0.5)
-    for run in runs:
-        run()
-        assert list(g._prop_cache) == [("S", 0.5)] and g._prop_cache[("S", 0.5)] is kept
-        assert list(hat._prop_cache) == [("H", 0.5)]
-        assert hat._prop_cache[("H", 0.5)] is hat_kept
-    # a full cache keeps every entry, the one a one-off miss evicted included
-    fillers = {("X", k): np.zeros(1) for k in range(CACHE_SIZE - 1)}
-    g._prop_cache.update(fillers)
-    before = list(g._prop_cache)
+    bound_curves(g, 0.1, None, grid, n_haar=3)
     mixing_time(g, 0.05, n_haar=3)
-    assert list(g._prop_cache) == before
-    # callers whose times repeat keep their entries
+    chi2_gap_time_check(g, 0.1, 0.2, n_haar=3)
+    entropy_decay_check(g, 0.1, f0, grid)
     g.evolve_schrodinger(g.stationary.sigma, 1.5)
-    evolve(g, g.stationary.sigma, 2.5)
-    assert ("S", 1.5) in g._prop_cache and ("S", 2.5) in g._prop_cache
+    g.evolve_heisenberg(np.eye(8), 2.5)
+    for holder in (g, hat):
+        assert set(_superop_arrays(holder, 64)) <= {"super_L", "super_Lstar"}
+    assert "super_Lstar" in _superop_arrays(g, 64)  # built when g was classified
+
+
+def test_evolutions_at_distinct_times_keep_no_propagator(rng):
+    g = random_lindblad(16, rng)
+    rho = g.stationary.sigma
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(70):
+            g.evolve_schrodinger(rho, 0.01 * (i + 1))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # one 256 x 256 propagator is 1 MiB; a 64-entry cache of them kept 65 MiB
+    assert kept <= 4 * 2 ** 20
+
+
+def test_a_routine_builds_one_propagator_per_distinct_time(monkeypatch, rng):
+    g = random_davies(3, rng)
+    made = []
+    expm = generators.expm_superop
+    monkeypatch.setattr(generators, "expm_superop", lambda m, t: made.append(t) or expm(m, t))
+    times = (0.1, 0.5, 1.0)
+    for run, asked in ((lambda: regularity_profile(g, probes=4, times=times, grid_n=11), times),
+                       (lambda: hypercontractivity_check(g, 0.3, times=times, n_probes=4), times),
+                       (lambda: pq_norm(g, 2.0, 4.0, 0.5, restarts=2, budget=20), (0.5,))):
+        made.clear()
+        run()
+        assert made == list(asked)
+
+
+def test_mixing_time_rejects_an_rtol_that_is_not_positive(monkeypatch, rng):
+    g = build_depolarizing(3, 1.0)
+    monkeypatch.setattr(g, "_evolution", None)  # no evolution may start
+    for rtol in (0.0, -1e-4, np.nan):
+        with pytest.raises(ValueError, match="rtol must be > 0"):
+            mixing_time(g, 0.05, n_haar=2, rtol=rtol)
 
 
 def test_mixing_time_reuses_the_curve_at_its_grid_times(monkeypatch, rng):
@@ -358,7 +400,6 @@ def test_chunks_of_one_time_share_one_propagator(monkeypatch, rng):
     g = random_lindblad(8, rng)
     grid = [0.0, 0.5, 2.0]
     whole = bound_curves(g, 0.1, None, grid, n_haar=3)
-    g._prop_cache.clear()
     made = []
     expm = generators.expm_superop
     monkeypatch.setattr(generators, "expm_superop", lambda m, t: made.append(t) or expm(m, t))
@@ -392,16 +433,17 @@ def test_pooled_chunks_equal_a_serial_loop_bit_for_bit(monkeypatch, rng, family)
 
     caller = threading.get_ident()
 
-    def measure(chunk, t):
+    def measure(chunk, evolution):
         threads.add(threading.get_ident())
         if threading.get_ident() == caller:
             time.sleep(0.02)  # the worker asks first for what the caller has not built
-        rho_t, _ = mixing._evolve_states(g, chunk, t)
+        rho_t, _ = mixing._evolve_states(evolution, chunk)
         return np.array(mixing._distances(rho_t, sp, log_sigma))
 
     for t in (0.0, 0.4, 2.5):
         pooled = mixing._per_state(g, measure, states, t)
-        serial = np.concatenate([measure(states[i:i + 3], t)
+        evolution = g._evolution(t, heis=False)
+        serial = np.concatenate([measure(states[i:i + 3], evolution)
                                  for i in range(0, len(states), 3)], axis=-1)
         assert pooled.shape == (3, len(states)) and np.array_equal(pooled, serial)
     assert len(threads) == 2
@@ -589,7 +631,7 @@ def test_pq_norm_equals_its_scipy_search(rng):
 
 def test_pq_norm_checks_its_inputs_once_before_any_evaluation(monkeypatch, rng):
     g = random_davies(3, rng)
-    monkeypatch.setattr(g, "_evolve", None)  # no evaluation may start
+    monkeypatch.setattr(g, "_evolution", None)  # no evaluation may start
     with pytest.raises(ValueError, match="lp_norm requires p >= 1, got 0.7"):
         pq_norm(g, 0.5, 0.7, 0.3, restarts=1, budget=5)
     with pytest.raises(ValueError, match="lp_norm requires p >= 1, got 0.5"):

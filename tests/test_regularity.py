@@ -211,7 +211,8 @@ def test_h_profile_equals_table_fed_kernel(rng):
             probe = random_probe(g.dim, rng, near_singular=(i == 0))
             for t in (0.1, 1.0):
                 h = h_profile(g, probe, t, s_grid)
-                assert np.array_equal(h, _h_profile(g, _probe_powers(probe, s_grid, quarters), t))
+                assert np.array_equal(h, _h_profile(g._evolution(t, heis=True),
+                                                    _probe_powers(probe, s_grid, quarters)))
                 w, v = np.linalg.eigh(0.5 * (probe + probe.conj().T))
                 for s, hs in zip(s_grid, h):
                     gs = hermitian_part((v * np.float_power(w, s)) @ v.conj().T)
