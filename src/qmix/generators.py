@@ -535,7 +535,9 @@ def build_davies(spec: DaviesSpec) -> Generator:
     sigma = gibbs_state(h, spec.beta)
     res = max_abs(g.apply_adjoint(sigma))
     if res > STATIONARY_TOL * _scale(g):
-        raise GeneratorError(f"Gibbs state is not stationary: residual {res:.3e}")
+        hint = ("" if spec.bohr_tol is None else
+                f" (bohr_tol {spec.bohr_tol!r} may merge split Bohr frequencies)")
+        raise GeneratorError(f"Gibbs state is not stationary: residual {res:.3e}{hint}")
     g.stationary = _full_rank_space(sigma, "Gibbs state")
     # primitivity: the null space of L* must be exactly the Gibbs state
     try:

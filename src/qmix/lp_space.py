@@ -26,13 +26,14 @@ its own.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ._blas import blas_threads_for
 from .operator_core import (
     _eig_function,
     _eigh,
-    _lru_get,
     _matrix_function,
     _re_trace,
     as_matrix,
@@ -50,6 +51,7 @@ POSITIVITY_REL_TOL = 1e-12
 ENT_CLAMP = 1e-8
 P1_BRANCH = 1.0 + 1e-6  # Ent_p and E_p take their p = 1 (log) forms below this
 P2_WINDOW = 1e-12  # and their p = 2 closed forms at |p - 2| below this
+CACHE_SIZE = 64  # maxsize of each WeightedSpace's `functools.lru_cache` of sigma powers
 
 
 class PositivityError(ValueError):
@@ -86,6 +88,12 @@ def _not_positive(w):
     return (w[..., 0] <= POSITIVITY_REL_TOL * np.maximum(w[..., -1], 0.0)) | (w[..., -1] <= 0)
 
 
+def _sigma_power(w, v, s: float) -> np.ndarray:
+    """sigma^s, uncached, from sigma's eigenvalues w and eigenvectors v and a
+    Python float s; `WeightedSpace.sigma_power` caches it."""
+    return hermitian_part((v * w ** s) @ v.conj().T)
+
+
 class WeightedSpace:
     """A full-rank state sigma with cached eigendecomposition.
 
@@ -108,18 +116,17 @@ class WeightedSpace:
         self.eigvals = w
         self.eigvecs = v
         self.sigma_min = float(w[0])
-        self._pow_cache: dict[float, np.ndarray] = {}
+        # a partial over the arrays, so the cache holds no reference to self
+        self._powers = functools.lru_cache(CACHE_SIZE)(functools.partial(_sigma_power, w, v))
         self._log_sigma = hermitian_part((v * np.log(w)) @ v.conj().T)
 
     # -- basic sigma functions ------------------------------------------------
 
     def sigma_power(self, s: float) -> np.ndarray:
-        key = float(s)
-        return _lru_get(self._pow_cache, key, lambda: self._sigma_power(key))
-
-    def _sigma_power(self, s: float) -> np.ndarray:
-        """sigma^s, uncached, for a Python float s; `sigma_power` caches it."""
-        return hermitian_part((self.eigvecs * self.eigvals ** s) @ self.eigvecs.conj().T)
+        """sigma^s, from the least recently used cache of the last CACHE_SIZE
+        exponents.  Threads that miss on one exponent together each compute
+        the same bits, and the cache keeps one of them."""
+        return self._powers(float(s))
 
     def similarity_super(self, s: float, superop) -> np.ndarray:
         """The sigma^s similarity of a superoperator S, X -> sigma^s S(sigma^-s X

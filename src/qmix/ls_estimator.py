@@ -438,8 +438,8 @@ def estimate_alpha(g: Generator, p: int, budget: int = 1500, restarts: int = 8,
 
     bounds: dict[str, float | None] = {"gap_upper": gap.lam}
     if p == 2:
-        if g.family == "depolarizing":
-            bounds["closed_form"] = depolarizing_alpha2(d, g.params["gamma"])
+        if g._closed is not None and g.unital:  # gamma (E - id) with E = tr(.)/d 1
+            bounds["closed_form"] = depolarizing_alpha2(d, g._closed[0])
         if g.unital:
             bounds["unital_lower"] = unital_alpha2_lower(g, gap.lam)
         if "D" in g.params:

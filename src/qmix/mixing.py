@@ -16,11 +16,11 @@ sample certifies the supremum over all inputs.
 `bound_curves`, `mixing_time` and `chi2_gap_time_check` validate the sampled
 states once and then evolve and measure them per time as one (n, d, d) stack
 of at most STACK_ENTRIES // d^2 states (16 at d = 64, 256 at d = 16).  A
-larger stack goes as its first state alone, then chunks of
-STACK_ENTRIES // (2 d^2) states on the calling thread and one pool worker
-(`_per_state`).  Their temporaries stay near 1 MiB at any d, and the values
-are those of a serial loop bit for bit.  Each time's evolution map is built
-once and freed with its stack, so no propagator outlives it.  Given the curve,
+larger stack goes in chunks of STACK_ENTRIES // (2 d^2) states to a
+two-worker thread pool (`_per_state`).  Their temporaries stay near 1 MiB at
+any d, and the values are those of a serial loop bit for bit.  Each time's
+evolution map is built once and freed with its stack, so no propagator
+outlives it.  Given the curve,
 `mixing_time` reuses its worst trace distances at the grid times instead of
 evolving again.
 The public single-state `evolve`, `distances`, `trace_norm`, `chi2_divergence`
@@ -31,7 +31,7 @@ state gets the same arithmetic and the same checks either way.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,70 +226,41 @@ def _evolve_states(evolution, states):
 
 
 def _per_state(g: Generator, measure, states, t: float) -> np.ndarray:
-    """measure(chunk, evolution) over chunks of a validated stack, evolution
-    the `_schrodinger` map of t that the calling thread builds for all
-    chunks; the per-state values (last axis) are joined in stack order.  A
-    stack of at most STACK_ENTRIES // d^2 states is one chunk.  A larger one
-    runs its first state alone on the calling thread, which so builds
-    sigma's cached powers, and the rest in chunks of STACK_ENTRIES // (2 d^2)
-    states on two threads (`_in_order`), so at most STACK_ENTRIES entries are
-    in flight and no pool task builds a cached object or enters
-    `blas_threads_for`.  The cuts do not depend on the CPU count.  Each
-    matrix gets the arithmetic it gets in a whole-stack call; a failing
-    check raises in the first chunk that fails it."""
+    """measure(chunk, evolution) over chunks of a validated stack, joined in
+    stack order along the last axis.  evolution, the `_schrodinger` map of t,
+    is built once on the calling thread, so no pool task calls `expm` or
+    enters `blas_threads_for`.  A stack of at most STACK_ENTRIES // d^2
+    states is one chunk on the calling thread; a larger one is cut from index
+    0 into chunks of STACK_ENTRIES // (2 d^2) states, whatever the CPU count,
+    for the two workers of `_chunk_pool`.  numpy's linalg and matmul release
+    the GIL and make one LAPACK or BLAS call per matrix, so the values are
+    the serial loop's bit for bit.  The results are read in stack order, so
+    the first failing chunk raises, and no chunk runs on once this returns."""
     evolution = _schrodinger(g, t)
     size = states[0].size
     if len(states) <= STACK_ENTRIES // size:
         return measure(states, evolution)
-    first = measure(states[:1], evolution)
     step = max(1, STACK_ENTRIES // (2 * size))
-    chunks = [states[i:i + step] for i in range(1, len(states), step)]
-    return np.concatenate([first] + _in_order(lambda chunk: measure(chunk, evolution), chunks),
-                          axis=-1)
-
-
-def _in_order(fn, chunks) -> list:
-    """[fn(chunk) for chunk in chunks]; a failure raises the error of the first
-    chunk in stack order that fails.  The calling thread runs the even chunks
-    and the worker of `_chunk_pool` the odd ones, each up to its first
-    failure, so the lower failing index of the two is the first in stack
-    order.  numpy's linalg and matmul release the GIL and give each matrix
-    its own LAPACK or BLAS call on one thread, so the values are those of
-    the serial loop bit for bit."""
-    def run(part):
-        values = []
-        for chunk in part:
-            try:
-                values.append(fn(chunk))
-            except Exception as err:
-                return values, err
-        return values, None
-
-    helper = _chunk_pool().submit(run, chunks[1::2])
+    futures = [_chunk_pool().submit(measure, states[i:i + step], evolution)
+               for i in range(0, len(states), step)]
     try:
-        even, even_err = run(chunks[0::2])
+        return np.concatenate([f.result() for f in futures], axis=-1)
     finally:
-        odd, odd_err = helper.result()
-    if even_err is not None and (odd_err is None or len(even) <= len(odd)):
-        raise even_err  # chunk 2 len(even) fails before chunk 2 len(odd) + 1
-    if odd_err is not None:
-        raise odd_err
-    results = [None] * len(chunks)
-    results[0::2], results[1::2] = even, odd
-    return results
+        for f in futures:
+            f.cancel()
+        wait(futures)
 
 
 _POOL: tuple = (None, None)  # (process id, executor) of `_chunk_pool`
 
 
 def _chunk_pool() -> ThreadPoolExecutor:
-    """This process's one-worker thread pool, made on first use.  A process
-    forked after a mixing routine used it makes its own: the worker thread
-    of the inherited pool does not exist in the child, and a task submitted
-    to it would never run."""
+    """This process's two-worker thread pool, made on first use.  A forked
+    child makes its own: the inherited pool's workers do not exist in the
+    child, so a task submitted to them would never run."""
     global _POOL
     if _POOL[0] != os.getpid():
-        _POOL = (os.getpid(), ThreadPoolExecutor(max_workers=1,
+        _POOL = (os.getpid(), ThreadPoolExecutor(max_workers=2,
                                                  thread_name_prefix="qmix-chunks"))
     return _POOL[1]
 

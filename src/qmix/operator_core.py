@@ -16,7 +16,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import functools
-import threading
 
 import numpy as np
 import scipy.linalg
@@ -50,9 +49,6 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-12
 DEFAULT_EIG_FLOOR_REL = 1e-14
-# entries kept by each `_lru_get` cache, which holds the sigma powers of one
-# WeightedSpace by exponent (`WeightedSpace.sigma_power`)
-CACHE_SIZE = 64
 STACK_ENTRIES = 2 ** 16  # complex entries (1 MiB) in a stacked temporary of a chunked kernel
 H_CLIP = 40.0  # `_expm_hermitian` clips the spectrum of h to [-H_CLIP, H_CLIP]
 
@@ -67,25 +63,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
-
-
-_LRU_LOCK = threading.RLock()  # re-entrant: a make() may fill another cache
-
-
-def _lru_get(cache: dict, key, make):
-    """cache[key], made by make() on a miss; the dict's insertion order is the
-    recency order, and past CACHE_SIZE entries the least recently used goes.
-    Lookup, build and insert hold one lock, so threads that ask for one key
-    together build it once (a hit is popped and put back, which would
-    otherwise let another thread miss in between)."""
-    with _LRU_LOCK:
-        value = cache.pop(key, None)
-        if value is None:
-            value = make()
-            if len(cache) >= CACHE_SIZE:
-                del cache[next(iter(cache))]
-        cache[key] = value
-        return value
 
 
 def max_abs(a) -> float:

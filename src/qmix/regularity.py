@@ -40,7 +40,7 @@ from .generators import (
     random_reversible_unital,
     stationary_state,
 )
-from .lp_space import NUMERICAL_FAILURES, _check_p, _check_positive
+from .lp_space import NUMERICAL_FAILURES, _check_p, _check_positive, _sigma_power
 from .operator_core import (
     _matrix_function,
     _re_trace,
@@ -89,12 +89,12 @@ def h_profile(g: Generator, probe, t: float, s_grid) -> np.ndarray:
 def _quarter_powers(sp, s_grid):
     """sigma^{s/4} and sigma^{-s/4} over the grid as two (n, d, d) stacks,
     shared by every probe and time of a profile.  They are built one
-    `WeightedSpace._sigma_power` per s, past the `sigma_power` cache that a
+    `lp_space._sigma_power` per s, past the `sigma_power` cache that a
     grid's exponents would only flush: a stacked w ** (s/4) rounds
     differently at s/4 = 0.5, where numpy's scalar `w ** 0.5` takes a sqrt."""
-    shape = (len(s_grid), sp.dim, sp.dim)
-    return (np.array([sp._sigma_power(float(s / 4.0)) for s in s_grid]).reshape(shape),
-            np.array([sp._sigma_power(float(-s / 4.0)) for s in s_grid]).reshape(shape))
+    w, v, shape = sp.eigvals, sp.eigvecs, (len(s_grid), sp.dim, sp.dim)
+    return (np.array([_sigma_power(w, v, float(s / 4.0)) for s in s_grid]).reshape(shape),
+            np.array([_sigma_power(w, v, float(-s / 4.0)) for s in s_grid]).reshape(shape))
 
 
 def _probe_powers(probe, s_grid, quarters):

@@ -480,7 +480,8 @@ def test_davies_energies_split_near_bohr_tol(rng):
         g = build_davies(DaviesSpec(hamiltonian=h, coupling_ops=coupling, beta=1.0))
         assert g.primitive and g.reversible and g.params["n_jumps"] == n_jumps
     h = np.diag([0.0, 1.0, 1.0 + 0.99e-6]).astype(complex)
-    with pytest.raises(GeneratorError, match="Gibbs state is not stationary"):
+    with pytest.raises(GeneratorError, match=r"Gibbs state is not stationary: residual \S+ "
+                       r"\(bohr_tol 1e-06 may merge split Bohr frequencies\)$"):
         build_davies(DaviesSpec(hamiltonian=h, coupling_ops=coupling, beta=1.0, bohr_tol=1e-6))
 
 

@@ -1,11 +1,17 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmix import lp_space
 from qmix.dirichlet_gap import dirichlet
 from qmix.generators import build_projection, random_davies
-from qmix.lp_space import RANK_TOL, PositivityError, WeightedSpace
+from qmix.lp_space import POSITIVITY_REL_TOL, RANK_TOL, PositivityError, WeightedSpace
+from qmix.regularity import h_profile
 from qmix.operator_core import (
     haar_unitary,
     hermitian_part,
@@ -15,7 +21,7 @@ from qmix.operator_core import (
     random_psd,
 )
 
-from conftest import PAULI_Z, relative_entropy_oracle
+from conftest import PAULI_Z, relative_entropy_oracle, same_bits
 
 
 def random_space(d, rng):
@@ -59,9 +65,38 @@ def test_sigma_power_cache_evicts_least_recently_used():
         sp.sigma_power(i / 8)
         if i == 60:
             sp.sigma_power(0.0)
-    assert len(sp._pow_cache) <= 64
-    assert 69 / 8 in sp._pow_cache and 0.0 in sp._pow_cache
-    assert 1 / 8 not in sp._pow_cache
+    info = sp._powers.cache_info()
+    assert (info.hits, info.misses, info.currsize, info.maxsize) == (1, 70, 64, 64)
+    sp.sigma_power(69 / 8)
+    sp.sigma_power(0)  # refreshed at i = 60, so still held
+    assert sp._powers.cache_info().hits == 3
+    sp.sigma_power(1 / 8)  # evicted
+    assert sp._powers.cache_info().misses == 71
+
+
+def test_threads_asking_for_one_sigma_power_get_its_bits(monkeypatch):
+    def slow(w, v, s):
+        time.sleep(0.05)  # the other threads ask while this one builds
+        return power(w, v, s)
+
+    power = lp_space._sigma_power
+    monkeypatch.setattr(lp_space, "_sigma_power", slow)
+    sp = WeightedSpace(np.diag([0.5, 0.3, 0.2]))
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(sp.sigma_power(0.3)))
+               for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads) and len(got) == 8
+    assert all(same_bits(x, power(sp.eigvals, sp.eigvecs, 0.3)) for x in got)
+    assert sp._powers.cache_info().currsize == 1
 
 
 def test_gamma_power_examples(rng):
@@ -265,6 +300,26 @@ def test_op_relative_entropy_rejects_nonpositive(rng):
     sp = random_space(2, rng)
     with pytest.raises(PositivityError, match="A_d"):
         sp.op_relative_entropy(2.0, np.diag([1.0, -0.1]))
+
+
+@pytest.mark.parametrize("projector", [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+def test_near_singular_probes_on_both_sides_of_the_positivity_gate(projector):
+    # f = eps 1 + P has eigenvalues eps and 1 + eps, so eps = c (1 + eps) puts
+    # the gate's ratio w_min / w_max at c; a diagonal f keeps eigh exact
+    g = random_davies(3, np.random.default_rng(5))
+    sp = g.stationary
+    for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+        c = POSITIVITY_REL_TOL * factor
+        f = c / (1.0 - c) * np.eye(3) + np.diag(projector)
+        probes = (lambda: dirichlet(g, 1.0, f), lambda: sp.ent(1.0, f),
+                  lambda: h_profile(g, f, 0.5, [0.0, 0.5, 1.0, 1.5, 2.0]))
+        for probe in probes:
+            if factor < 1.0:
+                with pytest.raises(PositivityError, match="A_d"):
+                    probe()
+            else:
+                val = np.asarray(probe())
+                assert np.isfinite(val).all() and (val >= 0.0).all()
 
 
 def test_ent_identity_is_zero(rng):

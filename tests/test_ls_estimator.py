@@ -10,6 +10,7 @@ from conftest import same_bits
 from qmix.dirichlet_gap import dirichlet, spectral_gap
 from qmix.generators import (
     build_depolarizing,
+    build_lindblad,
     build_projection,
     build_random_unitary,
     hat_generator,
@@ -99,6 +100,20 @@ def test_estimate_depolarizing_alpha2(rng):
         assert abs(rep.alpha_estimate - exact) <= 1e-3 * exact
         assert rep.analytic_bounds["closed_form"] == exact
         assert rep.alpha_estimate <= rep.analytic_bounds["gap_upper"] * (1 + 1e-6)
+
+
+def test_the_closed_form_alpha2_bound_follows_a_unital_closed_form_not_the_label():
+    d, gamma = 3, 0.7
+    units = [np.sqrt(gamma / d) * np.outer(np.eye(d)[i], np.eye(d)[j])
+             for i in range(d) for j in range(d)]
+    dense = build_lindblad(None, units, family="depolarizing")  # no closed form
+    assert dense.unital and dense._closed is None
+    assert "closed_form" not in estimate_alpha(dense, 2, budget=40, restarts=2).analytic_bounds
+    bounds = estimate_alpha(build_projection(np.eye(d) / d, gamma), 2, budget=40,
+                            restarts=2).analytic_bounds
+    assert bounds["closed_form"] == depolarizing_alpha2(d, gamma)
+    skew = build_projection(np.diag([0.5, 0.3, 0.2]), gamma)  # closed form, not unital
+    assert "closed_form" not in estimate_alpha(skew, 2, budget=40, restarts=2).analytic_bounds
 
 
 def test_estimate_report_consistency(rng):

@@ -6,9 +6,12 @@ import threading
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from qmix import generators, mixing
@@ -379,7 +382,7 @@ def test_mixing_time_reuses_the_curve_at_its_grid_times(monkeypatch, rng):
 
 def test_state_chunks_join_into_the_per_state_values():
     g = build_depolarizing(64, 1.0)
-    assert STACK_ENTRIES // 64 ** 2 == 16  # 70 states: 1 alone, 8 chunks of 8 and one of 5
+    assert STACK_ENTRIES // 64 ** 2 == 16  # 70 states: 8 chunks of 8 and one of 6
     grid = [0.0, 0.7, 3.0]
     curve = bound_curves(g, 1.0, None, grid, n_haar=6, seed=2)
     ref = reference_worst(g, grid, n_haar=6, seed=2)
@@ -414,6 +417,15 @@ def test_chunks_of_one_time_share_one_propagator(monkeypatch, rng):
         assert len(made) == len(set(made)) > 1
 
 
+def _chunk_measure(sp):
+    log_sigma = mixing._log_sigma(sp.eigvals, sp.eigvecs)
+
+    def measure(chunk, evolution):
+        rho_t, _ = mixing._evolve_states(evolution, chunk)
+        return np.array(mixing._distances(rho_t, sp, log_sigma))
+    return measure
+
+
 @pytest.mark.parametrize("family", ["dense_d8", "depolarizing_d64"])
 def test_pooled_chunks_equal_a_serial_loop_bit_for_bit(monkeypatch, rng, family):
     g = random_lindblad(8, rng) if family == "dense_d8" else build_depolarizing(64, 1.0)
@@ -421,48 +433,97 @@ def test_pooled_chunks_equal_a_serial_loop_bit_for_bit(monkeypatch, rng, family)
     monkeypatch.setattr(mixing, "STACK_ENTRIES", 6 * d * d)  # chunks of 3 states
     sp = g.stationary
     states = mixing._check_states(worst_case_states(sp, n_haar=5, seed=3))
-    log_sigma = mixing._log_sigma(sp.eigvals, sp.eigvecs)
-    threads, built = set(), []
-
-    def builds(make):
-        return lambda *args: built.append(threading.get_ident()) or make(*args)
-
-    monkeypatch.setattr(generators, "expm_superop", builds(generators.expm_superop))
-    monkeypatch.setattr(sp, "_sigma_power", builds(sp._sigma_power))
-    sp._pow_cache.clear()
-
-    caller = threading.get_ident()
+    values, built, names = _chunk_measure(sp), [], []
+    expm = generators.expm_superop
+    monkeypatch.setattr(generators, "expm_superop",
+                        lambda m, t: built.append(threading.get_ident()) or expm(m, t))
 
     def measure(chunk, evolution):
-        threads.add(threading.get_ident())
-        if threading.get_ident() == caller:
-            time.sleep(0.02)  # the worker asks first for what the caller has not built
-        rho_t, _ = mixing._evolve_states(evolution, chunk)
-        return np.array(mixing._distances(rho_t, sp, log_sigma))
+        names.append(threading.current_thread().name)
+        return values(chunk, evolution)
 
     for t in (0.0, 0.4, 2.5):
         pooled = mixing._per_state(g, measure, states, t)
         evolution = g._evolution(t, heis=False)
-        serial = np.concatenate([measure(states[i:i + 3], evolution)
+        serial = np.concatenate([values(states[i:i + 3], evolution)
                                  for i in range(0, len(states), 3)], axis=-1)
         assert pooled.shape == (3, len(states)) and np.array_equal(pooled, serial)
-    assert len(threads) == 2
-    assert built and set(built) == {caller}  # cached objects: the caller's only
+    assert len(names) == 3 * -(-len(states) // 3)
+    assert all(name.startswith("qmix-chunks") for name in names)
+    assert set(built) <= {threading.get_ident()}  # the propagators: the caller's only
+    assert bool(built) == (family == "dense_d8")
+
+
+@pytest.mark.parametrize("family", ["dense_d8", "depolarizing_d64"])
+def test_any_chunking_equals_the_serial_chunk_loop(family):
+    g = (random_lindblad(8, np.random.default_rng(7)) if family == "dense_d8"
+         else build_depolarizing(64, 1.0))
+    size = g.dim ** 2
+    sp = g.stationary
+    sample = mixing._check_states(worst_case_states(sp, n_haar=22, seed=4))
+    measure = _chunk_measure(sp)
+    evolution = g._evolution(0.6, heis=False)
+
+    @settings(max_examples=15, deadline=None)
+    @given(entries=st.integers(size, 12 * size), n=st.integers(1, 30))
+    def check(entries, n):
+        states = sample[:n]
+        step = n if n <= entries // size else max(1, entries // (2 * size))
+        serial = np.concatenate([measure(states[i:i + step], evolution)
+                                 for i in range(0, n, step)], axis=-1)
+        with mock.patch.object(mixing, "STACK_ENTRIES", entries):
+            assert np.array_equal(mixing._per_state(g, measure, states, 0.6), serial)
+
+    check()
+
+
+def _indexed_stack(n):
+    """n 2 x 2 'states' whose entries are their index; _per_state cuts them
+    into chunks of one state at STACK_ENTRIES = 8."""
+    return np.arange(n, dtype=float)[:, None, None] * np.ones((1, 2, 2))
 
 
 @pytest.mark.parametrize("failing, first", [({2, 3, 5}, 2), ({1, 2}, 1), ({4}, 4),
                                              ({3, 4}, 3)])
-def test_the_first_failing_chunk_raises(failing, first):
-    def fn(chunk):
-        if chunk in failing:
-            if chunk == first:
-                time.sleep(0.05)  # fails after the later chunks on the other thread
-            raise ValueError(f"chunk {chunk}")
-        return -chunk
+def test_the_first_failing_chunk_raises(monkeypatch, failing, first):
+    monkeypatch.setattr(mixing, "STACK_ENTRIES", 8)
+    g = build_depolarizing(2, 1.0)
 
-    assert mixing._in_order(lambda c: -c, [0, 1, 2, 3, 4]) == [0, -1, -2, -3, -4]
+    def fn(chunk, evolution):
+        k = int(chunk[0, 0, 0])
+        if k in failing:
+            if k == first:
+                time.sleep(0.05)  # fails after the later chunks on the other worker
+            raise ValueError(f"chunk {k}")
+        return np.array([-k])
+
+    ok = mixing._per_state(g, lambda chunk, ev: -chunk[:, 0, 0], _indexed_stack(5), 0.0)
+    assert ok.tolist() == [0, -1, -2, -3, -4]
     with pytest.raises(ValueError, match=f"chunk {first}$"):
-        mixing._in_order(fn, [0, 1, 2, 3, 4, 5])
+        mixing._per_state(g, fn, _indexed_stack(6), 0.0)
+
+
+def test_no_chunk_outlives_a_failing_call(monkeypatch):
+    monkeypatch.setattr(mixing, "STACK_ENTRIES", 8)
+    running, finished, started = [], [], threading.Event()
+
+    def fn(chunk, evolution):
+        k = int(chunk[0, 0, 0])
+        running.append(k)
+        try:
+            if k == 0:
+                started.wait(10.0)
+                raise ValueError("chunk 0")
+            started.set()
+            time.sleep(0.2)  # chunk 1 is still running when chunk 0 fails
+            finished.append(k)
+            return np.array([k])
+        finally:
+            running.remove(k)
+
+    with pytest.raises(ValueError, match="chunk 0$"):
+        mixing._per_state(build_depolarizing(2, 1.0), fn, _indexed_stack(4), 0.0)
+    assert running == [] and 1 in finished
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

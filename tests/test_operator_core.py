@@ -1,13 +1,9 @@
-import sys
-import threading
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
 from qmix.operator_core import (
-    _lru_get,
     as_matrix,
     choi_from_super,
     eig_hermitian,
@@ -39,29 +35,6 @@ def test_as_matrix_rejects_bad_input():
         as_matrix(np.array([[np.nan, 0], [0, 1]]))
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.inf, 0], [0, 1]]))
-
-
-def test_threads_asking_for_one_key_build_it_once():
-    cache, made, got = {}, [], []
-
-    def make():
-        made.append(threading.current_thread().name)
-        time.sleep(0.05)  # the other threads ask while this one builds
-        return np.zeros(1)
-
-    threads = [threading.Thread(target=lambda: got.append(_lru_get(cache, "k", make)))
-               for _ in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert len(made) == 1 and len(got) == 8 and all(x is cache["k"] for x in got)
 
 
 def test_require_hermitian_rejects_and_symmetrizes(rng):
