@@ -58,8 +58,33 @@ def _err(message: str, **extra) -> None:
     sys.stderr.write(json.dumps({"error": message, **extra}) + "\n")
 
 
+_JSON_TYPES = {type(None): "null", bool: "boolean", int: "integer", float: "number",
+               str: "string", list: "array", dict: "object"}
+
+
+def _typed(data: dict, key: str, kind: str, default=None):
+    """data[key] (or default, when given and key is absent), refused with a
+    ValueError unless its JSON type is kind: "integer" (not a boolean),
+    "number" (an integer too, returned as a float), "array" or "boolean"."""
+    value = data[key] if default is None or key in data else default
+    found = _JSON_TYPES.get(type(value), type(value).__name__)
+    if found != kind and (kind, found) != ("number", "integer"):
+        raise ValueError(f"field {key!r} must be a JSON {kind}, got {found}")
+    if kind == "number":
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise ValueError(f"field {key!r} is out of range: {exc}") from exc
+    return value
+
+
+def _matrices(data: dict, key: str, default=None) -> list:
+    return [matrix_from_json(m) for m in _typed(data, key, "array", default)]
+
+
 def load_generator_spec(data: dict) -> Generator:
-    """Build a Generator from the JSON input schema (see README)."""
+    """Build a Generator from the JSON input schema (see README).  Each field
+    must have the JSON type the schema gives it: a string number is refused."""
     if not isinstance(data, dict) or "family" not in data:
         raise ValueError("spec must be an object with a 'family' field")
     family = data["family"]
@@ -67,27 +92,29 @@ def load_generator_spec(data: dict) -> Generator:
         if family == "generic":
             ham = data.get("hamiltonian")
             ham = matrix_from_json(ham) if ham is not None else None
-            ops = [matrix_from_json(m) for m in data.get("lindblad_ops", [])]
-            return build_lindblad(ham, ops)
+            return build_lindblad(ham, _matrices(data, "lindblad_ops", default=[]))
         if family == "depolarizing":
-            return build_depolarizing(int(data["dim"]), float(data["gamma"]))
+            return build_depolarizing(_typed(data, "dim", "integer"),
+                                      _typed(data, "gamma", "number"))
         if family == "projection":
-            return build_projection(matrix_from_json(data["sigma"]), float(data["gamma"]))
+            return build_projection(matrix_from_json(data["sigma"]),
+                                    _typed(data, "gamma", "number"))
         if family == "davies":
             spec = DaviesSpec(
                 hamiltonian=matrix_from_json(data["hamiltonian"]),
-                coupling_ops=[matrix_from_json(m) for m in data["couplings"]],
-                beta=float(data["beta"]),
-                bohr_tol=float(data["bohr_tol"]) if "bohr_tol" in data else None)
+                coupling_ops=_matrices(data, "couplings"),
+                beta=_typed(data, "beta", "number"),
+                bohr_tol=_typed(data, "bohr_tol", "number") if "bohr_tol" in data else None)
             return build_davies(spec)
         if family == "channel":
-            g = lift_channel([matrix_from_json(m) for m in data["kraus"]])
-            if data.get("lazy"):
+            g = lift_channel(_matrices(data, "kraus"))
+            if _typed(data, "lazy", "boolean", default=False):
                 lazy_channel_super(g)
             return g
         if family == "random_unitary":
-            return build_random_unitary(int(data["dim"]), int(data["D"]),
-                                        int(data["seed"]))
+            return build_random_unitary(_typed(data, "dim", "integer"),
+                                        _typed(data, "D", "integer"),
+                                        _typed(data, "seed", "integer"))
     except KeyError as exc:
         raise ValueError(f"missing field {exc} for family {family!r}") from exc
     raise ValueError(f"unknown family {family!r}")

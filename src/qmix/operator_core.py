@@ -303,7 +303,12 @@ def matrix_to_json(a) -> list:
 
 
 def matrix_from_json(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+    """The matrix of a d x d JSON array of [re, im] number pairs; a string,
+    boolean or null entry is refused."""
+    arr = np.asarray(data)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError("matrix JSON entries must be numbers")
+    arr = arr.astype(float)
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
         raise ValueError("matrix JSON must be a d x d array of [re, im] pairs")
     return as_matrix(arr[..., 0] + 1j * arr[..., 1])

@@ -17,6 +17,15 @@ positive-weight sum of exponentials (the structure behind every proved
 case) has (-1)^n h^(n) >= 0 there, while the signs on the right half flip
 by symmetry, so the left half is the falsifiable side.
 
+regularity_profile evaluates its probes as stacks: the probes that pass the
+positivity gate go in chunks of STACK_ENTRIES // (2 grid_n d^2) probes (all
+12 of a default profile at d <= 4, one at a time at d = 16), so a chunk's
+temporaries stay near 1 MiB at any d.  Each chunk forms its powers, evolves
+them at each time and judges its rows with one stacked kernel each; a chunk
+that raises one of NUMERICAL_FAILURES is evaluated again one probe at a time.
+Every matrix and every row gets the bits it gets on its own, and the results
+are folded over (probe, t) in draw order.
+
 direct_regularity_check evaluates the defining inequalities
 E_p(f) >= c(p) * E_2(I_{2,p}(f)) themselves, which is the fallback route
 when an h-profile is inconclusive; conjecture_scan drives both over random
@@ -40,8 +49,9 @@ from .generators import (
     random_reversible_unital,
     stationary_state,
 )
-from .lp_space import NUMERICAL_FAILURES, _check_p, _check_positive, _sigma_power
+from .lp_space import NUMERICAL_FAILURES, _check_p, _check_positive
 from .operator_core import (
+    STACK_ENTRIES,
     _matrix_function,
     _re_trace,
     hermitian_part,
@@ -82,56 +92,94 @@ def h_profile(g: Generator, probe, t: float, s_grid) -> np.ndarray:
     The probe is decomposed once, by its positivity gate, and every g^s and
     g^{2-s} on the grid is formed from that one eigendecomposition."""
     quarters = _quarter_powers(stationary_state(g), s_grid)
-    powers = _probe_powers(probe, s_grid, quarters)  # checked before the evolution is built
-    return _h_profile(g._evolution(float(t), heis=True), powers)
+    w, v = _check_positive(probe, "h_profile probe")  # checked before the evolution is built
+    powers = _probe_powers(w[None], v[None], s_grid, quarters)
+    return _h_profile(g._evolution(float(t), heis=True), powers)[0]
 
 
 def _quarter_powers(sp, s_grid):
     """sigma^{s/4} and sigma^{-s/4} over the grid as two (n, d, d) stacks,
-    shared by every probe and time of a profile.  They are built one
-    `lp_space._sigma_power` per s, past the `sigma_power` cache that a
-    grid's exponents would only flush: a stacked w ** (s/4) rounds
-    differently at s/4 = 0.5, where numpy's scalar `w ** 0.5` takes a sqrt."""
-    w, v, shape = sp.eigvals, sp.eigvecs, (len(s_grid), sp.dim, sp.dim)
-    return (np.array([_sigma_power(w, v, float(s / 4.0)) for s in s_grid]).reshape(shape),
-            np.array([_sigma_power(w, v, float(-s / 4.0)) for s in s_grid]).reshape(shape))
+    shared by every probe and time of a profile, past the `sigma_power` cache
+    that a grid's exponents would only flush.  Each eigenvalue power is the
+    scalar-exponent w ** (s/4) of `lp_space._sigma_power` (a stacked power
+    rounds differently at s/4 = 0.5, where numpy's w ** 0.5 takes a sqrt), and
+    the 2n products are one stacked matmul."""
+    w, v, n = sp.eigvals, sp.eigvecs, len(s_grid)
+    exps = [float(s / 4.0) for s in s_grid] + [float(-s / 4.0) for s in s_grid]
+    ws = np.array([w ** e for e in exps]).reshape(2 * n, sp.dim)
+    powers = hermitian_part((v * ws[:, None, :]) @ v.conj().T)
+    return powers[:n], powers[n:]
 
 
-def _probe_powers(probe, s_grid, quarters):
-    """The probe's share of h over the grid, given the grid's `_quarter_powers`:
-    the stacks sigma^{-s/4} g^s sigma^{-s/4} (the arguments of T_t) and
-    sigma^{s/4} g^{2-s} sigma^{s/4}.  Every g^s and g^{2-s} comes from the
-    probe's one (w, v), its positivity gate's, by one stacked float_power and
-    matmul; each matrix gets the arithmetic it would get on its own."""
-    w, v = _check_positive(probe, "h_profile probe")
+def _probe_powers(w, v, s_grid, quarters):
+    """The probes' share of h over the grid, given the eigenvalues w (P, d)
+    and eigenvectors v (P, d, d) of P positive probes (their positivity
+    gate's) and the grid's `_quarter_powers`: the (P, n, d, d) stacks
+    sigma^{-s/4} g^s sigma^{-s/4} (the arguments of T_t) and
+    sigma^{s/4} g^{2-s} sigma^{s/4}.  Every g^s and g^{2-s} comes from one
+    stacked float_power and matmul; each matrix gets the arithmetic it would
+    get on its own."""
     s = np.asarray(s_grid, dtype=float)
-    exponents = np.concatenate([s, 2.0 - s])[:, None, None]
-    gs, g2s = np.split(hermitian_part((v * np.float_power(w, exponents)) @ v.conj().T), 2)
+    exponents = np.concatenate([s, 2.0 - s])[:, None]
+    fw = np.float_power(w[:, None, :], exponents)[..., None, :]  # (P, 2n, 1, d)
+    gs = hermitian_part((v[:, None] * fw) @ v.conj().swapaxes(-1, -2)[:, None])
     sq, sq_inv = quarters
-    return sq_inv @ gs @ sq_inv, sq @ g2s @ sq
+    return sq_inv @ gs[:, :len(s)] @ sq_inv, sq @ gs[:, len(s):] @ sq
 
 
 def _h_profile(evolution, powers) -> np.ndarray:
-    """h over the grid at time t from a probe's `_probe_powers`, given the
-    Heisenberg map of t (`Generator._evolution`): one evolution of all n
-    arguments of T_t, then n traces."""
+    """h over the grid at time t as a (P, n) array from P probes'
+    `_probe_powers`, given the Heisenberg map of t (`Generator._evolution`):
+    one evolution of all P n arguments of T_t, then P n traces."""
     args, weights = powers
-    return _re_trace(weights @ evolution(args))
+    evolved = evolution(args.reshape((-1,) + args.shape[2:])).reshape(args.shape)
+    return _re_trace(weights @ evolved)
 
 
-def _left_half_monotonicity_order(h: np.ndarray, scale: float) -> int:
-    """Largest n <= CM_MAX_ORDER with (-1)^k diff^k(h) >= -tol on s in [0, 1]
-    for all k <= n."""
-    half = len(h) // 2 + 1
-    left = h[:half]
-    order = 0
+def _chunk_profiles(evolution, powers):
+    """`_h_profile` of a chunk, and per probe the message of the
+    NUMERICAL_FAILURES it raises (None where it raises none).  A chunk of
+    more than one probe that raises is evaluated again one probe at a time,
+    as `_RatioProblem.ratios` does; a probe that fails on its own gets a row
+    of zeros, which the fold skips."""
+    try:
+        return _h_profile(evolution, powers), [None] * len(powers[0])
+    except NUMERICAL_FAILURES as exc:
+        if len(powers[0]) == 1:
+            return np.zeros(powers[0].shape[:2]), [str(exc)]
+    parts = [_chunk_profiles(evolution, (args[None], weights[None]))
+             for args, weights in zip(*powers)]
+    return np.concatenate([h for h, _ in parts]), [e for _, errors in parts for e in errors]
+
+
+def _verdicts(h, tr_g2):
+    """The verdicts of each row of an (R, n) stack of profiles, given each
+    row's probe's tr g^2: the arrays (min second difference, its ratio to the
+    row's scale, convex, symmetric, monotonicity order, endpoint deviation
+    over the scale), each entry the bits its row gets on its own."""
+    scale = np.maximum(np.max(np.abs(h), axis=1), 1e-300)
+    d2 = np.diff(h, n=2)
+    min_d2 = np.min(d2, axis=1) if d2.shape[1] else np.zeros(len(h))
+    convex = min_d2 >= -CONVEXITY_TOL * scale
+    symmetric = np.max(np.abs(h - h[:, ::-1]), axis=1) <= SYMMETRY_TOL * scale
+    ends, trace = np.abs(h[:, 0] - h[:, -1]), np.abs(h[:, 0] - tr_g2)
+    endpoint = np.where(trace > ends, trace, ends)  # max(ends, trace), row by row
+    return (min_d2, min_d2 / scale, convex, symmetric,
+            _left_half_monotonicity_order(h, scale), endpoint / scale)
+
+
+def _left_half_monotonicity_order(h: np.ndarray, scale) -> np.ndarray:
+    """Per row of an (R, n) stack: the largest k <= CM_MAX_ORDER with
+    (-1)^j diff^j(h) >= -tol on s in [0, 1] for all j <= k.  Each diff^j is one
+    first difference of diff^{j-1}, the steps np.diff(n=j) takes."""
+    dk = h[:, :h.shape[1] // 2 + 1]
+    order, holds = np.zeros(len(h), dtype=int), np.ones(len(h), dtype=bool)
     for k in range(1, CM_MAX_ORDER + 1):
-        dk = np.diff(left, n=k)
-        if dk.size == 0:
+        dk = np.diff(dk)
+        if dk.shape[1] == 0:
             break
-        if np.min(((-1.0) ** k) * dk) < -CM_TOL * scale:
-            break
-        order = k
+        holds &= ~(np.min(((-1.0) ** k) * dk, axis=1) < -CM_TOL * scale)
+        order[holds] = k
     return order
 
 
@@ -170,54 +218,65 @@ def regularity_profile(g: Generator, probes: int = 20, times=(0.1, 0.5, 1.0),
     completely_monotone_to_order: alternating-difference order on [0, 1].
     All three are aggregated with AND (min for the order) over the samples.
 
-    Each probe is decomposed once, by `_probe_powers`, and each time's
-    evolution map is built once, before the probes; a probe whose
-    decomposition fails is recorded as a failure at each time.
+    The probes are drawn, then each is decomposed once by its positivity
+    gate; a probe that fails the gate is recorded as a failure at each time.
+    The others go as stacks, in chunks of STACK_ENTRIES // (2 grid_n d^2)
+    probes.  Each time's evolution map is built once, and each chunk forms
+    its powers once (`_probe_powers`), evolves them at each time
+    (`_h_profile`) and judges its rows (`_verdicts`).  A chunk that raises
+    one of NUMERICAL_FAILURES at a time is evaluated again one probe at a
+    time, and each probe that fails on its own is recorded at that time.  The
+    results are folded over (probe, t) in draw order, so the worst row (the
+    first strict minimum), the order of the failures and every verdict are
+    those of a loop over one probe at a time.
     """
     rng = np.random.default_rng(seed)
     s_grid = np.linspace(0.0, 2.0, grid_n)
     quarters = _quarter_powers(stationary_state(g), s_grid)
     evolutions = [(float(t), g._evolution(float(t), heis=True)) for t in times]
+    n_sing = int(np.ceil(probes * 0.2))
+    drawn = [random_probe(g.dim, rng, near_singular=(i < n_sing)) for i in range(probes)]
+    # outcome[i][k]: probe i at time k, as its failure's message or its row's verdicts
+    outcome = [[None] * len(evolutions) for _ in drawn]
+    gated = []
+    for i, probe in enumerate(drawn):
+        try:
+            gated.append((i, *_check_positive(probe, "h_profile probe")))
+        except NUMERICAL_FAILURES as exc:
+            outcome[i] = [str(exc)] * len(evolutions)
+    chunk = max(1, STACK_ENTRIES // (2 * max(grid_n, 1) * g.dim ** 2))
+    for start in range(0, len(gated), chunk):
+        index, w, v = zip(*gated[start:start + chunk])
+        powers = _probe_powers(np.array(w), np.array(v), s_grid, quarters)
+        f = np.array([drawn[i] for i in index])
+        tr_g2 = _re_trace(f @ f)
+        for k, (_, evolution) in enumerate(evolutions):
+            h, errors = _chunk_profiles(evolution, powers)
+            for i, error, row in zip(index, errors, zip(*_verdicts(h, tr_g2), h)):
+                outcome[i][k] = row if error is None else error
     worst = None
     convex_all = True
     symmetric_all = True
     cm_order = CM_MAX_ORDER
     endpoint_worst = 0.0
     failures = []
-    n_sing = int(np.ceil(probes * 0.2))
-    for i in range(probes):
-        probe = random_probe(g.dim, rng, near_singular=(i < n_sing))
-        try:
-            powers = _probe_powers(probe, s_grid, quarters)
-        except NUMERICAL_FAILURES as exc:  # recorded once per time, as each would fail
-            failures += [{"probe_index": i, "t": t, "error": str(exc)} for t, _ in evolutions]
-            continue
-        for t, evolution in evolutions:
-            try:
-                h = _h_profile(evolution, powers)
-            except NUMERICAL_FAILURES as exc:
-                failures.append({"probe_index": i, "t": t, "error": str(exc)})
+    for i, row in enumerate(outcome):
+        for (t, _), out in zip(evolutions, row):
+            if isinstance(out, str):
+                failures.append({"probe_index": i, "t": t, "error": out})
                 continue
-            scale = max(np.max(np.abs(h)), 1e-300)
-            d2 = np.diff(h, n=2)
-            min_d2 = float(np.min(d2)) if d2.size else 0.0
-            convex = min_d2 >= -CONVEXITY_TOL * scale
-            sym_dev = float(np.max(np.abs(h - h[::-1])))
-            symmetric = sym_dev <= SYMMETRY_TOL * scale
-            order = _left_half_monotonicity_order(h, scale)
-            endpoint = max(abs(h[0] - h[-1]),
-                           abs(h[0] - _re_trace(probe @ probe)))
+            min_d2, ratio, convex, symmetric, order, endpoint, h = out
             convex_all &= convex
             symmetric_all &= symmetric
-            cm_order = min(cm_order, order)
-            endpoint_worst = max(endpoint_worst, endpoint / scale)
-            if worst is None or min_d2 / scale < worst[0]:
-                worst = (min_d2 / scale, h, t, probe, min_d2)
+            cm_order = min(cm_order, int(order))
+            endpoint_worst = max(endpoint_worst, endpoint)
+            if worst is None or ratio < worst[0]:
+                worst = (ratio, h, t, drawn[i], float(min_d2))
     if worst is None:
         raise ArithmeticError("all probes failed; no profile available")
     _, h, t, probe, min_d2 = worst
     return RegularityProfile(
-        s_grid=s_grid, h_values=h, t=t, probe=probe,
+        s_grid=s_grid, h_values=h.copy(), t=t, probe=probe,  # a copy frees the chunk
         verdicts={
             "convex": bool(convex_all),
             "symmetric": bool(symmetric_all),

@@ -95,7 +95,8 @@ def test_d1_spec_is_one_bad_spec_line(tmp_path, capsys, command):
 
 SIGMA3 = matrix_to_json(np.diag([0.5, 0.3, 0.2]).astype(complex))
 DIAG011 = matrix_to_json(np.diag([0.0, 1.0, 1.0]).astype(complex))
-ONES3 = matrix_to_json(np.ones((3, 3), dtype=complex))
+ONES3_M = np.ones((3, 3), dtype=complex)
+ONES3 = matrix_to_json(ONES3_M)
 
 
 @pytest.mark.parametrize("spec, error", [
@@ -120,6 +121,65 @@ def test_a_bad_builder_input_is_one_bad_spec_line(tmp_path, capsys, spec, error)
     assert main(["analyze", path, "--seed", "0"]) == 1
     err = [json.loads(line) for line in capsys.readouterr().err.strip().splitlines()]
     assert err == [{"error": error, "kind": "bad_spec", "path": path}]
+
+
+@pytest.mark.parametrize("spec, error", [
+    ({"family": "depolarizing", "dim": None, "gamma": 1.0},
+     "field 'dim' must be a JSON integer, got null"),
+    ({"family": "generic", "lindblad_ops": 5}, "field 'lindblad_ops' must be a JSON array, got integer"),
+    ({"family": "depolarizing", "dim": "3", "gamma": "1"},
+     "field 'dim' must be a JSON integer, got string"),
+    ({"family": "davies", "hamiltonian": DIAG011, "couplings": [ONES3], "beta": 1.0,
+      "bohr_tol": None}, "field 'bohr_tol' must be a JSON number, got null"),
+])
+def test_a_wrong_json_type_is_one_bad_spec_line(tmp_path, capsys, spec, error):
+    path = write_spec(tmp_path / "g.json", spec)
+    assert main(["analyze", path, "--skip", "ls,regularity", "--seed", "0"]) == 1
+    err = [json.loads(line) for line in capsys.readouterr().err.strip().splitlines()]
+    assert err == [{"error": error, "kind": "bad_spec", "path": path}]
+
+
+# one valid spec per family (d <= 3), and for each field the JSON values of a wrong type
+_VALID_SPECS = [
+    {"family": "depolarizing", "dim": 3, "gamma": 1.0},
+    {"family": "projection", "sigma": SIGMA3, "gamma": 0.5},
+    {"family": "generic", "hamiltonian": DIAG011,
+     "lindblad_ops": [matrix_to_json(np.triu(ONES3_M, 1)), matrix_to_json(np.tril(ONES3_M, -1))]},
+    {"family": "davies", "hamiltonian": matrix_to_json(np.diag([0.0, 1.0, 2.5])),
+     "couplings": [ONES3], "beta": 1.0, "bohr_tol": 1e-9},
+    {"family": "channel", "kraus": [matrix_to_json(k) for k in (
+        np.sqrt(0.5) * np.eye(2), 0.5 * PAULI_X, 0.5 * PAULI_Y)], "lazy": True},
+    {"family": "random_unitary", "dim": 3, "D": 2, "seed": 11},
+]
+_WRONG = {
+    "integer": [None, "3", True, 3.0, [3], {"v": 3}],
+    "number": [None, "1", False, [1.0], {"v": 1.0}, 10 ** 400],
+    "array": [None, "x", True, 5, {"v": 1}, [5], [[1]], [None]],
+    "boolean": [None, "false", 0, 1.0, [True], {"v": True}],
+    "matrix": [None, "x", True, 5, {"v": 1}, [[1]], [[["1", "0"]]], [[[True, 0]]],
+               [[[0, 1], [1]]]],
+}
+_KINDS = {"dim": "integer", "D": "integer", "seed": "integer", "gamma": "number",
+          "beta": "number", "bohr_tol": "number", "lindblad_ops": "array",
+          "couplings": "array", "kraus": "array", "sigma": "matrix", "hamiltonian": "matrix",
+          "lazy": "boolean"}
+
+
+def test_every_wrong_json_type_in_a_spec_is_one_bad_spec_line(tmp_path, capsys):
+    for valid in _VALID_SPECS:
+        path = write_spec(tmp_path / "g.json", valid)
+        assert main(["analyze", path, "--skip", "ls,regularity", "--seed", "0"]) == 0, valid
+        capsys.readouterr()
+        for field in set(valid) & set(_KINDS):
+            for value in _WRONG[_KINDS[field]]:
+                if valid["family"] == "generic" and field == "hamiltonian" and value is None:
+                    continue  # the schema allows a null Hamiltonian
+                path = write_spec(tmp_path / "g.json", {**valid, field: value})
+                code = main(["analyze", path, "--skip", "ls,regularity", "--seed", "0"])
+                lines = capsys.readouterr().err.strip().splitlines()
+                err = [json.loads(line) for line in lines]
+                assert code == 1 and len(err) == 1 and err[0]["kind"] == "bad_spec", (
+                    field, value, code, lines)
 
 
 def test_davies_degenerate_pair_is_not_primitive_at_the_default_bohr_tol(tmp_path, capsys):

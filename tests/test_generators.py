@@ -2,6 +2,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmix.generators import (
     SUPEROP_DIM_LIMIT,
@@ -22,8 +24,10 @@ from qmix.generators import (
     random_davies,
     random_lindblad,
     random_reversible_unital,
+    random_unitary_kraus,
     stationary_state,
 )
+from qmix.dirichlet_gap import dirichlet
 from qmix.operator_core import (
     STACK_ENTRIES,
     choi_from_super,
@@ -606,3 +610,47 @@ def test_large_stacked_action_equals_each_matrix_on_its_own(rng):
             assert np.array_equal(g._apply(stack), np.array([g._apply(x) for x in stack]))
             assert np.array_equal(g._apply_adjoint(stack),
                                   np.array([g._apply_adjoint(x) for x in stack]))
+
+
+# ---------------------------------------------------------------------------
+# properties of every builder, over drawn generators at d <= 6
+# ---------------------------------------------------------------------------
+
+def _tensor_qubit(d, rng):
+    return build_tensor_qubit_depolarizing(1 if d < 4 else 2)
+
+
+_BUILDERS = {
+    "generic": lambda d, rng: random_lindblad(d, rng),
+    "davies": lambda d, rng: random_davies(d, rng),
+    "channel": lambda d, rng: lift_channel(random_unitary_kraus(d, 2, rng, reversible=False)),
+    "random_unitary": lambda d, rng: build_random_unitary(d, 2, int(rng.integers(2 ** 16))),
+    "tensor_qubit": _tensor_qubit,
+    "depolarizing": lambda d, rng: build_depolarizing(d, float(rng.uniform(0.2, 2.0))),
+    "projection": lambda d, rng: build_projection(random_density_matrix(d, rng),
+                                                  float(rng.uniform(0.2, 2.0))),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(sorted(_BUILDERS)), d=st.integers(2, 6), hat=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_builder_properties_hypothesis(family, d, hat, seed):
+    """L(1) = 0, L*(sigma) = 0, E_2(f) = -<f, L f>_sigma with the KMS inner
+    product formed here from sigma^{1/2}, and the hat of the hat acts as L."""
+    rng = np.random.default_rng(seed)
+    g = _BUILDERS[family](d, rng)
+    if hat:
+        g = hat_generator(g)
+    d = g.dim
+    scale = max(1.0, max_abs(g.super_L))
+    sigma = stationary_state(g).sigma
+    assert max_abs(g.apply(np.eye(d))) <= 1e-10 * scale
+    assert max_abs(g.apply_adjoint(sigma)) <= 1e-10 * scale
+    w, v = np.linalg.eigh(sigma)
+    half = (v * np.sqrt(w)) @ v.conj().T
+    f = random_hermitian(d, rng)
+    kms = -float(np.trace(half @ f @ half @ g.apply(f)).real)
+    assert abs(dirichlet(g, 2.0, f) - kms) <= 1e-10 * scale * max(1.0, max_abs(f)) ** 2
+    assert max_abs(hat_generator(hat_generator(g)).apply(f) - g.apply(f)) <= (
+        1e-10 * scale * max(1.0, max_abs(f)))

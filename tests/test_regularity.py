@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmix.dirichlet_gap import dirichlet
 from qmix.generators import (
@@ -11,7 +13,7 @@ from qmix.generators import (
     random_lindblad,
     random_reversible_unital,
 )
-from qmix.lp_space import PositivityError
+from qmix.lp_space import PositivityError, _check_positive, _sigma_power
 from qmix.operator_core import (
     choi_from_super,
     haar_unitary,
@@ -32,7 +34,7 @@ from qmix.regularity import (
     regularity_profile,
 )
 
-from conftest import qubit_davies
+from conftest import qubit_davies, same_bits
 
 
 def test_h_endpoints(rng):
@@ -211,8 +213,10 @@ def test_h_profile_equals_table_fed_kernel(rng):
             probe = random_probe(g.dim, rng, near_singular=(i == 0))
             for t in (0.1, 1.0):
                 h = h_profile(g, probe, t, s_grid)
+                w, v = _check_positive(probe)
                 assert np.array_equal(h, _h_profile(g._evolution(t, heis=True),
-                                                    _probe_powers(probe, s_grid, quarters)))
+                                                    _probe_powers(w[None], v[None], s_grid,
+                                                                  quarters))[0])
                 w, v = np.linalg.eigh(0.5 * (probe + probe.conj().T))
                 for s, hs in zip(s_grid, h):
                     gs = hermitian_part((v * np.float_power(w, s)) @ v.conj().T)
@@ -269,30 +273,47 @@ def test_regularity_profile_lets_a_bug_raise(monkeypatch):
 
 
 @pytest.mark.parametrize("exc", [PositivityError("not positive"), ArithmeticError("breakdown"),
-                                 np.linalg.LinAlgError("no convergence")])
+                                 np.linalg.LinAlgError("no convergence"), ArithmeticError()])
 def test_regularity_profile_records_a_numerical_failure(exc, monkeypatch):
+    # planted at probe 0 and t = 0.1: the chunk of both probes raises, then
+    # probe 0 alone raises and probe 1 alone does not
     import qmix.regularity as regularity
 
     original, calls = regularity._h_profile, []
 
-    def first_fails(*args):
-        calls.append(args)
-        if len(calls) == 1:
+    def probe_0_at_first_time_fails(evolution, powers):
+        calls.append((evolution, powers[0][0]))
+        first_evolution, probe_0 = calls[0]
+        if evolution is first_evolution and np.array_equal(powers[0][0], probe_0):
             raise exc
-        return original(*args)
+        return original(evolution, powers)
 
-    monkeypatch.setattr(regularity, "_h_profile", first_fails)
+    monkeypatch.setattr(regularity, "_h_profile", probe_0_at_first_time_fails)
     prof = regularity_profile(build_depolarizing(2, 1.0), probes=2, seed=0)
     assert prof.failures == [{"probe_index": 0, "t": 0.1, "error": str(exc)}]
+    assert len(calls) == 5  # the chunk and each probe at t = 0.1, then the chunk at 0.5 and 1.0
 
 
-def _profile_one_probe_at_a_time(g, probes, seed):
-    """regularity_profile's loop as it ran before the per-probe decomposition:
-    the public h_profile per (probe, t), on the default grid and times."""
+def _monotonicity_order(h, scale):
+    """The left-half monotonicity order of one profile, np.diff(n=k) per k."""
+    import qmix.regularity as regularity
+
+    left, order = h[:len(h) // 2 + 1], 0
+    for k in range(1, regularity.CM_MAX_ORDER + 1):
+        dk = np.diff(left, n=k)
+        if dk.size == 0 or np.min(((-1.0) ** k) * dk) < -regularity.CM_TOL * scale:
+            break
+        order = k
+    return order
+
+
+def _profile_one_probe_at_a_time(g, probes, seed, times=(0.1, 0.5, 1.0), grid_n=101):
+    """regularity_profile's loop as it ran before the probe stacks: the
+    public h_profile per (probe, t), each profile judged on its own."""
     import qmix.regularity as regularity
 
     rng = np.random.default_rng(seed)
-    s_grid, times = np.linspace(0.0, 2.0, 101), (0.1, 0.5, 1.0)
+    s_grid = np.linspace(0.0, 2.0, grid_n)
     worst, convex_all, symmetric_all, cm_order, endpoint_worst, failures = (
         None, True, True, regularity.CM_MAX_ORDER, 0.0, [])
     n_sing = int(np.ceil(probes * 0.2))
@@ -305,10 +326,11 @@ def _profile_one_probe_at_a_time(g, probes, seed):
                 failures.append({"probe_index": i, "t": float(t), "error": str(exc)})
                 continue
             scale = max(np.max(np.abs(h)), 1e-300)
-            min_d2 = float(np.min(np.diff(h, n=2)))
+            d2 = np.diff(h, n=2)
+            min_d2 = float(np.min(d2)) if d2.size else 0.0
             convex_all &= min_d2 >= -regularity.CONVEXITY_TOL * scale
             symmetric_all &= float(np.max(np.abs(h - h[::-1]))) <= regularity.SYMMETRY_TOL * scale
-            cm_order = min(cm_order, regularity._left_half_monotonicity_order(h, scale))
+            cm_order = min(cm_order, _monotonicity_order(h, scale))
             endpoint = max(abs(h[0] - h[-1]), abs(h[0] - float(np.trace(probe @ probe).real)))
             endpoint_worst = max(endpoint_worst, endpoint / scale)
             if worst is None or min_d2 / scale < worst[0]:
@@ -328,6 +350,7 @@ def _assert_same_profile(prof, ref):
     for name in ("t", "verdicts", "min_second_difference", "endpoint_dev", "n_probes",
                  "n_times", "failures"):
         assert getattr(prof, name) == getattr(ref, name), name
+    assert type(prof.endpoint_dev) is type(ref.endpoint_dev)  # the fingerprint prints its repr
 
 
 def _profile_generators(rng):
@@ -342,20 +365,86 @@ def test_regularity_profile_equals_one_probe_at_a_time(rng):
                              _profile_one_probe_at_a_time(g, probes=5, seed=4))
 
 
-def test_regularity_profile_records_a_failed_probe_at_each_time(rng, monkeypatch):
+def _not_positive_at(monkeypatch, index, every):
+    """Make random_probe return -probe for probe `index` of each profile of
+    `every` probes: a probe that fails its positivity gate."""
     import qmix.regularity as regularity
 
     draw, calls = regularity.random_probe, []
 
-    def second_not_positive(d, rng, near_singular=False):
+    def planted(d, rng, near_singular=False):
         probe = draw(d, rng, near_singular)
         calls.append(probe)
-        return -probe if len(calls) % 5 == 2 else probe  # probe 1 of each profile
+        return -probe if (len(calls) - 1) % every == index else probe
 
-    monkeypatch.setattr(regularity, "random_probe", second_not_positive)
+    monkeypatch.setattr(regularity, "random_probe", planted)
+
+
+def test_regularity_profile_records_a_failed_probe_at_each_time(rng, monkeypatch):
+    _not_positive_at(monkeypatch, 1, 5)
     for g in _profile_generators(rng):
         prof = regularity_profile(g, probes=5, seed=4)
         ref = _profile_one_probe_at_a_time(g, probes=5, seed=4)
         assert [f["probe_index"] for f in prof.failures] == [1, 1, 1]
         assert [f["t"] for f in prof.failures] == [0.1, 0.5, 1.0]
         _assert_same_profile(prof, ref)
+
+
+_FAMILIES = ("generic", "davies", "depolarizing", "projection")
+
+
+def _drawn_generator(family, d, seed):
+    rng = np.random.default_rng(seed)
+    if family == "generic":
+        return random_lindblad(d, rng)
+    if family == "davies":
+        return random_davies(d, rng)
+    if family == "depolarizing":
+        return build_depolarizing(d, 0.7)
+    return build_projection(random_density_matrix(d, rng), 0.8)
+
+
+@settings(max_examples=20, deadline=None)
+@given(family=st.sampled_from(_FAMILIES), d=st.integers(2, 6), probes=st.integers(1, 12),
+       grid_n=st.integers(1, 101), times=st.lists(st.sampled_from((0.0, 0.05, 0.3, 2.0)),
+                                                 min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 16))
+def test_regularity_profile_equals_one_probe_at_a_time_hypothesis(family, d, probes, grid_n,
+                                                                   times, seed):
+    g = _drawn_generator(family, d, seed)
+    _assert_same_profile(regularity_profile(g, probes=probes, times=times, grid_n=grid_n, seed=seed),
+                         _profile_one_probe_at_a_time(g, probes, seed, times, grid_n))
+
+
+def test_regularity_profile_equals_one_probe_at_a_time_across_chunks(rng, monkeypatch):
+    # d = 16 on the default grid: one probe per chunk; probe 1 fails its gate
+    import qmix.regularity as regularity
+
+    assert regularity.STACK_ENTRIES // (2 * 101 * 16 * 16) == 1
+    g = random_lindblad(16, rng)
+    _assert_same_profile(regularity_profile(g, probes=3, times=(0.3,), seed=2),
+                         _profile_one_probe_at_a_time(g, 3, 2, times=(0.3,)))
+    _not_positive_at(monkeypatch, 1, 3)
+    prof = regularity_profile(g, probes=3, times=(0.3,), seed=2)
+    assert [f["probe_index"] for f in prof.failures] == [1]
+    _assert_same_profile(prof, _profile_one_probe_at_a_time(g, 3, 2, times=(0.3,)))
+
+
+def test_regularity_profile_with_a_non_positive_probe_inside_a_chunk(rng, monkeypatch):
+    # probe 3 of 7 fails its gate; the other six still go as one chunk
+    _not_positive_at(monkeypatch, 3, 7)
+    for g in _profile_generators(rng):
+        prof = regularity_profile(g, probes=7, times=(0.2, 0.9), seed=11)
+        assert [(f["probe_index"], f["t"]) for f in prof.failures] == [(3, 0.2), (3, 0.9)]
+        _assert_same_profile(prof, _profile_one_probe_at_a_time(g, 7, 11, times=(0.2, 0.9)))
+
+
+def test_quarter_powers_equal_one_sigma_power_per_exponent(rng):
+    sp = random_davies(3, rng).stationary
+    s_grid = np.array([0.0, 0.7, 2.0, -2.0, 1.3])  # s/4 = 0.5 and -0.5 included
+    sq, sq_inv = _quarter_powers(sp, s_grid)
+    for s, a, b in zip(s_grid, sq, sq_inv):
+        assert same_bits(a, _sigma_power(sp.eigvals, sp.eigvecs, float(s / 4.0)))
+        assert same_bits(b, _sigma_power(sp.eigvals, sp.eigvecs, float(-s / 4.0)))
+    sq, sq_inv = _quarter_powers(sp, [])
+    assert sq.shape == sq_inv.shape == (0, 3, 3)

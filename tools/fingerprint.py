@@ -47,6 +47,9 @@ does, and writes into ``--out``:
   columns and ``mixing_time`` of depolarizing d = 64 at gamma = 1, with the
   mixing op's grid, ``n_haar``, epsilon and ``--seed``, whose state chunks
   run on two threads (the mixing ops record only lambda, margin and tau);
+  and after those ``regularity_profile(g, probes=3, times=(0.3,),
+  seed=--seed).to_dict()`` on a generic d = 16 generator, on the default
+  grid, where the probe stack runs one probe per chunk;
 * ``cli_errors.txt`` -- the exit code and stderr of ``qmix analyze`` and
   ``qmix mixing`` (``--seed 0``) on four failing specs: a pure-Hamiltonian
   generator, ``{not json``, an unknown family and a depolarizing spec
@@ -221,6 +224,9 @@ def library_lines(seed: int) -> list:
            bound_curves(g, 1.0, None, MIXING_T_GRID, n_haar=MIXING_N_HAAR, seed=seed).to_json())
     record("depolarizing_d64.mixing_time",
            mixing_time(g, MIXING_EPSILON, n_haar=MIXING_N_HAAR, seed=seed))
+    g = build_lindblad(0.5 * (positive(16) - positive(16)), [matrix(16) / 16, matrix(16) / 16])
+    record("generic_d16.regularity_profile(probes=3, times=(0.3,))",
+           regularity_profile(g, probes=3, times=(0.3,), seed=seed).to_dict())
     return lines
 
 
