@@ -16,14 +16,13 @@ give both their actions and their closed-form semigroups, which keeps
 large dimensions (the depolarizing d = 64 runs) out of the dense-superoperator
 path; `Generator.family` is only a label.  Everything is cross-checked
 against the generic path in the tests.  The sigma-adjoint generator is
-built only by `hat_generator`, and shared by all its holders.
+built only by `hat_generator`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +34,6 @@ from .operator_core import (
     _ginibre,
     _re_trace,
     as_matrix,
-    eig_hermitian,
     expm_superop,
     haar_unitary,
     hermitian_part,
@@ -126,7 +124,6 @@ class Generator:
         self.primitive = None
         self.stationary: WeightedSpace | None = None
         self._no_stationary = f"{family} generator has no stationary state"  # see classify
-        self._hat: weakref.ref | None = None  # see hat_generator
 
     # -- actions ---------------------------------------------------------------
 
@@ -431,7 +428,7 @@ def build_projection(sigma, gamma: float) -> Generator:
 
 def gibbs_state(hamiltonian, beta: float) -> np.ndarray:
     h = require_hermitian(hamiltonian, name="hamiltonian")
-    w, v = eig_hermitian(h)
+    w, v = np.linalg.eigh(h)
     # shift by the ground energy for a stable exponential
     ew = np.exp(-beta * (w - w[0]))
     ew /= ew.sum()
@@ -486,7 +483,7 @@ def davies_jump_operators(spec: DaviesSpec):
     tol = spec.bohr_tol
     if tol is not None and not (tol >= 0 and math.isfinite(tol)):
         raise GeneratorError(f"bohr_tol must be finite and >= 0, got {tol}")
-    energies, v = eig_hermitian(h)
+    energies, v = np.linalg.eigh(h)
     if tol is None:
         tol = 1e-9 * max(float(energies[-1] - energies[0]), 1.0)
     groups = _bohr_groups(energies, tol)
@@ -636,14 +633,9 @@ def hat_generator(g: Generator) -> Generator:
     stationary state of L, satisfies Lhat(1) = 0 and Lhat*(sigma) = 0, and
     equals L itself when L is reversible.  Every hat action (Dirichlet
     forms, the gap, the LS search, relative-density evolution) goes through
-    this one object: while any caller holds the hat, hat_generator(g)
-    returns it.  g keeps only a weak reference, so the hat's dense
-    superoperators are freed with its last holder rather than kept for g's
-    lifetime.
+    a hat built here.  g keeps no reference to it, so the hat's dense
+    superoperators are freed with its last holder.
     """
-    h = None if g._hat is None else g._hat()
-    if h is not None:
-        return h
     sp = stationary_state(g)
     half = sp.sigma_power(0.5)
     half_inv = sp.sigma_power(-0.5)
@@ -663,7 +655,6 @@ def hat_generator(g: Generator) -> Generator:
     h.primitive = True
     h.reversible = g.reversible
     h.unital = max_abs(h.apply_adjoint(np.eye(g.dim))) <= TRACE_PRESERVING_TOL * 10.0
-    g._hat = weakref.ref(h)
     return h
 
 

@@ -33,11 +33,9 @@ import numpy as np
 from ._blas import blas_threads_for
 from .operator_core import (
     _eig_function,
-    _eigh,
     _matrix_function,
     _re_trace,
     as_matrix,
-    eig_hermitian,
     hermitian_part,
     left_right_super,
     require_hermitian,
@@ -74,7 +72,7 @@ def _check_positive(f, name: str = "f"):
 
 def _require_positive(f, name: str = "f"):
     """The positivity gate of _check_positive on a matrix the library built."""
-    w, v = _eigh(f)
+    w, v = np.linalg.eigh(f)
     if _not_positive(w):
         raise PositivityError(
             f"{name} requires f in A_d^+ (positive definite): "
@@ -107,7 +105,7 @@ class WeightedSpace:
         tr = _re_trace(sigma)
         if abs(tr - 1.0) > TRACE_TOL * max(1.0, abs(tr)):
             raise ValueError(f"sigma must have unit trace, got {tr!r}")
-        w, v = eig_hermitian(sigma)
+        w, v = np.linalg.eigh(sigma)
         if w[0] <= RANK_TOL:
             raise ValueError(
                 f"sigma must be full rank: min eigenvalue {w[0]:.3e} <= {RANK_TOL:.1e}")
@@ -208,7 +206,7 @@ class WeightedSpace:
     def _root_eig(self, p: float, f):
         """(w, v) of X = Gamma^{1/p}(f), for a matrix or an (n, d, d) stack: one
         decomposition serves I_{q,p}(f) for every q."""
-        return _eigh(self._gamma(1.0 / p, f))
+        return np.linalg.eigh(self._gamma(1.0 / p, f))
 
     def _power_operator(self, p: float, q: float, root_eig) -> np.ndarray:
         """I_{p,q}(f) = Gamma^{-1/p}[ |X|^{q/p} ], given root_eig = `_root_eig(q, f)`."""

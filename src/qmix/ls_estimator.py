@@ -56,7 +56,6 @@ from .lp_space import NUMERICAL_FAILURES, _not_positive
 from .mixing import worst_case_states
 from .operator_core import (
     STACK_ENTRIES,
-    _eigh,
     _expm_hermitian,
     _ginibre,
     _matrix_function,
@@ -65,6 +64,7 @@ from .operator_core import (
     hermitian_part,
     max_abs,
     report_dict,
+    require_hermitian,
 )
 
 __all__ = [
@@ -215,8 +215,6 @@ class _RatioProblem:
     dirichlet(g, p, f) / space.ent(p, f) exactly.  f outside A_d^+,
     Ent_p(f) <= ENT_FLOOR and numerical breakdown give +inf; any other error
     (a wrong-dimension f, say) propagates.  n_evals counts the matrices.
-    `eigh` is the positivity gate's: np.linalg.eigh on the packed path's
-    exactly Hermitian f, whose symmetrization `_eigh` would only repeat.
     """
 
     def __init__(self, g: Generator, p: int):
@@ -225,7 +223,7 @@ class _RatioProblem:
         self.space = stationary_state(g)
         self.n_evals = 0
 
-    def ratios(self, fs, eigh=_eigh) -> list:
+    def ratios(self, fs) -> list:
         """The ratio of each matrix of an (n, d, d) stack, through the stack
         kernels in chunks of at most STACK_ENTRIES entries; each matrix gets
         the bits it gets in a stack of one.  The rules apply in stack order:
@@ -236,21 +234,21 @@ class _RatioProblem:
         matrix that raises on its own gets inf."""
         chunk = max(1, STACK_ENTRIES // fs[0].size)
         if len(fs) > chunk:
-            return [v for s in range(0, len(fs), chunk) for v in self.ratios(fs[s:s + chunk], eigh)]
+            return [v for s in range(0, len(fs), chunk) for v in self.ratios(fs[s:s + chunk])]
         try:
-            values = self._stacked(fs, eigh)
+            values = self._stacked(fs)
         except NUMERICAL_FAILURES:
             if len(fs) > 1:
-                return [v for i in range(len(fs)) for v in self.ratios(fs[i:i + 1], eigh)]
+                return [v for i in range(len(fs)) for v in self.ratios(fs[i:i + 1])]
             values = [np.inf]
         self.n_evals += len(fs)
         return values
 
-    def _stacked(self, fs, eigh) -> list:
+    def _stacked(self, fs) -> list:
         """`ratios` of one chunk, n_evals untouched; raises what a kernel raises."""
         sp = self.space
         values = [np.inf] * len(fs)
-        index = np.flatnonzero(~_not_positive(eigh(fs)[0]))
+        index = np.flatnonzero(~_not_positive(np.linalg.eigh(fs)[0]))
         f = fs[index]
         if self.p == 1.0:
             gf, log_ratio = sp._log_ratio(f)
@@ -271,8 +269,7 @@ class _RatioProblem:
         d = self.g.dim
         chunk = max(1, STACK_ENTRIES // (d * d))
         return [v for s in range(0, len(xs), chunk)
-                for v in self.ratios(_expm_hermitian(_unpack(np.asarray(xs[s:s + chunk]), d)),
-                                     np.linalg.eigh)]
+                for v in self.ratios(_expm_hermitian(_unpack(np.asarray(xs[s:s + chunk]), d)))]
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +390,8 @@ def estimate_alpha(g: Generator, p: int, budget: int = 1500, restarts: int = 8,
     counts = [0, prob.n_evals]  # n_evals after each stage
 
     # 2. the caller's starts, one evaluation each
-    for f0 in extra_starts:
-        f0 = hermitian_part(sp._check_dim(f0))
+    for i, f0 in enumerate(extra_starts):
+        f0 = require_hermitian(sp._check_dim(f0), name=f"extra_starts[{i}]")
         candidates.append((prob.ratios(f0[None])[0], f0, "extra_starts"))
     counts.append(prob.n_evals)
 
@@ -402,8 +399,10 @@ def estimate_alpha(g: Generator, p: int, budget: int = 1500, restarts: int = 8,
     candidates.sort(key=lambda c: c[0])
 
     # 3. Nelder-Mead restarts side by side: best candidates first, then random
-    # Gaussians
-    starts = [_pack(_matrix_function(f, np.log, eig_floor=1e-300)) for _, f, _ in candidates[:3]]
+    # Gaussians.  A line or spike point is Hermitian only to rounding, and its
+    # log's eigenvectors would follow that rounding, so it is symmetrized first
+    starts = [_pack(_matrix_function(hermitian_part(f), np.log, eig_floor=1e-300))
+              for _, f, _ in candidates[:3]]
     while len(starts) < restarts:
         starts.append(_pack(hermitian_part(0.7 * _ginibre((d, d), rng))))
     best_x = starts[0] if starts else _pack(np.zeros((d, d), dtype=complex))

@@ -9,6 +9,14 @@ product gives the bits of kron(B.T, A)) and the Choi reshuffle of
 `choi_from_super` know this layout; a dedicated test asserts it.  The
 Hermitian parametrization of the log-Sobolev and (p, q)-norm searches,
 the real trace and the complex Gaussian draw live here too.
+
+Every kernel that returns a Hermitian matrix ends in `hermitian_part`, whose
+output is exactly Hermitian and is its own `hermitian_part` bit for bit, so
+the library decomposes its own matrices with `np.linalg.eigh` directly;
+only the public entry points (`eig_hermitian`, `matrix_function`) check and
+symmetrize what a caller passes.  A matrix a search builds (a point on a
+line or a spike of the LS search) is symmetrized only where its
+eigenvectors are used.
 """
 
 from __future__ import annotations
@@ -70,9 +78,16 @@ def max_abs(a) -> float:
 
 
 def hermitian_part(a) -> np.ndarray:
-    """(A + A^dag)/2 of a matrix, or of each matrix in an (..., d, d) stack."""
+    """(A + A^dag)/2 of a matrix, or of each matrix in an (..., d, d) stack.
+
+    The real and imaginary parts are halved as reals: a complex 0.5 adds
+    0 times the other part, which turns some -0 into +0, so its result
+    would not be its own `hermitian_part` in the signs of zeros."""
     a = np.asarray(a, dtype=complex)
-    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+    h = np.add(a, a.conj().swapaxes(-1, -2), order="C")
+    parts = h.view(float)
+    parts *= 0.5
+    return h
 
 
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
@@ -96,12 +111,6 @@ def eig_hermitian(a):
     return np.linalg.eigh(require_hermitian(a))
 
 
-def _eigh(m):
-    """eig_hermitian without the checks, for a matrix the library built or an
-    (n, d, d) stack of them."""
-    return np.linalg.eigh(hermitian_part(m))
-
-
 def matrix_function(a, f, eig_floor: float | None = None):
     """Apply the scalar function f to a Hermitian matrix through its
     eigendecomposition: V diag(f(clamp(w))) V^dag.
@@ -122,7 +131,7 @@ def matrix_function(a, f, eig_floor: float | None = None):
 
 
 def _matrix_function(m, f, eig_floor: float | None = None):
-    return _eig_function(*_eigh(m), f, eig_floor)
+    return _eig_function(*np.linalg.eigh(m), f, eig_floor)
 
 
 def _eig_function(w, v, f, eig_floor: float | None = None):
@@ -181,8 +190,8 @@ def _unpack(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def _expm_hermitian(h: np.ndarray) -> np.ndarray:
-    """exp(h) with h's spectrum clipped to [-H_CLIP, H_CLIP], of an exactly
-    Hermitian h (`_unpack` output) or of each matrix of a stack of them."""
+    """exp(h) with h's spectrum clipped to [-H_CLIP, H_CLIP], of a Hermitian h
+    (`_unpack` output) or of each matrix of a stack of them."""
     w, v = np.linalg.eigh(h)
     fw = np.exp(np.clip(w, -H_CLIP, H_CLIP))
     if not np.isfinite(fw).all():  # a NaN eigenvalue; the clip keeps the rest finite

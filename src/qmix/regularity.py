@@ -204,7 +204,7 @@ def random_probe(d: int, rng, near_singular: bool = False) -> np.ndarray:
     stress the log endpoints."""
     if near_singular:
         return 1e-3 * np.eye(d) + random_pure_state(d, rng)
-    h = random_hermitian(d, rng, scale=0.6)  # exactly Hermitian: nothing to check
+    h = random_hermitian(d, rng, scale=0.6)
     return _matrix_function(h, np.exp, eig_floor=-np.inf)
 
 

@@ -1,6 +1,18 @@
 import numpy as np
 import pytest
 
+from qmix.generators import (
+    build_depolarizing,
+    build_projection,
+    build_random_unitary,
+    build_tensor_qubit_depolarizing,
+    lift_channel,
+    random_davies,
+    random_lindblad,
+    random_unitary_kraus,
+)
+from qmix.operator_core import random_density_matrix
+
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -47,6 +59,24 @@ def qubit_davies(omega0=1.0, beta=1.0, coupling=None):
         coupling = PAULI_X
     h = 0.5 * omega0 * PAULI_Z
     return build_davies(DaviesSpec(hamiltonian=h, coupling_ops=[coupling], beta=beta))
+
+
+def _tensor_qubit(d, rng):
+    return build_tensor_qubit_depolarizing(1 if d < 4 else 2)
+
+
+# every builder as family -> (d, rng) -> generator, for property tests over drawn
+# generators (tensor_qubit gives d = 2 below d = 4 and d = 4 from there)
+BUILDERS = {
+    "generic": lambda d, rng: random_lindblad(d, rng),
+    "davies": lambda d, rng: random_davies(d, rng),
+    "channel": lambda d, rng: lift_channel(random_unitary_kraus(d, 2, rng, reversible=False)),
+    "random_unitary": lambda d, rng: build_random_unitary(d, 2, int(rng.integers(2 ** 16))),
+    "tensor_qubit": _tensor_qubit,
+    "depolarizing": lambda d, rng: build_depolarizing(d, float(rng.uniform(0.2, 2.0))),
+    "projection": lambda d, rng: build_projection(random_density_matrix(d, rng),
+                                                  float(rng.uniform(0.2, 2.0))),
+}
 
 
 def relative_entropy_oracle(rho, sigma):

@@ -24,7 +24,6 @@ from qmix.generators import (
     random_davies,
     random_lindblad,
     random_reversible_unital,
-    random_unitary_kraus,
     stationary_state,
 )
 from qmix.dirichlet_gap import dirichlet
@@ -42,6 +41,7 @@ from qmix.operator_core import (
 )
 
 from conftest import (
+    BUILDERS,
     PAULI_X,
     PAULI_Z,
     depolarizing_lindblad_ops,
@@ -557,11 +557,6 @@ def test_hat_equals_adjoint_for_unital_nonreversible(rng):
     assert max_abs(hat_generator(g).super_L - g.super_Lstar) < 1e-10
 
 
-def test_hat_generator_is_built_once(rng):
-    g = random_lindblad(3, rng)
-    assert hat_generator(g) is hat_generator(g)
-
-
 def test_hat_generator_is_freed_with_its_last_holder(rng):
     g = random_lindblad(3, rng)
     h = hat_generator(g)
@@ -616,30 +611,14 @@ def test_large_stacked_action_equals_each_matrix_on_its_own(rng):
 # properties of every builder, over drawn generators at d <= 6
 # ---------------------------------------------------------------------------
 
-def _tensor_qubit(d, rng):
-    return build_tensor_qubit_depolarizing(1 if d < 4 else 2)
-
-
-_BUILDERS = {
-    "generic": lambda d, rng: random_lindblad(d, rng),
-    "davies": lambda d, rng: random_davies(d, rng),
-    "channel": lambda d, rng: lift_channel(random_unitary_kraus(d, 2, rng, reversible=False)),
-    "random_unitary": lambda d, rng: build_random_unitary(d, 2, int(rng.integers(2 ** 16))),
-    "tensor_qubit": _tensor_qubit,
-    "depolarizing": lambda d, rng: build_depolarizing(d, float(rng.uniform(0.2, 2.0))),
-    "projection": lambda d, rng: build_projection(random_density_matrix(d, rng),
-                                                  float(rng.uniform(0.2, 2.0))),
-}
-
-
 @settings(max_examples=40, deadline=None)
-@given(family=st.sampled_from(sorted(_BUILDERS)), d=st.integers(2, 6), hat=st.booleans(),
+@given(family=st.sampled_from(sorted(BUILDERS)), d=st.integers(2, 6), hat=st.booleans(),
        seed=st.integers(0, 2 ** 16))
 def test_builder_properties_hypothesis(family, d, hat, seed):
     """L(1) = 0, L*(sigma) = 0, E_2(f) = -<f, L f>_sigma with the KMS inner
     product formed here from sigma^{1/2}, and the hat of the hat acts as L."""
     rng = np.random.default_rng(seed)
-    g = _BUILDERS[family](d, rng)
+    g = BUILDERS[family](d, rng)
     if hat:
         g = hat_generator(g)
     d = g.dim

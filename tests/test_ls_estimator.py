@@ -1,11 +1,14 @@
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
-from conftest import same_bits
+from conftest import BUILDERS, same_bits
 
 from qmix.dirichlet_gap import dirichlet, spectral_gap
 from qmix.generators import (
@@ -33,7 +36,8 @@ from qmix.ls_estimator import (
     partial_order_verdict,
     unital_alpha2_lower,
 )
-from qmix.lp_space import NUMERICAL_FAILURES
+from qmix.lp_space import NUMERICAL_FAILURES, _not_positive
+from qmix.regularity import direct_regularity_check, regularity_profile
 from qmix.operator_core import (
     _expm_hermitian,
     _pack,
@@ -755,3 +759,99 @@ def _run_kinds(runs, n, best, cap):
                 kinds.add("sweep without improvement")
             k, improved = 0, False
     return kinds
+
+
+# ---------------------------------------------------------------------------
+# One Hermitian eigensolver: what np.linalg.eigh is given
+# ---------------------------------------------------------------------------
+
+def test_every_eigh_input_is_exactly_hermitian_but_the_gate_stacks(rng, monkeypatch):
+    """A census of np.linalg.eigh's inputs over an LS verdict and both
+    regularity checks: each is its own hermitian_part bit for bit, except the
+    stacks of the LS positivity gate (`_RatioProblem._stacked`), which reads
+    only eigenvalues and meets line and spike points that are Hermitian only
+    to rounding."""
+    eigh, seen = np.linalg.eigh, []
+
+    def census(a, *args, **kwargs):
+        seen.append((sys._getframe(1).f_code.co_name, np.array(a)))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", census)
+    for g in (random_davies(3, rng), random_lindblad(3, rng), build_depolarizing(4, 1.0),
+              hat_generator(random_lindblad(2, rng))):
+        partial_order_verdict(g, budget=40, restarts=2, seed=1)
+        direct_regularity_check(g, probes=5, seed=1)
+        regularity_profile(g, probes=5, times=(0.3,), grid_n=11, seed=1)
+    callers = {name for name, _ in seen}
+    assert {"_stacked", "_require_positive", "_root_eig", "_matrix_function"} <= callers
+    for name, a in seen:
+        if name != "_stacked":
+            assert same_bits(hermitian_part(a), a), name
+    gate = [a for name, a in seen if name == "_stacked"]
+    assert not all(same_bits(hermitian_part(a), a) for a in gate)  # the exception is needed
+
+
+@settings(max_examples=20, deadline=None)
+@given(family=st.sampled_from(sorted(BUILDERS)), d=st.integers(2, 4), p=st.sampled_from([1, 2]),
+       seed=st.integers(0, 2 ** 16))
+def test_the_gate_verdicts_on_line_and_spike_stacks_ignore_symmetrization_hypothesis(
+        family, d, p, seed):
+    # restarts=0 and no refine: every stack the gate sees is a line or spike stack
+    stacks, stacked = [], _RatioProblem._stacked
+
+    def spy(self, fs):
+        stacks.append(fs.copy())
+        return stacked(self, fs)
+
+    g = BUILDERS[family](d, np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_RatioProblem, "_stacked", spy)
+        rep = estimate_alpha(g, p, restarts=0, seed=seed, refine_sweeps=0)
+    assert stacks and rep.n_evals == rep.stage_evals["lines_and_spikes"]
+    for fs in stacks:
+        assert np.array_equal(_not_positive(np.linalg.eigh(fs)[0]),
+                              _not_positive(np.linalg.eigh(hermitian_part(fs))[0]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(family=st.sampled_from(sorted(BUILDERS)), d=st.integers(2, 5), hat=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_stacked_ratios_equal_stacks_of_one_over_drawn_generators_hypothesis(family, d, hat, seed):
+    """`ratios` of a stack that crosses a STACK_ENTRIES chunk boundary equals
+    each matrix as a stack of one, and Ent_p >= 0 on the positive matrices at
+    p = 1, 1.5, 2 and 3."""
+    rng = np.random.default_rng(seed)
+    g = BUILDERS[family](d, rng)
+    if hat:
+        g = hat_generator(g)
+    d = g.dim
+    fs = _mixed_stack(rng, d)
+    sp = g.stationary
+    for f in fs:
+        if not _not_positive(np.linalg.eigvalsh(f)):
+            for q in (1.0, 1.5, 2.0, 3.0):
+                assert sp.ent(q, f) >= 0.0
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ls_estimator, "STACK_ENTRIES", 3 * d * d)  # chunks of 3: the stack holds 8
+        for p in (1, 2):
+            stacked, single = _RatioProblem(g, p), _RatioProblem(g, p)
+            got = stacked.ratios(fs)
+            assert same_bits(np.array(got), np.array([single.ratios(f[None])[0] for f in fs]))
+            assert stacked.n_evals == single.n_evals == len(fs)
+
+
+def test_extra_starts_must_be_hermitian(rng, monkeypatch):
+    g = random_davies(3, rng)
+    start = g.stationary.power_operator(2.0, 1.0, np.eye(3) + 0.2 * random_hermitian(3, rng))
+    skew = start + 0.1j * np.triu(np.ones((3, 3)), 1)
+    with pytest.raises(ValueError, match=r"extra_starts\[1\] is not Hermitian"):
+        estimate_alpha(g, 2, budget=30, restarts=1, seed=0, extra_starts=[start, skew])
+    # a Hermitian start, or one within the Hermiticity tolerance, gives the
+    # report of the earlier silent symmetrization
+    for f0 in (start, start + 1e-15 * np.triu(np.ones((3, 3)), 1)):
+        rep = estimate_alpha(g, 2, budget=30, restarts=2, seed=0, extra_starts=[f0])
+        with monkeypatch.context() as m:
+            m.setattr(ls_estimator, "require_hermitian", lambda f, name: hermitian_part(f))
+            old = estimate_alpha(g, 2, budget=30, restarts=2, seed=0, extra_starts=[f0])
+        assert rep.to_dict() == old.to_dict() and same_bits(rep.witness, old.witness)

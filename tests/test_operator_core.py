@@ -2,8 +2,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qmix.lp_space import WeightedSpace, _sigma_power
 from qmix.operator_core import (
+    _eig_function,
+    _expm_hermitian,
+    _ginibre,
+    _unpack,
     as_matrix,
     choi_from_super,
     eig_hermitian,
@@ -15,6 +22,7 @@ from qmix.operator_core import (
     matrix_from_json,
     matrix_function,
     matrix_to_json,
+    random_density_matrix,
     random_hermitian,
     random_psd,
     report_dict,
@@ -254,3 +262,67 @@ def test_report_dict_keeps_non_array_fields_in_order_shallow_copied():
     assert out == {"x": 0.5, "tags": {"a": [1]}, "failures": [{"i": 0}]}
     assert out["tags"] is not rep.tags and out["tags"]["a"] is rep.tags["a"]
     assert out["failures"] is not rep.failures and out["failures"][0] is rep.failures[0]
+
+
+# ---------------------------------------------------------------------------
+# hermitian_part is idempotent bit for bit and every kernel returns one of its
+# fixed points, so the library's own matrices go to np.linalg.eigh as they are
+# ---------------------------------------------------------------------------
+
+# real and imaginary parts: wide floats, signed zeros and the subnormal extremes;
+# |x| <= 1e300 keeps x + x finite
+_PART = st.one_of(st.floats(-1e300, 1e300, allow_nan=False),
+                  st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 2), d=st.integers(1, 6), data=st.data())
+def test_hermitian_part_is_idempotent_bit_for_bit_hypothesis(n, d, data):
+    shape = (n, d, d) if n else (d, d)
+    size = 2 * max(n, 1) * d * d
+    parts = data.draw(st.lists(_PART, min_size=size, max_size=size))
+    x = np.array(parts, dtype=float).view(complex).reshape(shape)  # (re, im) pairs
+    once = hermitian_part(x)
+    assert same_bits(hermitian_part(once), once)
+    # the values of the complex-0.5 form 0.5 * (x + x^dag); only zeros may differ in sign
+    assert np.array_equal(once.view(float), (0.5 * (x + x.conj().swapaxes(-1, -2))).view(float))
+
+
+def test_hermitian_part_keeps_the_sign_of_a_zero():
+    x = np.array([[0.0, 0.0], [5e-324j, 0.0]])
+    once = hermitian_part(x)
+    assert np.signbit(once[0, 1].imag) and not np.signbit(once[1, 0].imag)
+    assert same_bits(hermitian_part(once), once)
+    # a complex 0.5 adds 0 * re to -0 * 0.5 and loses the sign
+    assert not same_bits(0.5 * (once + once.conj().T), once)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_kernel_outputs_are_fixed_points_of_hermitian_part_hypothesis(d, seed):
+    rng = np.random.default_rng(seed)
+    sp = WeightedSpace(random_density_matrix(d, rng))
+    h = random_hermitian(d, rng, scale=0.7)
+    hs = np.array([random_hermitian(d, rng) for _ in range(3)])
+    f = _eig_function(*np.linalg.eigh(h), np.exp)
+    fs = _eig_function(*np.linalg.eigh(hs), np.exp)
+    x = rng.standard_normal((3, d * d))
+    outputs = {
+        "random_hermitian": h,
+        "random_hermitian(scale=1)": hs[0],
+        "require_hermitian": require_hermitian(h + 1e-15 * _ginibre((d, d), rng)),
+        "_eig_function": f,
+        "_eig_function(stack)": fs,
+        "_eig_function(log)": _eig_function(*np.linalg.eigh(f), np.log),
+        "_expm_hermitian": _expm_hermitian(_unpack(x[0], d)),
+        "_expm_hermitian(stack)": _expm_hermitian(_unpack(x, d)),
+        "_power_operator": sp._power_operator(2.0, 1.5, sp._root_eig(1.5, f)),
+        "_power_operator(stack)": sp._power_operator(3.0, 1.0, sp._root_eig(1.0, fs)),
+    }
+    for p in (1.0, 0.5, -1.0 / 3.0):
+        outputs[f"_gamma({p})"] = sp._gamma(p, f)
+        outputs[f"_gamma({p}, stack)"] = sp._gamma(p, fs)
+    for s in (0.25, -0.5, 1.0 / 3.0):
+        outputs[f"_sigma_power({s})"] = _sigma_power(sp.eigvals, sp.eigvecs, s)
+    for name, out in outputs.items():
+        assert same_bits(hermitian_part(out), out), name

@@ -49,7 +49,11 @@ does, and writes into ``--out``:
   run on two threads (the mixing ops record only lambda, margin and tau);
   and after those ``regularity_profile(g, probes=3, times=(0.3,),
   seed=--seed).to_dict()`` on a generic d = 16 generator, on the default
-  grid, where the probe stack runs one probe per chunk;
+  grid, where the probe stack runs one probe per chunk; and last
+  ``estimate_alpha(build_depolarizing(6, 1.0), 1, budget=60, restarts=2,
+  seed=--seed)``, whose Nelder-Mead starts take the log of line and spike
+  points, the one place where the library symmetrizes a matrix it built
+  before decomposing it;
 * ``cli_errors.txt`` -- the exit code and stderr of ``qmix analyze`` and
   ``qmix mixing`` (``--seed 0``) on four failing specs: a pure-Hamiltonian
   generator, ``{not json``, an unknown family and a depolarizing spec
@@ -227,6 +231,9 @@ def library_lines(seed: int) -> list:
     g = build_lindblad(0.5 * (positive(16) - positive(16)), [matrix(16) / 16, matrix(16) / 16])
     record("generic_d16.regularity_profile(probes=3, times=(0.3,))",
            regularity_profile(g, probes=3, times=(0.3,), seed=seed).to_dict())
+    rep = estimate_alpha(build_depolarizing(6, 1.0), 1, budget=60, restarts=2, seed=seed)
+    record("depolarizing_d6.estimate_alpha(p=1, budget=60, restarts=2)", rep.to_dict())
+    record("depolarizing_d6.estimate_alpha(p=1, budget=60, restarts=2).witness", rep.witness)
     return lines
 
 
